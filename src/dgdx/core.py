@@ -70,27 +70,6 @@ class RepresentationDataset:
         for arr in (self.domain_ids, self.splits, self.labels, self.z):
             arr.flags.writeable = False
 
-    @classmethod
-    def from_rows(cls, dim, num_classes, domains, rows):
-        """Build a dataset from an iterable of (domain_id, split, label, z) rows.
-
-        ``split`` may be given as "F"/"H" or as the integer flags 0/1.
-        """
-        ids, splits, labels, zs = [], [], [], []
-        for row in rows:
-            d, s, y, z = row
-            if isinstance(s, str):
-                if s not in SPLIT_CHARS:
-                    raise DatasetError(f"unknown split flag {s!r} (expected 'F' or 'H')")
-                s = SPLIT_CHARS[s]
-            ids.append(d)
-            splits.append(s)
-            labels.append(y)
-            zs.append(np.asarray(z, dtype=np.float32))
-        n = len(ids)
-        z_arr = np.vstack(zs) if n else np.zeros((0, dim), dtype=np.float32)
-        return cls(dim, num_classes, domains, ids, splits, labels, z_arr)
-
     def _validate(self):
         if self.dim <= 0:
             raise DatasetError("dim must be positive")
@@ -137,22 +116,8 @@ class RepresentationDataset:
     def num_samples(self):
         return int(self.domain_ids.shape[0])
 
-    @property
-    def samples(self):
-        """Samples as a list of (domain_id, split_char, label, z-vector) tuples."""
-        return [
-            (int(d), SPLIT_NAMES[int(s)], int(y), self.z[i].copy())
-            for i, (d, s, y) in enumerate(zip(self.domain_ids, self.splits, self.labels))
-        ]
-
     def domain_ids_with_role(self, role):
         return [dm.id for dm in self.domains if dm.role == role]
-
-    def role_of(self, domain_id):
-        for dm in self.domains:
-            if dm.id == domain_id:
-                return dm.role
-        raise DatasetError(f"unknown domain id {domain_id}")
 
     def mask(self, domain_id=None, split=None, label=None):
         m = np.ones(self.num_samples, dtype=bool)

@@ -289,10 +289,49 @@ def _softmax(logits):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _coral_penalty_and_grad(h2, groups):
+@dataclass(frozen=True)
+class Batch:
+    """The training batch and the constants every objective evaluation on it
+    reuses, built once per ``train`` call (see ``make_batch``)."""
+
+    x: np.ndarray
+    labels: np.ndarray
+    rows: np.ndarray  # np.arange(n), for picking each sample's label entry
+    groups: tuple  # sample indices of each training domain
+    classes: tuple  # (sample indices, centred one-hot domain codes) per class with >= 2 samples
+
+
+def make_batch(x, labels, domain_pos, n_groups, num_classes):
+    """The ``Batch`` of samples ``x`` with their labels and training-domain
+    positions 0..n_groups-1."""
+    onehot = np.eye(n_groups)[domain_pos]
+    classes = []
+    for y in range(num_classes):
+        idx = np.flatnonzero(labels == y)
+        if idx.size < 2:
+            continue
+        dy = onehot[idx]
+        classes.append((idx, dy - dy.mean(axis=0)))
+    groups = tuple(np.flatnonzero(domain_pos == g) for g in range(n_groups))
+    return Batch(x, labels, np.arange(x.shape[0]), groups, tuple(classes))
+
+
+@dataclass(frozen=True)
+class ObjectiveState:
+    """What ``objective`` computed at ``params`` that ``objective_gradient``
+    reuses instead of repeating the forward pass."""
+
+    params: dict
+    forward: tuple  # pre1, h1, pre2, h2, logits
+    q: np.ndarray  # group-DRO domain weights, else None
+    penalty: tuple  # CORAL per-group stats, cond-invariance per-class m, or None
+
+
+def _coral_penalty(h2, groups):
     """Mean over training-domain pairs of the squared mean difference plus the
     squared Frobenius covariance difference of representations (entry-wise
-    means, so the scale is width independent)."""
+    means, so the scale is width independent).  Also returns the centred
+    representations per group and each pair's differences, for the gradient."""
     d = h2.shape[1]
     stats = []
     for idx in groups:
@@ -300,108 +339,140 @@ def _coral_penalty_and_grad(h2, groups):
         mu = hg.mean(axis=0)
         hc = hg - mu
         cov = hc.T @ hc / idx.size
-        stats.append((idx, hg, mu, hc, cov))
+        stats.append((mu, hc, cov))
     penalty = 0.0
+    diffs = []
+    for a in range(len(groups)):
+        for b in range(a + 1, len(groups)):
+            dmu = stats[a][0] - stats[b][0]
+            dcov = stats[a][2] - stats[b][2]
+            penalty += (dmu @ dmu) / d + (dcov * dcov).sum() / (d * d)
+            diffs.append((a, b, dmu, dcov))
+    n_pairs = max(len(diffs), 1)
+    return penalty / n_pairs, (tuple(hc for _, hc, _ in stats), tuple(diffs))
+
+
+def _coral_grad(h2, groups, state):
+    hcs, diffs = state
+    d = h2.shape[1]
     grad = np.zeros_like(h2)
-    pairs = [(a, b) for a in range(len(groups)) for b in range(a + 1, len(groups))]
-    for a, b in pairs:
-        idx_a, _, mu_a, hc_a, cov_a = stats[a]
-        idx_b, _, mu_b, hc_b, cov_b = stats[b]
-        dmu = mu_a - mu_b
-        dcov = cov_a - cov_b
-        penalty += (dmu @ dmu) / d + (dcov * dcov).sum() / (d * d)
+    for a, b, dmu, dcov in diffs:
+        idx_a, idx_b = groups[a], groups[b]
         grad[idx_a] += (2.0 / (d * idx_a.size)) * dmu
         grad[idx_b] -= (2.0 / (d * idx_b.size)) * dmu
-        grad[idx_a] += (4.0 / (d * d * idx_a.size)) * hc_a @ dcov
-        grad[idx_b] -= (4.0 / (d * d * idx_b.size)) * hc_b @ dcov
-    n_pairs = max(len(pairs), 1)
-    return penalty / n_pairs, grad / n_pairs
+        grad[idx_a] += (4.0 / (d * d * idx_a.size)) * hcs[a] @ dcov
+        grad[idx_b] -= (4.0 / (d * d * idx_b.size)) * hcs[b] @ dcov
+    n_pairs = max(len(diffs), 1)
+    return grad / n_pairs
 
 
-def _condinv_penalty_and_grad(h2, labels, domain_pos, n_groups, num_classes):
+def _condinv_penalty(h2, classes):
     """Per-class linear-kernel dependence between representations and one-hot
     domain codes: the total squared entries of the class-conditional cross
-    covariance, averaged over classes."""
+    covariance ``m``, averaged over the classes with at least 2 samples.  Also
+    returns each class's ``m``, for the gradient."""
     penalty = 0.0
-    grad = np.zeros_like(h2)
-    onehot = np.eye(n_groups)[domain_pos]
-    used = 0
-    for y in range(num_classes):
-        idx = np.flatnonzero(labels == y)
-        if idx.size < 2:
-            continue
+    ms = []
+    for idx, dc in classes:
         r = h2[idx]
-        dy = onehot[idx]
         rc = r - r.mean(axis=0)
-        dc = dy - dy.mean(axis=0)
         m = rc.T @ dc / idx.size  # (d, n_groups)
         penalty += (m * m).sum()
+        ms.append(m)
+    scale = PENALTY_SCALE / max(len(classes), 1)
+    return penalty * scale, tuple(ms)
+
+
+def _condinv_grad(h2, classes, ms):
+    grad = np.zeros_like(h2)
+    for (idx, dc), m in zip(classes, ms):
         grad[idx] += dc @ (2.0 * m.T) / idx.size
-        used += 1
-    used = max(used, 1)
-    scale = PENALTY_SCALE / used
-    return penalty * scale, grad * scale
+    scale = PENALTY_SCALE / max(len(classes), 1)
+    return grad * scale
 
 
-def objective_and_grad(params, x, labels, domain_pos, n_groups, num_classes, cfg):
-    """Full-batch objective and analytic gradients for the configured algorithm.
+def objective(params, batch, cfg):
+    """Full-batch objective of the configured algorithm at ``params``, and the
+    ``ObjectiveState`` from which ``objective_gradient`` finishes the gradient.
 
     The objective is the cross-entropy term (softmax-weighted across domains
     for the worst-case variant), plus ``beta`` times the algorithm's
     representation penalty, plus L2 weight decay on the weight matrices.
     """
-    n = x.shape[0]
-    pre1, h1, pre2, h2, logits = forward(params, x)
-    probs = _softmax(logits)
+    fwd = forward(params, batch.x)
+    logits = fwd[4]
     logp = logits - logits.max(axis=1, keepdims=True)
     logp = logp - np.log(np.exp(logp).sum(axis=1, keepdims=True))
-    nll = -logp[np.arange(n), labels]
+    nll = -logp[batch.rows, batch.labels]
 
-    groups = [np.flatnonzero(domain_pos == g) for g in range(n_groups)]
-    dlogits = probs.copy()
-    dlogits[np.arange(n), labels] -= 1.0
+    q = None
     if cfg.algorithm == ALG_GROUP_DRO:
-        group_losses = np.array([nll[idx].mean() for idx in groups])
+        group_losses = np.array([nll[idx].mean() for idx in batch.groups])
         t = cfg.beta * group_losses
         tmax = t.max()
         lse = tmax + np.log(np.exp(t - tmax).sum())
         data_term = lse / cfg.beta
         q = np.exp(t - lse)
-        scale = np.zeros(n)
-        for g, idx in enumerate(groups):
-            scale[idx] = q[g] / idx.size
-        dlogits *= scale[:, None]
     else:
         data_term = nll.mean()
-        dlogits /= n
 
-    dh2_pen = np.zeros_like(h2)
-    penalty = 0.0
+    penalty, penalty_state = 0.0, None
     if cfg.algorithm == ALG_CORAL and cfg.beta > 0:
-        penalty, dh2_pen = _coral_penalty_and_grad(h2, groups)
+        penalty, penalty_state = _coral_penalty(fwd[3], batch.groups)
     elif cfg.algorithm == ALG_COND_INVARIANCE and cfg.beta > 0:
-        penalty, dh2_pen = _condinv_penalty_and_grad(
-            h2, labels, domain_pos, n_groups, num_classes
-        )
+        penalty, penalty_state = _condinv_penalty(fwd[3], batch.classes)
 
     obj = data_term + cfg.beta * penalty
     wd = cfg.weight_decay
     for key in ("W1", "W2", "W3"):
         obj += 0.5 * wd * float((params[key] ** 2).sum())
+    return obj, ObjectiveState(params, fwd, q, penalty_state)
 
+
+def objective_gradient(state, batch, cfg):
+    """Analytic gradients of ``objective`` from its state, by backpropagation
+    through the cached forward pass (no forward pass is repeated)."""
+    params = state.params
+    pre1, h1, pre2, h2, logits = state.forward
+    n = batch.x.shape[0]
+    dlogits = _softmax(logits)
+    dlogits[batch.rows, batch.labels] -= 1.0
+    if cfg.algorithm == ALG_GROUP_DRO:
+        scale = np.zeros(n)
+        for g, idx in enumerate(batch.groups):
+            scale[idx] = state.q[g] / idx.size
+        dlogits *= scale[:, None]
+    else:
+        dlogits /= n
+
+    dh2_pen = np.zeros_like(h2)
+    if cfg.algorithm == ALG_CORAL and cfg.beta > 0:
+        dh2_pen = _coral_grad(h2, batch.groups, state.penalty)
+    elif cfg.algorithm == ALG_COND_INVARIANCE and cfg.beta > 0:
+        dh2_pen = _condinv_grad(h2, batch.classes, state.penalty)
+
+    wd = cfg.weight_decay
     dh2 = dlogits @ params["W3"].T + cfg.beta * dh2_pen
     dpre2 = dh2 * (pre2 > 0)
     dh1 = dpre2 @ params["W2"].T
     dpre1 = dh1 * (pre1 > 0)
-    grads = {
+    return {
         "W3": h2.T @ dlogits + wd * params["W3"],
         "b3": dlogits.sum(axis=0),
         "W2": h1.T @ dpre2 + wd * params["W2"],
         "b2": dpre2.sum(axis=0),
-        "W1": x.T @ dpre1 + wd * params["W1"],
+        "W1": batch.x.T @ dpre1 + wd * params["W1"],
         "b1": dpre1.sum(axis=0),
     }
-    return obj, grads
+
+
+def objective_and_grad(params, x, labels, domain_pos, n_groups, num_classes, cfg):
+    """Full-batch objective and analytic gradients for the configured algorithm:
+    ``objective`` followed by ``objective_gradient`` on its state, on a batch
+    built for this one call."""
+    batch = make_batch(x, labels, domain_pos, n_groups, num_classes)
+    obj, state = objective(params, batch, cfg)
+    return obj, objective_gradient(state, batch, cfg)
 
 
 def pack_params(params):
@@ -429,13 +500,17 @@ def _fit_batch(raw):
 def train(raw, cfg, init_model=None):
     """Full-batch line-searched gradient descent; one checkpoint per epoch.
 
-    With ``freeze_features`` only the head moves (features stay at their
-    initialization, or at ``init_model``'s final checkpoint when given, which
-    is how a pretrained frozen extractor is expressed).  Deterministic per
-    seed.  Raises DivergenceError, naming the epoch, if the objective stops
-    being finite.
+    The backtracking (Armijo) line search evaluates only the objective at
+    each trial step; each accepted step then computes one gradient, from the
+    forward pass of the trial that was accepted.  The batch constants are
+    built once per call.  With ``freeze_features`` only the head moves
+    (features stay at their initialization, or at ``init_model``'s final
+    checkpoint when given, which is how a pretrained frozen extractor is
+    expressed).  Deterministic per seed.  Raises DivergenceError, naming the
+    epoch, if the objective stops being finite.
     """
     x, labels, pos, n_groups = _fit_batch(raw)
+    batch = make_batch(x, labels, pos, n_groups, raw.spec.num_classes)
     if init_model is not None:
         params = {k: v.copy() for k, v in init_model.final.items()}
     else:
@@ -445,12 +520,10 @@ def train(raw, cfg, init_model=None):
 
     moving = [k for k in PARAM_KEYS if not (cfg.freeze_features and k in FEATURE_KEYS)]
 
-    def value(p):
-        return objective_and_grad(p, x, labels, pos, n_groups, raw.spec.num_classes, cfg)
-
-    obj, grads = value(params)
+    obj, state = objective(params, batch, cfg)
     if not np.isfinite(obj):
         raise DivergenceError("objective non-finite at epoch 1 (before any update)")
+    grads = objective_gradient(state, batch, cfg)
     checkpoints, trace = [], []
     for epoch in range(cfg.epochs):
         for _ in range(cfg.steps_per_epoch):
@@ -463,11 +536,12 @@ def train(raw, cfg, init_model=None):
                 cand = dict(params)
                 for k in moving:
                     cand[k] = params[k] - step * grads[k]
-                new_obj, new_grads = value(cand)
+                new_obj, state = objective(cand, batch, cfg)
                 if not np.isfinite(new_obj):
                     raise DivergenceError(f"objective non-finite at epoch {epoch + 1}")
                 if new_obj <= obj - 1e-4 * step * gnorm2:
-                    params, obj, grads = cand, new_obj, new_grads
+                    params, obj = cand, new_obj
+                    grads = objective_gradient(state, batch, cfg)
                     accepted = True
                     break
                 step *= 0.5

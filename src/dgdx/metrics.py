@@ -45,8 +45,6 @@ from .probe import (
     zero_one_error,
 )
 
-DOMAIN_WEIGHT_EQUAL = "per_domain_equal"
-
 CSV_METRIC_COLUMNS = (
     "e0",
     "e1",
@@ -73,16 +71,12 @@ class ConstantSeriesError(ValueError):
 class MetricConfig:
     probe_cfg: ProbeFitConfig = field(default_factory=ProbeFitConfig)
     target_role: str = ROLE_TEST
-    domain_weighting: str = DOMAIN_WEIGHT_EQUAL
     negative_tolerance: float = 1e-6
-    per_domain_e1: bool = False
     oracle_family_provider: object = None  # callable(num_outputs, z) -> FiniteProbeFamily
 
     def __post_init__(self):
         if self.target_role not in (ROLE_TEST, ROLE_VALID):
             raise ValueError("target_role must be 'test' or 'valid'")
-        if self.domain_weighting != DOMAIN_WEIGHT_EQUAL:
-            raise ValueError("only per_domain_equal domain weighting is supported")
         if self.negative_tolerance < 0:
             raise ValueError("negative_tolerance must be nonnegative")
 
@@ -224,21 +218,11 @@ def e1_prime(ds, cfg=None, return_meta=False):
     """Best shared probe's error on target domains (inseparability).
 
     One probe is shared across all target domains, matching the single
-    minimizer inside the defining infimum.  ``cfg.per_domain_e1`` switches
-    to a separate probe per target domain.  Fitted probes report the lower
+    minimizer inside the defining infimum.  Fitted probes report the lower
     holdout error of a fit's two stages (see ``_select_probe``).
     """
     cfg = cfg or MetricConfig()
     target = _target_ids(ds, cfg)
-    if cfg.per_domain_e1:
-        errs, metas = [], []
-        for did in target:
-            err, meta = _select_probe(ds, cfg, [did], ds.num_classes, "label",
-                                      lambda p: _holdout_error(ds, cfg, p, [did]))
-            errs.append(err)
-            metas.append(meta)
-        value = float(np.mean(errs))
-        return (value, {"per_domain": metas}) if return_meta else value
     value, meta = _select_probe(ds, cfg, target, ds.num_classes, "label",
                                 lambda p: _holdout_error(ds, cfg, p, target))
     return (value, meta) if return_meta else value

@@ -565,18 +565,6 @@ def binary_grid_family(z, n_angles=180, n_offsets=81, pad=0.05):
     return FiniteProbeFamily(tuple(probes))
 
 
-def prototype_family(prototype_tuples):
-    """Nearest-prototype probes: each tuple of K prototype points becomes a
-    linear K-class probe scoring by negative squared distance."""
-    probes = []
-    for protos in prototype_tuples:
-        m = np.asarray(protos, dtype=np.float64)
-        w = 2.0 * m
-        b = -(m * m).sum(axis=1)
-        probes.append(LinearProbe(w, b))
-    return FiniteProbeFamily(tuple(probes))
-
-
 def best_linear01_error_2d(z, targets, weights=None):
     """Exact minimum 0-1 error of any linear classifier on 2-d binary data.
 

@@ -106,6 +106,169 @@ class TestObjectives:
             expt.TrainConfig(algorithm="group-dro", beta=0.0)
 
 
+def _fused_objective_and_grad(params, x, labels, domain_pos, n_groups, num_classes, cfg):
+    """The objective and gradient in one pass, as written before the split
+    into ``objective`` and ``objective_gradient``: the reference they must
+    match bit for bit."""
+    n = x.shape[0]
+    pre1, h1, pre2, h2, logits = expt.forward(params, x)
+    probs = expt._softmax(logits)
+    logp = logits - logits.max(axis=1, keepdims=True)
+    logp = logp - np.log(np.exp(logp).sum(axis=1, keepdims=True))
+    nll = -logp[np.arange(n), labels]
+    groups = [np.flatnonzero(domain_pos == g) for g in range(n_groups)]
+    dlogits = probs.copy()
+    dlogits[np.arange(n), labels] -= 1.0
+    if cfg.algorithm == "group-dro":
+        t = cfg.beta * np.array([nll[idx].mean() for idx in groups])
+        tmax = t.max()
+        lse = tmax + np.log(np.exp(t - tmax).sum())
+        data_term = lse / cfg.beta
+        q = np.exp(t - lse)
+        scale = np.zeros(n)
+        for g, idx in enumerate(groups):
+            scale[idx] = q[g] / idx.size
+        dlogits *= scale[:, None]
+    else:
+        data_term = nll.mean()
+        dlogits /= n
+
+    d = h2.shape[1]
+    dh2_pen = np.zeros_like(h2)
+    penalty = 0.0
+    if cfg.algorithm == "coral" and cfg.beta > 0:
+        stats = []
+        for idx in groups:
+            hc = h2[idx] - h2[idx].mean(axis=0)
+            stats.append((idx, h2[idx].mean(axis=0), hc, hc.T @ hc / idx.size))
+        pairs = [(a, b) for a in range(n_groups) for b in range(a + 1, n_groups)]
+        for a, b in pairs:
+            idx_a, mu_a, hc_a, cov_a = stats[a]
+            idx_b, mu_b, hc_b, cov_b = stats[b]
+            dmu, dcov = mu_a - mu_b, cov_a - cov_b
+            penalty += (dmu @ dmu) / d + (dcov * dcov).sum() / (d * d)
+            dh2_pen[idx_a] += (2.0 / (d * idx_a.size)) * dmu
+            dh2_pen[idx_b] -= (2.0 / (d * idx_b.size)) * dmu
+            dh2_pen[idx_a] += (4.0 / (d * d * idx_a.size)) * hc_a @ dcov
+            dh2_pen[idx_b] -= (4.0 / (d * d * idx_b.size)) * hc_b @ dcov
+        n_pairs = max(len(pairs), 1)
+        penalty, dh2_pen = penalty / n_pairs, dh2_pen / n_pairs
+    elif cfg.algorithm == "cond-invariance" and cfg.beta > 0:
+        onehot = np.eye(n_groups)[domain_pos]
+        used = 0
+        for y in range(num_classes):
+            idx = np.flatnonzero(labels == y)
+            if idx.size < 2:
+                continue
+            r, dy = h2[idx], onehot[idx]
+            rc, dc = r - r.mean(axis=0), dy - dy.mean(axis=0)
+            m = rc.T @ dc / idx.size
+            penalty += (m * m).sum()
+            dh2_pen[idx] += dc @ (2.0 * m.T) / idx.size
+            used += 1
+        scale = expt.PENALTY_SCALE / max(used, 1)
+        penalty, dh2_pen = penalty * scale, dh2_pen * scale
+
+    obj = data_term + cfg.beta * penalty
+    wd = cfg.weight_decay
+    for key in ("W1", "W2", "W3"):
+        obj += 0.5 * wd * float((params[key] ** 2).sum())
+    dh2 = dlogits @ params["W3"].T + cfg.beta * dh2_pen
+    dpre2 = dh2 * (pre2 > 0)
+    dh1 = dpre2 @ params["W2"].T
+    dpre1 = dh1 * (pre1 > 0)
+    return obj, {
+        "W3": h2.T @ dlogits + wd * params["W3"],
+        "b3": dlogits.sum(axis=0),
+        "W2": h1.T @ dpre2 + wd * params["W2"],
+        "b2": dpre2.sum(axis=0),
+        "W1": x.T @ dpre1 + wd * params["W1"],
+        "b1": dpre1.sum(axis=0),
+    }
+
+
+def _reference_train(raw, cfg):
+    """The line search as written before trial steps skipped the gradient:
+    every trial calls ``objective_and_grad``.  Also returns how many trial
+    steps were rejected."""
+    x, labels, pos, n_groups = expt._fit_batch(raw)
+    params = expt.init_params(raw.spec.input_dim, cfg.hidden_width, raw.spec.num_classes,
+                              cfg.seed)
+    moving = [k for k in expt.PARAM_KEYS
+              if not (cfg.freeze_features and k in expt.FEATURE_KEYS)]
+
+    def value(p):
+        return expt.objective_and_grad(p, x, labels, pos, n_groups, raw.spec.num_classes, cfg)
+
+    obj, grads = value(params)
+    checkpoints, trace, rejected = [], [], 0
+    for _ in range(cfg.epochs):
+        for _ in range(cfg.steps_per_epoch):
+            gnorm2 = sum(float((grads[k] ** 2).sum()) for k in moving)
+            if gnorm2 == 0.0:
+                break
+            step = cfg.learning_rate
+            accepted = False
+            for _ in range(40):
+                cand = dict(params)
+                for k in moving:
+                    cand[k] = params[k] - step * grads[k]
+                new_obj, new_grads = value(cand)
+                if new_obj <= obj - 1e-4 * step * gnorm2:
+                    params, obj, grads = cand, new_obj, new_grads
+                    accepted = True
+                    break
+                rejected += 1
+                step *= 0.5
+            if not accepted:
+                break
+        checkpoints.append({k: v.copy() for k, v in params.items()})
+        trace.append(float(obj))
+    return checkpoints, tuple(trace), rejected
+
+
+SPLIT_CASES = [
+    ("erm", 0.0), ("coral", 1.7), ("coral", 0.0), ("cond-invariance", 0.9),
+    ("cond-invariance", 0.0), ("group-dro", 2.5),
+]
+
+
+class TestObjectiveSplit:
+    def _assert_split_matches(self, cfg, x, labels, pos, n_groups):
+        """At three parameter points, with one batch built for all three."""
+        batch = expt.make_batch(x, labels, pos, n_groups, 3)
+        for seed in range(3):
+            p = expt.init_params(SMALL_SPEC.input_dim, cfg.hidden_width, 3, seed=seed)
+            obj, state = expt.objective(p, batch, cfg)
+            grads = expt.objective_gradient(state, batch, cfg)
+            for ref_obj, ref_grads in (
+                expt.objective_and_grad(p, x, labels, pos, n_groups, 3, cfg),
+                _fused_objective_and_grad(p, x, labels, pos, n_groups, 3, cfg),
+            ):
+                assert obj == ref_obj
+                assert type(obj) is type(ref_obj)
+                assert grads.keys() == ref_grads.keys()
+                for k in grads:
+                    assert np.array_equal(grads[k], ref_grads[k]), k
+
+    @pytest.mark.parametrize("alg,beta", SPLIT_CASES)
+    def test_split_equals_fused_objective(self, alg, beta):
+        x, labels, pos, n_groups = expt._fit_batch(expt.make_dataset(SMALL_SPEC))
+        self._assert_split_matches(small_cfg(algorithm=alg, beta=beta), x, labels, pos,
+                                   n_groups)
+
+    @pytest.mark.parametrize("alg,beta", SPLIT_CASES)
+    def test_class_with_one_sample(self, alg, beta):
+        x, labels, pos, n_groups = expt._fit_batch(expt.make_dataset(SMALL_SPEC))
+        keep = (labels != 2) | (np.arange(labels.size) == np.flatnonzero(labels == 2)[0])
+        x, labels, pos = x[keep], labels[keep], pos[keep]
+        assert (labels == 2).sum() == 1
+        # cond-invariance skips the class and averages over the other two
+        assert len(expt.make_batch(x, labels, pos, n_groups, 3).classes) == 2
+        self._assert_split_matches(small_cfg(algorithm=alg, beta=beta), x, labels, pos,
+                                   n_groups)
+
+
 class TestTrain:
     def test_zero_learning_rate_keeps_parameters(self):
         raw = expt.make_dataset(SMALL_SPEC)
@@ -159,6 +322,27 @@ class TestTrain:
         for f in ("e1_prime", "e2_prime", "d0_prime", "d1_prime", "d2_prime"):
             vals = [getattr(d, f) for d in diags]
             assert max(vals) - min(vals) <= 1e-9, f
+
+
+class TestTrainMatchesReference:
+    @pytest.mark.parametrize("kw", [
+        dict(algorithm="erm"),
+        dict(algorithm="coral", beta=1.0),
+        dict(algorithm="cond-invariance", beta=1.0),
+        dict(algorithm="group-dro", beta=2.0),
+        dict(algorithm="erm", freeze_features=True),
+    ], ids=["erm", "coral", "cond-invariance", "group-dro", "frozen"])
+    def test_train_equals_loop_with_gradient_per_trial(self, kw):
+        raw = expt.make_dataset(SMALL_SPEC)
+        cfg = small_cfg(learning_rate=4.0, epochs=3, steps_per_epoch=8, **kw)
+        checkpoints, trace, rejected = _reference_train(raw, cfg)
+        assert rejected > 0  # the line search backtracked
+        model = expt.train(raw, cfg)
+        assert model.objective_trace == trace
+        assert len(model.checkpoints) == len(checkpoints)
+        for got, want in zip(model.checkpoints, checkpoints):
+            for k in expt.PARAM_KEYS:
+                assert np.array_equal(got[k], want[k]), k
 
 
 class TestExportRepresentations:
