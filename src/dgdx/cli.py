@@ -4,8 +4,6 @@ Subcommands: diagnose, scenario, verify, train, sweep, trajectory, pca.
 All randomness flows from --seed through named child seeds, so identical
 invocations produce byte-identical output files.  Exit codes: 0 success,
 2 input/validation error, 3 numeric non-convergence.
-
-DGDX_THREADS caps parallelism across sweep points (default 1, serial).
 """
 
 from __future__ import annotations
@@ -13,8 +11,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -73,13 +69,6 @@ def _load_dump_checked(path):
         return load_dump(path, sniff_format(path))
     except (DumpError, DatasetError, OSError) as exc:
         _fail(EXIT_INPUT, str(exc))
-
-
-def _threads():
-    try:
-        return max(1, int(os.environ.get("DGDX_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @click.group()
@@ -277,23 +266,12 @@ def cmd_sweep(algorithm, betas, epochs, steps_per_epoch, samples_per_domain, see
     raw = expt.make_dataset(
         expt.SyntheticColoredSpec(seed=seed, samples_per_domain=samples_per_domain)
     )
-    mc = MetricConfig(target_role=target)
-
-    def one(beta):
-        cfg = _train_cfg(algorithm, beta, epochs, seed, learning_rate, hidden_width, False,
-                         steps_per_epoch)
-        model = expt.train(raw, cfg)
-        ds = expt.export_representations(model, raw)
-        diag = diagnose(ds, model.head_probe(), mc)
-        return expt.SweepRow(beta, diag, expt.model_error(model.final, raw))
-
     try:
-        workers = _threads()
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(one, grid))
-        else:
-            rows = [one(b) for b in grid]
+        # sweep_beta sets the algorithm and beta of each point; the base must be
+        # valid on its own, and group-dro rejects beta 0
+        base = _train_cfg(expt.ALG_ERM, 0.0, epochs, seed, learning_rate, hidden_width, False,
+                          steps_per_epoch)
+        rows = expt.sweep_beta(raw, algorithm, grid, base, MetricConfig(target_role=target))
     except expt.DivergenceError as exc:
         _fail(EXIT_NUMERIC, str(exc))
     except ValueError as exc:

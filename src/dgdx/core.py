@@ -94,13 +94,18 @@ class RepresentationDataset:
             raise DatasetError(
                 f"representation array has shape {self.z.shape}, expected ({n}, {self.dim})"
             )
-        known = np.array(sorted(seen), dtype=np.int64)
-        if not np.isin(self.domain_ids, known).all():
-            bad = int(self.domain_ids[~np.isin(self.domain_ids, known)][0])
-            raise DatasetError(f"sample references unknown domain id {bad}")
-        if ((self.labels < 0) | (self.labels >= self.num_classes)).any():
-            bad = int(self.labels[(self.labels < 0) | (self.labels >= self.num_classes)][0])
-            raise DatasetError(f"label {bad} out of range [0, {self.num_classes})")
+        # rows are numbered from 1, as in a dump's record section
+        unknown = np.flatnonzero(~np.isin(self.domain_ids, list(seen)))
+        if unknown.size:
+            i = int(unknown[0])
+            raise DatasetError(f"unknown domain id {int(self.domain_ids[i])} at row {i + 1}")
+        bad = np.flatnonzero((self.labels < 0) | (self.labels >= self.num_classes))
+        if bad.size:
+            i = int(bad[0])
+            raise DatasetError(
+                f"label out of range at row {i + 1} "
+                f"(label {int(self.labels[i])}, num_classes {self.num_classes})"
+            )
         if not np.isin(self.splits, [SPLIT_FIT, SPLIT_HOLDOUT]).all():
             raise DatasetError("split flags must be 0 (fit) or 1 (holdout)")
         for dm in self.domains:
@@ -459,16 +464,6 @@ def load_dump(path, format=FORMAT_BINARY):
 
 
 def _build_checked(path, dim, num_classes, domains, ids, splits, labels, z):
-    known = {dm.id for dm in domains}
-    for i, d in enumerate(ids):
-        if int(d) not in known:
-            raise DumpError(f"{path}: unknown domain id {int(d)} at row {i + 1}")
-    bad = np.flatnonzero((labels < 0) | (labels >= num_classes))
-    if bad.size:
-        raise DumpError(
-            f"{path}: label out of range at row {int(bad[0]) + 1} "
-            f"(label {int(labels[bad[0]])}, num_classes {num_classes})"
-        )
     try:
         return RepresentationDataset(dim, num_classes, domains, ids, splits, labels, z)
     except DatasetError as exc:

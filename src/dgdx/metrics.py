@@ -180,7 +180,7 @@ def _select_probe(ds, cfg, domain_ids, num_outputs, targets, score, label=None):
         family = cfg.oracle_family_provider(num_outputs, z)
         err, idx = exact_best_error(family, z, t, weights=w)
         meta = {"mode": "exact", "family_size": len(family), "index": idx, "error": err}
-        return score(family.probes[idx]), meta
+        return score(family[idx]), meta
     z, ys, pos, w = _gather(ds, domain_ids, SPLIT_FIT, label)
     t = ys if targets == "label" else pos
     probe, record = fit_probe(z, t, num_outputs, cfg.probe_cfg, sample_weight=w)

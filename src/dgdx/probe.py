@@ -17,9 +17,6 @@ import numpy as np
 
 from .core import LinearProbe
 
-WEIGHT_UNIFORM = "uniform"
-WEIGHT_PER_DOMAIN_EQUAL = "per_domain_equal"
-
 # bounds of the 0-1 stage of fit_probe (see _descend_zero_one)
 _ZO_MAX_ROUNDS = 8
 _ZO_PATIENCE = 3
@@ -29,6 +26,8 @@ _ZO_MIN_DECREASE = 0.005
 _ZO_STREAMS = 3
 # elements per temporary array in the Hessian and the line searches
 _CHUNK_ELEMENTS = 1 << 16
+# probes predicted at once in exact_best_error
+_FAMILY_BATCH = 4096
 # most parameters, k(d + 1), for which the logistic stage builds the Hessian
 _HESSIAN_MAX_PARAMS = 512
 
@@ -39,7 +38,6 @@ class ProbeFitConfig:
     max_iterations: int = 1000
     gradient_tolerance: float = 1e-7
     seed: int = 0
-    class_weighting: str = WEIGHT_UNIFORM
 
     def __post_init__(self):
         if self.l2_strength < 0:
@@ -48,8 +46,6 @@ class ProbeFitConfig:
             raise ValueError("max_iterations must be at least 1")
         if self.gradient_tolerance <= 0:
             raise ValueError("gradient_tolerance must be positive")
-        if self.class_weighting not in (WEIGHT_UNIFORM, WEIGHT_PER_DOMAIN_EQUAL):
-            raise ValueError(f"unknown class_weighting {self.class_weighting!r}")
 
 
 @dataclass(frozen=True)
@@ -77,38 +73,59 @@ class FitRecord:
         }
 
 
-@dataclass(frozen=True)
 class FiniteProbeFamily:
-    """An explicit list of probes over which infimums are computed exactly."""
+    """Probes over which infimums are computed exactly, stacked: ``weights``
+    ``(m, k, d)`` and ``bias`` ``(m, k)``; ``family[i]`` is a ``LinearProbe``."""
 
-    probes: tuple
-
-    def __post_init__(self):
-        if len(self.probes) == 0:
+    def __init__(self, weights, bias):
+        self.weights = np.ascontiguousarray(weights, dtype=np.float64)
+        self.bias = np.ascontiguousarray(bias, dtype=np.float64)
+        if self.weights.ndim != 3 or self.bias.shape != self.weights.shape[:2]:
+            raise ValueError("family weights must be (m, k, d) and its bias (m, k)")
+        if len(self) == 0:
             raise ValueError("probe family must be nonempty")
-        k = self.probes[0].num_outputs
-        d = self.probes[0].dim
-        for p in self.probes:
-            if p.num_outputs != k or p.dim != d:
-                raise ValueError("all probes in a family must share num_outputs and dim")
+        if not (np.isfinite(self.weights).all() and np.isfinite(self.bias).all()):
+            raise ValueError("probe parameters must be finite")
+
+    @classmethod
+    def from_probes(cls, probes):
+        probes = list(probes)
+        if len({p.weights.shape for p in probes}) != 1:
+            raise ValueError("a family needs probes, all sharing num_outputs and dim")
+        return cls(np.stack([p.weights for p in probes]), np.stack([p.bias for p in probes]))
 
     def __len__(self):
-        return len(self.probes)
+        return self.weights.shape[0]
+
+    def __getitem__(self, i):
+        """Probe ``i`` as a ``LinearProbe``; a slice gives a family."""
+        if isinstance(i, slice):
+            return FiniteProbeFamily(self.weights[i], self.bias[i])
+        return LinearProbe(self.weights[i], self.bias[i])
 
     @property
     def num_outputs(self):
-        return self.probes[0].num_outputs
+        return self.weights.shape[1]
 
     @property
     def dim(self):
-        return self.probes[0].dim
+        return self.weights.shape[2]
+
+    def predict(self, z):
+        """Every probe's output at every point, ``(m, n)``: bit for bit each
+        probe's ``LinearProbe.predict``, ties going to the lowest output."""
+        z = np.asarray(z, dtype=np.float64)
+        if z.shape[-1] != self.dim:
+            raise ValueError(f"family expects dim {self.dim}, got {z.shape[-1]}")
+        scores = np.matmul(z, self.weights.transpose(0, 2, 1)) + self.bias[:, None, :]
+        return scores.argmax(axis=2)
 
     def to_dict(self):
-        return {"probes": [p.to_dict() for p in self.probes]}
+        return {"probes": [self[i].to_dict() for i in range(len(self))]}
 
     @classmethod
     def from_dict(cls, obj):
-        return cls(tuple(LinearProbe.from_dict(p) for p in obj["probes"]))
+        return cls.from_probes(LinearProbe.from_dict(p) for p in obj["probes"])
 
 
 def _as_points(z, targets):
@@ -421,9 +438,8 @@ def fit_probe(z, targets, num_outputs, cfg=None, sample_weight=None, allow_singl
     times in all.  The surrogate alone can sit far from the 0-1 optimum,
     for instance when one class has clusters on both sides of another.
 
-    ``sample_weight`` overrides the weighting entirely; otherwise
-    ``cfg.class_weighting`` selects uniform weights or weights that make
-    every target value contribute equally.  Both stages use the weights.
+    Points are weighted by ``sample_weight``, uniformly when it is None,
+    in both stages.
 
     Returns ``(probe, record)`` where the record describes the logistic
     stage: iteration count, final objective and gradient, whether the
@@ -438,8 +454,7 @@ def fit_probe(z, targets, num_outputs, cfg=None, sample_weight=None, allow_singl
         raise ValueError("non-finite input features")
     if ((targets < 0) | (targets >= num_outputs)).any():
         raise ValueError("targets out of range for num_outputs")
-    present = np.unique(targets)
-    if present.size < 2 and not allow_single_target:
+    if np.unique(targets).size < 2 and not allow_single_target:
         raise ValueError(
             "fewer than 2 distinct targets present; pass allow_single_target=True "
             "to fit a degenerate probe"
@@ -450,11 +465,6 @@ def fit_probe(z, targets, num_outputs, cfg=None, sample_weight=None, allow_singl
             raise ValueError("sample_weight must match the number of points")
         if (weights < 0).any() or weights.sum() <= 0:
             raise ValueError("sample_weight must be nonnegative with positive sum")
-    elif cfg.class_weighting == WEIGHT_PER_DOMAIN_EQUAL:
-        counts = np.bincount(targets, minlength=num_outputs).astype(np.float64)
-        weights = np.zeros(n)
-        for t in present:
-            weights[targets == t] = 1.0 / (present.size * counts[t])
     else:
         weights = np.full(n, 1.0 / n)
     weights = weights / weights.sum()
@@ -489,10 +499,12 @@ def zero_one_error(probe, z, targets, weights=None):
     return float((miss * weights).sum() / weights.sum())
 
 
-def exact_best_error(family, z, targets, weights=None, batch=4096):
+def exact_best_error(family, z, targets, weights=None):
     """Exact minimum of the 0-1 error over a finite probe family.
 
-    Returns ``(error, index)``; the lowest index wins ties.
+    Returns ``(error, index)``; the lowest index wins ties.  Each probe's
+    error adds the weights of its misclassified points one at a time, in
+    point order.
     """
     z, targets = _as_points(z, targets)
     if z.shape[0] == 0:
@@ -504,22 +516,13 @@ def exact_best_error(family, z, targets, weights=None, batch=4096):
     else:
         w = np.asarray(weights, dtype=np.float64)
         w = w / w.sum()
-    k = family.num_outputs
-    best_err = np.inf
-    best_idx = -1
-    probes = family.probes
-    for start in range(0, len(probes), batch):
-        chunk = probes[start : start + batch]
-        wm = np.stack([p.weights for p in chunk])  # (m, k, d)
-        bm = np.stack([p.bias for p in chunk])  # (m, k)
-        scores = np.einsum("nd,mkd->nmk", z, wm) + bm[None, :, :]
-        preds = scores.argmax(axis=2)  # (n, m)
-        errs = ((preds != targets[:, None]).astype(np.float64) * w[:, None]).sum(axis=0)
-        i = int(np.argmin(errs))
-        if errs[i] < best_err:
-            best_err = float(errs[i])
-            best_idx = start + i
-    return best_err, best_idx
+    errs = []
+    for s in range(0, len(family), _FAMILY_BATCH):
+        miss = family[s : s + _FAMILY_BATCH].predict(z) != targets  # (probes, n)
+        errs.append(np.cumsum(miss * w, axis=1)[:, -1])
+    errs = np.concatenate(errs)
+    idx = int(np.argmin(errs))
+    return float(errs[idx]), idx
 
 
 # -- oracle constructions --------------------------------------------------------
@@ -546,23 +549,27 @@ def binary_grid_family(z, n_angles=180, n_offsets=81, pad=0.05):
     """Dense grid of 2-d binary probes over line angles and offsets.
 
     Angles cover the full circle so both orientations of every direction
-    appear; offsets span the projection range of the data.  Constant
-    predictors are included.
+    appear; offsets span the projection range of the data.  The two
+    constant predictors come first, then, angle by angle, the
+    ``binary_threshold_probe`` of each offset.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.shape[1] != 2:
         raise ValueError("binary_grid_family requires 2-d points")
-    probes = [constant_probe(0, 2, 2), constant_probe(1, 2, 2)]
     angles = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
-    for theta in angles:
-        w = np.array([np.cos(theta), np.sin(theta)])
-        proj = z @ w
-        lo, hi = proj.min(), proj.max()
-        span = max(hi - lo, 1e-12)
-        offsets = np.linspace(lo - pad * span, hi + pad * span, n_offsets)
-        for r in offsets:
-            probes.append(binary_threshold_probe(w, r))
-    return FiniteProbeFamily(tuple(probes))
+    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)  # (n_angles, 2)
+    # one matrix-vector product per angle, the same arithmetic as z @ direction
+    proj = np.matmul(z, dirs[:, :, None])[:, :, 0]  # (n_angles, n)
+    lo, hi = proj.min(axis=1), proj.max(axis=1)
+    span = np.maximum(hi - lo, 1e-12)
+    offsets = np.linspace(lo - pad * span, hi + pad * span, n_offsets, axis=1)
+    m = 2 + n_angles * n_offsets
+    weights = np.zeros((m, 2, 2))
+    weights[2:, 1] = np.repeat(dirs, n_offsets, axis=0)
+    bias = np.zeros((m, 2))
+    bias[:2] = np.eye(2)
+    bias[2:, 1] = -offsets.ravel()
+    return FiniteProbeFamily(weights, bias)
 
 
 def best_linear01_error_2d(z, targets, weights=None):

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LinearProbe
-from .probe import FiniteProbeFamily, constant_probe
+from .probe import FiniteProbeFamily
 
 _EXACT_TOL = 1e-12
 
@@ -112,47 +111,28 @@ class PartitionInstance:
 # -- exact evaluation --------------------------------------------------------------
 
 
-def eval_F(inst, domain_subset, probe):
-    """Equal-weight average over the subset of the exact expected 0-1 loss."""
-    subset = list(domain_subset)
-    if not subset:
+def _mean_miss(preds, tables, correct):
+    """Mass each row of ``preds`` ``(P, m)`` misclassifies, averaged over the
+    ``K`` distributions ``tables`` ``(K, m, C)``, where column ``c`` of
+    distribution ``k`` is right for output ``correct[k, c]``.  Rows are summed
+    alike, so a probe's error is the same inside a search (``P > 1``) as alone."""
+    if len(tables) == 0:
         raise ValueError("domain subset must be nonempty")
-    preds = probe.predict(inst.points)
-    mismatch = preds[:, None] != np.arange(inst.num_classes)[None, :]  # (m, C)
-    errs = (inst.joint[subset] * mismatch[None, :, :]).sum(axis=(1, 2))
-    return float(errs.mean())
+    miss = preds[:, None, :, None] != correct[None, :, None, :]
+    return (tables * miss).sum(axis=(2, 3)).mean(axis=1)
 
 
-def _label_errors(inst, subset):
-    """Per-probe exact errors over a domain subset, shape (P,)."""
-    preds = np.stack([p.predict(inst.points) for p in inst.label_family.probes])
-    mismatch = preds[:, :, None] != np.arange(inst.num_classes)[None, None, :]
-    joint_mean = inst.joint[list(subset)].mean(axis=0)  # (m, C)
-    return (mismatch * joint_mean[None, :, :]).sum(axis=(1, 2))
+def _label_errors(inst, domain_subset, preds):
+    """Equal-weight average over the subset of the exact expected 0-1 loss of
+    each row of predictions, ``(P,)``."""
+    tables = inst.joint[list(domain_subset)]
+    return _mean_miss(preds, tables, np.arange(inst.num_classes)[None, :])
 
 
-def _best_label(inst, subset):
-    errs = _label_errors(inst, subset)
-    idx = int(np.argmin(errs))
-    return float(errs[idx]), idx
-
-
-def _head(inst):
-    if inst.head_index is not None:
-        return float(eval_F(inst, inst.train_idx, inst.label_family.probes[inst.head_index])), inst.head_index
-    return _best_label(inst, inst.train_idx)
-
-
-def eval_G(inst, domain_subset, probe, conditional_class=None):
-    """Exact expected domain-classification 0-1 loss over an ordered subset.
-
-    Domain at position k in the subset carries target label k.  With
-    ``conditional_class`` the expectation conditions each domain on that class.
-    """
+def _domain_errors(inst, domain_subset, preds, conditional_class=None):
+    """Exact expected domain-classification 0-1 loss of each row of
+    predictions over an ordered subset, ``(P,)``; see ``eval_G``."""
     subset = list(domain_subset)
-    if not subset:
-        raise ValueError("domain subset must be nonempty")
-    preds = probe.predict(inst.points)  # (m,)
     if conditional_class is None:
         weights = inst.marginals()[subset]  # (|A|, m)
     else:
@@ -163,20 +143,44 @@ def eval_G(inst, domain_subset, probe, conditional_class=None):
                 "the conditional metric is undefined"
             )
         weights = inst.joint[subset, :, conditional_class] / pri[:, None]
-    errs = [
-        float(weights[k] @ (preds != k).astype(np.float64)) for k in range(len(subset))
-    ]
-    return float(np.mean(errs))
+    return _mean_miss(preds, weights[:, :, None], np.arange(len(subset))[:, None])
+
+
+def eval_F(inst, domain_subset, probe):
+    """Equal-weight average over the subset of the exact expected 0-1 loss."""
+    return float(_label_errors(inst, domain_subset, probe.predict(inst.points)[None])[0])
+
+
+def eval_G(inst, domain_subset, probe, conditional_class=None):
+    """Exact expected domain-classification 0-1 loss over an ordered subset.
+
+    Domain at position k in the subset carries target label k.  With
+    ``conditional_class`` the expectation conditions each domain on that class.
+    """
+    preds = probe.predict(inst.points)[None]
+    return float(_domain_errors(inst, domain_subset, preds, conditional_class)[0])
+
+
+def _argmin(errs):
+    idx = int(np.argmin(errs))
+    return float(errs[idx]), idx
+
+
+def _best_label(inst, subset):
+    return _argmin(_label_errors(inst, subset, inst.label_family.predict(inst.points)))
+
+
+def _head(inst):
+    if inst.head_index is not None:
+        return eval_F(inst, inst.train_idx, inst.label_family[inst.head_index]), inst.head_index
+    return _best_label(inst, inst.train_idx)
 
 
 def _best_domain(inst, subset, conditional_class=None):
     if inst.domain_family is None:
         raise ValueError("instance has no domain classifier family")
-    errs = [
-        eval_G(inst, subset, p, conditional_class) for p in inst.domain_family.probes
-    ]
-    idx = int(np.argmin(errs))
-    return float(errs[idx]), idx
+    preds = inst.domain_family.predict(inst.points)
+    return _argmin(_domain_errors(inst, subset, preds, conditional_class))
 
 
 # -- proposition checks --------------------------------------------------------------
@@ -284,7 +288,7 @@ def check_prop2(inst, tol=_EXACT_TOL):
                 False,
                 (),
             )
-    e3 = eval_F(inst, inst.test_idx, inst.label_family.probes[head_idx])
+    e3 = eval_F(inst, inst.test_idx, inst.label_family[head_idx])
     ok = e3 <= tol
     violations = () if ok else ({"target_error": e3, "head_index": head_idx},)
     return PropositionReport("prop2", True, "ok", ok, violations)
@@ -316,7 +320,7 @@ def check_orderings(inst, tol=_EXACT_TOL):
     all_domains = tuple(range(inst.num_domains))
     e1, _ = _best_label(inst, test)
     _, joint_idx = _best_label(inst, all_domains)
-    e2 = eval_F(inst, test, inst.label_family.probes[joint_idx])
+    e2 = eval_F(inst, test, inst.label_family[joint_idx])
     entries.append(
         {
             "name": "e1_le_e2",
@@ -327,7 +331,7 @@ def check_orderings(inst, tol=_EXACT_TOL):
     )
     e0, head_idx = _head(inst)
     best_train, _ = _best_label(inst, inst.train_idx)
-    e3 = eval_F(inst, test, inst.label_family.probes[head_idx])
+    e3 = eval_F(inst, test, inst.label_family[head_idx])
     if e0 <= best_train + tol:
         entries.append(
             {
@@ -422,12 +426,13 @@ def check_partition_expectation(points, joint, label_family, n1, max_subsets=100
 
 
 def _random_family(rng, num_outputs, dim, size, scale=1.5):
-    probes = [constant_probe(k, num_outputs, dim) for k in range(num_outputs)]
-    for _ in range(size):
-        w = rng.normal(0.0, scale, size=(num_outputs, dim))
-        b = rng.normal(0.0, 0.5, size=num_outputs)
-        probes.append(LinearProbe(w, b))
-    return FiniteProbeFamily(tuple(probes))
+    # the constants, then random probes, each drawing its weights and then its bias
+    k = num_outputs
+    spread = np.repeat([scale, 0.5], [k * dim, k])
+    draws = rng.normal(0.0, spread, size=(size, spread.size))
+    weights = np.concatenate([np.zeros((k, k, dim)), draws[:, : k * dim].reshape(size, k, dim)])
+    bias = np.concatenate([np.eye(k), draws[:, k * dim :]])
+    return FiniteProbeFamily(weights, bias)
 
 
 def random_instance(
@@ -468,7 +473,7 @@ def make_prop1_instance(seed, n_domains=3, n_points=8, dim=2, num_classes=2, fam
     for _ in range(64):
         points = rng.normal(0.0, 1.0, size=(n_points, dim))
         family = _random_family(rng, num_classes, dim, family_size)
-        probe = family.probes[int(rng.integers(len(family)))]
+        probe = family[int(rng.integers(len(family)))]
         labels = probe.predict(points)
         if np.unique(labels).size >= 2:
             break
@@ -488,7 +493,7 @@ def make_prop2_instance(seed, n_domains=3, n_train=2, n_points=8, dim=2, num_cla
     for _ in range(64):
         points = rng.normal(0.0, 1.0, size=(n_points, dim))
         family = _random_family(rng, num_classes, dim, family_size)
-        probe = family.probes[int(rng.integers(len(family)))]
+        probe = family[int(rng.integers(len(family)))]
         labels = probe.predict(points)
         present = np.unique(labels)
         if present.size >= 2:

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from dgdx import expt
 from dgdx.cli import main
-from dgdx.core import FORMAT_BINARY, FORMAT_CSV, LinearProbe, load_dump, save_dump
+from dgdx.core import FORMAT_BINARY, FORMAT_CSV, ROLE_VALID, LinearProbe, load_dump, save_dump
+from dgdx.metrics import MetricConfig, csv_row
 from dgdx.scenarios import ScenarioSpec, generate
 
 from conftest import random_dataset
@@ -174,6 +176,24 @@ class TestTrainSweepTrajectory:
         lines = (tmp_path / "sweep.csv").read_bytes().split(b"\r\n")
         assert lines[0].startswith(b"beta_or_epoch,e0,e1,e2,e3,d0,d1,d2,")
         assert len([l for l in lines if l]) == 2
+
+    def test_sweep_rows_are_sweep_betas_rows(self, runner, tmp_path):
+        res = runner.invoke(main, ["sweep", "--algorithm", "group-dro", "--betas", "0.5,2",
+                                   "--seed", "1", "--epochs", "2", *self.FAST,
+                                   "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        raw = expt.make_dataset(expt.SyntheticColoredSpec(seed=1, samples_per_domain=90))
+        base = expt.TrainConfig(epochs=2, steps_per_epoch=5, learning_rate=0.1,
+                                hidden_width=8, seed=1)
+        rows = expt.sweep_beta(raw, "group-dro", [0.5, 2.0], base,
+                               MetricConfig(target_role=ROLE_VALID))
+        expected = [{"beta": r.beta, "train_holdout_error": r.train_holdout_error,
+                     "diagnosis": r.diagnosis.to_dict()} for r in rows]
+        report = json.loads((tmp_path / "sweep.json").read_text())
+        assert report["rows"] == json.loads(json.dumps(expected))
+        lines = (tmp_path / "sweep.csv").read_bytes().split(b"\r\n")
+        assert lines[1:3] == [",".join(csv_row(r.diagnosis, (repr(r.beta),))).encode()
+                              for r in rows]
 
     def test_trajectory_rows_and_correlation_json(self, runner, tmp_path):
         res = runner.invoke(main, ["trajectory", "--algorithm", "cond-invariance",

@@ -10,6 +10,7 @@ from dgdx.core import (
     FORMAT_CSV,
     LinearProbe,
     RepresentationDataset,
+    _record_dtype,
     load_dump,
     save_dump,
     sniff_format,
@@ -66,6 +67,19 @@ class TestLoadDump:
         path = _two_domain_csv(tmp_path, rows)
         with pytest.raises(DumpError, match="unknown domain id 7"):
             load_dump(path, FORMAT_CSV)
+
+    def test_binary_unknown_domain_id_names_its_row(self, tmp_path):
+        ds = random_dataset(2, per_cell=4)
+        path = tmp_path / "d.bin"
+        save_dump(ds, path, FORMAT_BINARY)
+        blob = bytearray(path.read_bytes())
+        itemsize = _record_dtype(ds.dim).itemsize
+        row = 17
+        start = len(blob) - (ds.num_samples - (row - 1)) * itemsize
+        blob[start : start + 4] = np.uint32(9).tobytes()  # the record's u32 domain id
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DumpError, match="unknown domain id 9 at row 17$"):
+            load_dump(path, FORMAT_BINARY)
 
     def test_dimension_mismatch_reports_row(self, tmp_path):
         rows = list(BASE_ROWS)

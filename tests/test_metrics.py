@@ -374,7 +374,7 @@ def _random_family_provider(seed, extra_probes=24):
         for _ in range(extra_probes):
             probes.append(LinearProbe(rng.normal(size=(num_outputs, z.shape[1])),
                                       rng.normal(size=num_outputs)))
-        return FiniteProbeFamily(tuple(probes))
+        return FiniteProbeFamily.from_probes(probes)
 
     return provider
 
@@ -407,7 +407,7 @@ class TestExactFamilyMode:
         z, ys, _, w = _gather(ds, sorted(_train_ids(ds)), SPLIT_HOLDOUT)
         family = provider(ds.num_classes, z)
         _, idx = exact_best_error(family, z, ys, weights=w)
-        head = family.probes[idx]
+        head = family[idx]
         assert e2_prime(ds, cfg) <= e3_prime(ds, head, cfg) + 1e-12
 
     @pytest.mark.parametrize("seed", range(6))

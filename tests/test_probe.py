@@ -97,8 +97,8 @@ class TestFitProbe:
         rng = np.random.default_rng(8)
         z = np.vstack([rng.normal(size=(3, 2)) - 2.0, rng.normal(size=(30, 2)) + 2.0])
         t = np.array([0] * 3 + [1] * 30)
-        cfg = ProbeFitConfig(class_weighting="per_domain_equal")
-        probe, _ = fit_probe(z, t, 2, cfg)
+        weights = 1.0 / (2 * np.bincount(t)[t])
+        probe, _ = fit_probe(z, t, 2, sample_weight=weights)
         assert zero_one_error(probe, z, t) == 0.0
 
 
@@ -303,7 +303,7 @@ class TestExactBestError:
     def test_family_with_perfect_probe(self):
         z, t = _clusters(2)
         fitted, _ = fit_probe(z, t, 2)
-        family = FiniteProbeFamily((constant_probe(0, 2, 2), fitted))
+        family = FiniteProbeFamily.from_probes((constant_probe(0, 2, 2), fitted))
         err, idx = exact_best_error(family, z, t)
         assert err == 0.0 and idx == 1
 
@@ -319,7 +319,7 @@ class TestExactBestError:
                    binary_threshold_probe(np.array([1.0, 1.0]), 1.0),
                    binary_threshold_probe(np.array([1.0, -1.0]), 0.0)]
         assert len(probes) == 8
-        err, _ = exact_best_error(FiniteProbeFamily(tuple(probes)), XOR_Z, XOR_T)
+        err, _ = exact_best_error(FiniteProbeFamily.from_probes(probes), XOR_Z, XOR_T)
         assert err == pytest.approx(0.25)
 
     def test_singleton_family_equals_zero_one(self):
@@ -327,14 +327,99 @@ class TestExactBestError:
         z = rng.normal(size=(20, 2))
         t = rng.integers(0, 2, size=20)
         probe = LinearProbe(rng.normal(size=(2, 2)), rng.normal(size=2))
-        err, idx = exact_best_error(FiniteProbeFamily((probe,)), z, t)
+        err, idx = exact_best_error(FiniteProbeFamily(probe.weights[None], probe.bias[None]), z, t)
         assert idx == 0
         assert err == pytest.approx(zero_one_error(probe, z, t))
 
     def test_dim_mismatch(self):
-        family = FiniteProbeFamily((constant_probe(0, 2, 3),))
+        family = FiniteProbeFamily.from_probes([constant_probe(0, 2, 3)])
         with pytest.raises(ValueError, match="dim"):
             exact_best_error(family, np.zeros((2, 2)), np.zeros(2, dtype=int))
+
+
+class TestFiniteProbeFamily:
+    def test_literal_json_round_trips_to_the_same_dict(self):
+        literal = {"probes": [
+            {"weights": [[0.0, 0.0], [0.0, 0.0]], "bias": [1.0, 0.0], "num_outputs": 2},
+            {"weights": [[0.5, -1.25], [2.0, 0.0]], "bias": [0.0, -3.5], "num_outputs": 2},
+        ]}
+        family = FiniteProbeFamily.from_dict(literal)
+        assert family.weights.shape == (2, 2, 2) and family.bias.shape == (2, 2)
+        assert family.to_dict() == literal
+
+    def test_rejects_mixed_shapes_and_empty_families(self):
+        with pytest.raises(ValueError, match="sharing num_outputs and dim"):
+            FiniteProbeFamily.from_probes([constant_probe(0, 2, 2), constant_probe(0, 3, 2)])
+        with pytest.raises(ValueError, match="nonempty"):
+            FiniteProbeFamily(np.zeros((0, 2, 2)), np.zeros((0, 2)))
+        with pytest.raises(ValueError, match="bias"):
+            FiniteProbeFamily(np.zeros((3, 2, 2)), np.zeros((3, 3)))
+
+    def test_predict_equals_each_probes_predict_with_ties_to_the_lowest_output(self):
+        rng = np.random.default_rng(5)
+        z = rng.normal(size=(30, 4))
+        weights = rng.normal(size=(9, 3, 4))
+        bias = rng.normal(size=(9, 3))
+        weights[0] = 0.0  # scores tie between outputs 1 and 2 everywhere
+        bias[0] = [-1.0, 2.0, 2.0]
+        family = FiniteProbeFamily(weights, bias)
+        preds = family.predict(z)
+        assert preds.shape == (9, 30)
+        assert (preds[0] == 1).all()
+        for i in range(len(family)):
+            assert np.array_equal(preds[i], family[i].predict(z))
+
+    def test_grid_equals_a_reference_built_from_single_probes(self):
+        z = np.random.default_rng(3).normal(size=(25, 2))
+        n_angles, n_offsets, pad = 12, 7, 0.05
+        probes = [constant_probe(0, 2, 2), constant_probe(1, 2, 2)]
+        for theta in np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False):
+            w = np.array([np.cos(theta), np.sin(theta)])
+            proj = z @ w
+            span = max(proj.max() - proj.min(), 1e-12)
+            for r in np.linspace(proj.min() - pad * span, proj.max() + pad * span, n_offsets):
+                probes.append(binary_threshold_probe(w, r))
+        grid = binary_grid_family(z, n_angles=n_angles, n_offsets=n_offsets, pad=pad)
+        assert np.array_equal(grid.weights, np.stack([p.weights for p in probes]))
+        assert np.array_equal(grid.bias, np.stack([p.bias for p in probes]))
+
+    def test_exact_search_breaks_ties_toward_the_lowest_index(self):
+        z = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        t = np.array([0, 0, 1])
+        family = FiniteProbeFamily.from_probes([
+            constant_probe(1, 2, 2),
+            constant_probe(0, 2, 2),
+            binary_threshold_probe(np.array([-1.0, 0.0]), -0.5),  # wrong on points 0 and 2
+            constant_probe(0, 2, 2),
+        ])
+        err, idx = exact_best_error(family, z, t)
+        assert idx == 1 and err == 1 / 3
+
+    def test_search_equals_a_loop_over_single_probes(self):
+        rng = np.random.default_rng(4)
+        z = rng.normal(size=(40, 2))
+        t = rng.integers(0, 2, size=40)
+        w = rng.random(40)
+        grid = binary_grid_family(z, n_angles=30, n_offsets=11)
+        errs = []
+        for i in range(len(grid)):
+            miss = grid[i].predict(z) != t
+            err = 0.0
+            for j in range(len(t)):  # the points' weights, added in order
+                if miss[j]:
+                    err += w[j] / w.sum()
+            errs.append(err)
+        assert exact_best_error(grid, z, t, weights=w) == (min(errs), errs.index(min(errs)))
+
+    def test_batches_give_the_search_over_the_whole_family(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        z = rng.normal(size=(40, 2))
+        t = rng.integers(0, 2, size=40)
+        w = rng.random(40)
+        grid = binary_grid_family(z, n_angles=30, n_offsets=11)
+        whole = exact_best_error(grid, z, t, weights=w)
+        monkeypatch.setattr(probe_module, "_FAMILY_BATCH", 7)
+        assert exact_best_error(grid, z, t, weights=w) == whole
 
 
 class TestEnumerationOracle:

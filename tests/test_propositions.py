@@ -6,6 +6,9 @@ from dgdx.core import LinearProbe
 from dgdx.probe import FiniteProbeFamily, constant_probe
 from dgdx.propositions import (
     PartitionInstance,
+    _best_domain,
+    _best_label,
+    _random_family,
     check_orderings,
     check_partition_expectation,
     check_prop1,
@@ -23,12 +26,15 @@ def _tiny_instance(seed=13, flip_mass=False):
     """2-domain, 2-point, 2-class instance with hand-set probabilities."""
     rng = np.random.default_rng(seed)
     points = np.array([[0.0, 0.0], [1.0, 0.0]])
-    family = FiniteProbeFamily((
-        constant_probe(0, 2, 2),
-        constant_probe(1, 2, 2),
-        LinearProbe(np.array([[0.0, 0.0], [4.0, 0.0]]), np.array([0.0, -2.0])),  # x > 0.5 -> 1
-        LinearProbe(np.array([[4.0, 0.0], [0.0, 0.0]]), np.array([-2.0, 0.0])),  # x > 0.5 -> 0
-    ))
+    family = FiniteProbeFamily(
+        np.array([
+            [[0.0, 0.0], [0.0, 0.0]],  # constant 0
+            [[0.0, 0.0], [0.0, 0.0]],  # constant 1
+            [[0.0, 0.0], [4.0, 0.0]],  # x > 0.5 -> 1
+            [[4.0, 0.0], [0.0, 0.0]],  # x > 0.5 -> 0
+        ]),
+        np.array([[1.0, 0.0], [0.0, 1.0], [0.0, -2.0], [-2.0, 0.0]]),
+    )
     joint = rng.dirichlet(np.ones(4), size=3).reshape(3, 2, 2)
     return PartitionInstance(points, joint, (0,), family, None)
 
@@ -41,7 +47,7 @@ class TestEvalF:
         joint[:, 0, 0] = 0.5
         joint[:, 1, 1] = 0.5
         inst = PartitionInstance(inst.points, joint, (0,), inst.label_family)
-        assert eval_F(inst, [0, 1], inst.label_family.probes[2]) == 0.0
+        assert eval_F(inst, [0, 1], inst.label_family[2]) == 0.0
 
     def test_all_wrong_probe_one(self):
         joint = np.zeros((2, 2, 2))
@@ -49,11 +55,11 @@ class TestEvalF:
         joint[:, 1, 1] = 0.5
         inst = _tiny_instance()
         inst = PartitionInstance(inst.points, joint, (0,), inst.label_family)
-        assert eval_F(inst, [0, 1], inst.label_family.probes[3]) == 1.0
+        assert eval_F(inst, [0, 1], inst.label_family[3]) == 1.0
 
     def test_matches_direct_summation(self):
         inst = _tiny_instance(seed=13)
-        probe = inst.label_family.probes[2]
+        probe = inst.label_family[2]
         preds = probe.predict(inst.points)
         expected = 0.0
         for i in (0, 2):
@@ -66,13 +72,13 @@ class TestEvalF:
     def test_empty_subset_errors(self):
         inst = _tiny_instance()
         with pytest.raises(ValueError, match="nonempty"):
-            eval_F(inst, [], inst.label_family.probes[0])
+            eval_F(inst, [], inst.label_family[0])
 
     @given(seed=st.integers(0, 5000))
     @settings(max_examples=20, deadline=None)
     def test_linear_in_domain_mixtures(self, seed):
         inst = random_instance(seed, n_domains=4, n_train=2)
-        probe = inst.label_family.probes[seed % len(inst.label_family)]
+        probe = inst.label_family[seed % len(inst.label_family)]
         fa = eval_F(inst, [0, 1], probe)
         fb = eval_F(inst, [2, 3], probe)
         fab = eval_F(inst, [0, 1, 2, 3], probe)
@@ -156,7 +162,8 @@ class TestOrderings:
 
     def test_suboptimal_head_gates_e2_e3(self):
         inst = random_instance(9, uniform_priors=True)
-        errs = [eval_F(inst, inst.train_idx, p) for p in inst.label_family.probes]
+        family = inst.label_family
+        errs = [eval_F(inst, inst.train_idx, family[i]) for i in range(len(family))]
         worst = int(np.argmax(errs))
         if errs[worst] > min(errs) + 1e-9:
             forced = PartitionInstance(inst.points, inst.joint, inst.train_idx,
@@ -203,7 +210,7 @@ class TestEvalG:
         joint = np.repeat(inst.joint[:1], 3, axis=0)
         same = PartitionInstance(inst.points, joint, (0, 1), inst.label_family,
                                  inst.domain_family)
-        probe = same.domain_family.probes[0]  # constant domain-0 predictor
+        probe = same.domain_family[0]  # constant domain-0 predictor
         assert eval_G(same, [0, 1, 2], probe) == pytest.approx(2 / 3, abs=1e-12)
 
     def test_conditional_undefined_on_zero_prior(self):
@@ -216,11 +223,49 @@ class TestEvalG:
         other = int(present[1])
         joint[0, :, other] = joint[0, :, other] * (1 + mass / joint[0, :, other].sum())
         joint[0] /= joint[0].sum()
-        dom_family = FiniteProbeFamily(tuple(constant_probe(k, 3, 2) for k in range(3)))
+        dom_family = FiniteProbeFamily(np.zeros((3, 3, 2)), np.eye(3))  # the constants
         broken = PartitionInstance(inst.points, joint, inst.train_idx,
                                    inst.label_family, dom_family)
         with pytest.raises(ValueError, match="zero prior"):
-            eval_G(broken, [0, 1, 2], dom_family.probes[0], conditional_class=y)
+            eval_G(broken, [0, 1, 2], dom_family[0], conditional_class=y)
+
+
+class TestFamilySearch:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_searched_minimum_is_the_error_of_its_argmin(self, seed):
+        inst = random_instance(seed, n_domains=3 + seed % 3, n_points=6 + seed % 4,
+                               num_classes=2 + seed % 2, uniform_priors=bool(seed % 2))
+        domains = tuple(range(inst.num_domains))
+        for subset in (inst.train_idx, inst.test_idx, domains):
+            err, idx = _best_label(inst, subset)
+            assert err == eval_F(inst, subset, inst.label_family[idx])
+        for y in (None,) + tuple(range(inst.num_classes)):
+            err, idx = _best_domain(inst, domains, conditional_class=y)
+            assert err == eval_G(inst, domains, inst.domain_family[idx], conditional_class=y)
+
+    @pytest.mark.parametrize("num_outputs, dim", [(2, 2), (3, 2), (4, 3)])
+    def test_random_family_draws_as_one_probe_at_a_time(self, num_outputs, dim):
+        family = _random_family(np.random.default_rng(7), num_outputs, dim, 20)
+        rng = np.random.default_rng(7)
+        probes = [constant_probe(k, num_outputs, dim) for k in range(num_outputs)]
+        for _ in range(20):
+            w = rng.normal(0.0, 1.5, size=(num_outputs, dim))
+            b = rng.normal(0.0, 0.5, size=num_outputs)
+            probes.append(LinearProbe(w, b))
+        assert np.array_equal(family.weights, np.stack([p.weights for p in probes]))
+        assert np.array_equal(family.bias, np.stack([p.bias for p in probes]))
+
+    def test_ties_pick_the_lowest_index(self):
+        inst = random_instance(2, n_domains=3, num_classes=2)
+        k = inst.num_domains
+        # a family of constants listed twice: every error appears at two indices
+        twice = FiniteProbeFamily(np.zeros((2 * k, k, 2)), np.concatenate([np.eye(k)] * 2))
+        labels = FiniteProbeFamily(np.zeros((4, 2, 2)), np.concatenate([np.eye(2)] * 2))
+        tied = PartitionInstance(inst.points, inst.joint, inst.train_idx, labels, twice)
+        _, idx = _best_label(tied, (0, 1, 2))
+        assert idx < 2
+        _, idx = _best_domain(tied, (0, 1, 2))
+        assert idx < k
 
 
 class TestSuites:
