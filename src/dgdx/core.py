@@ -27,13 +27,27 @@ SPLIT_NAMES = {SPLIT_FIT: "F", SPLIT_HOLDOUT: "H"}
 
 _MAGIC = b"DGDX"
 _FORMAT_VERSION = 1
+# values formatted at once when writing a CSV dump, so memory does not grow with its rows
+_CSV_BLOCK_VALUES = 1 << 16
 
 FORMAT_CSV = "csv"
 FORMAT_BINARY = "binary"
 
 
 class DatasetError(ValueError):
-    """Raised when a dataset violates a structural invariant."""
+    """Raised when a dataset violates a structural invariant.
+
+    A fault in one sample keeps that sample's position as ``index``; the
+    message then names it as row ``index + 1``, and ``at_row(row)`` gives
+    the same message for a row numbered otherwise (a dump's line, say).
+    """
+
+    def __init__(self, message, index=None):
+        self.template, self.index = message, index
+        super().__init__(message if index is None else message.format(row=index + 1))
+
+    def at_row(self, row):
+        return self.template.format(row=row)
 
 
 class DumpError(ValueError):
@@ -94,18 +108,23 @@ class RepresentationDataset:
             raise DatasetError(
                 f"representation array has shape {self.z.shape}, expected ({n}, {self.dim})"
             )
-        # rows are numbered from 1, as in a dump's record section
         unknown = np.flatnonzero(~np.isin(self.domain_ids, list(seen)))
         if unknown.size:
             i = int(unknown[0])
-            raise DatasetError(f"unknown domain id {int(self.domain_ids[i])} at row {i + 1}")
+            raise DatasetError(f"unknown domain id {int(self.domain_ids[i])} at row {{row}}", i)
         bad = np.flatnonzero((self.labels < 0) | (self.labels >= self.num_classes))
         if bad.size:
             i = int(bad[0])
             raise DatasetError(
-                f"label out of range at row {i + 1} "
-                f"(label {int(self.labels[i])}, num_classes {self.num_classes})"
+                "label out of range at row {row} "
+                f"(label {int(self.labels[i])}, num_classes {self.num_classes})",
+                i,
             )
+        bad = np.flatnonzero(~np.isfinite(self.z).all(axis=1))
+        if bad.size:
+            i = int(bad[0])
+            value = self.z[i][~np.isfinite(self.z[i])][0]
+            raise DatasetError(f"non-finite feature value {value} at row {{row}}", i)
         if not np.isin(self.splits, [SPLIT_FIT, SPLIT_HOLDOUT]).all():
             raise DatasetError("split flags must be 0 (fit) or 1 (holdout)")
         for dm in self.domains:
@@ -381,21 +400,22 @@ def save_dump(ds, path, format=FORMAT_BINARY):
             fh.write(hdr)
             fh.write(rec.tobytes())
     elif format == FORMAT_CSV:
+        # one %-format per block of rows; %.9g of a float32 widened to a Python float
+        row = "%d,%s,%d," + ",".join(["%.9g"] * ds.dim) + "\n"
+        names = np.array([SPLIT_NAMES[SPLIT_FIT], SPLIT_NAMES[SPLIT_HOLDOUT]])
+        block = max(1, _CSV_BLOCK_VALUES // (3 + ds.dim))
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(header + "\n")
-            for i in range(ds.num_samples):
-                zs = ",".join(format_float(v) for v in ds.z[i])
-                fh.write(
-                    f"{int(ds.domain_ids[i])},{SPLIT_NAMES[int(ds.splits[i])]},"
-                    f"{int(ds.labels[i])},{zs}\n"
-                )
+            for s in range(0, ds.num_samples, block):
+                rows = slice(s, min(s + block, ds.num_samples))
+                values = np.empty((rows.stop - s, 3 + ds.dim), dtype=object)
+                values[:, 0] = ds.domain_ids[rows]
+                values[:, 1] = names[ds.splits[rows]]
+                values[:, 2] = ds.labels[rows]
+                values[:, 3:] = ds.z[rows]
+                fh.write(row * len(values) % tuple(values.ravel().tolist()))
     else:
         raise DumpError(f"unknown dump format {format!r}")
-
-
-def format_float(v):
-    """Format a float32 value with 9 significant digits (lossless)."""
-    return format(float(v), ".9g")
 
 
 def load_dump(path, format=FORMAT_BINARY):
@@ -429,45 +449,66 @@ def load_dump(path, format=FORMAT_BINARY):
         if not lines:
             raise DumpError(f"{path}: empty file")
         dim, num_classes, domains = _parse_header(lines[0], path)
-        ids, splits, labels, zs = [], [], [], []
-        for row_no, line in enumerate(lines[1:], start=1):
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3 + dim:
-                raise DumpError(
-                    f"{path}: dimension mismatch at row {row_no} "
-                    f"(expected {3 + dim} fields, got {len(parts)})"
-                )
-            try:
-                ids.append(int(parts[0]))
-                split = parts[1]
-                if split not in SPLIT_CHARS:
-                    raise ValueError(f"bad split flag {split!r}")
-                splits.append(SPLIT_CHARS[split])
-                labels.append(int(parts[2]))
-                zs.append([float(v) for v in parts[3:]])
-            except ValueError as exc:
-                raise DumpError(f"{path}: malformed value at row {row_no}: {exc}") from exc
-        z = np.asarray(zs, dtype=np.float32).reshape(len(ids), dim)
+        body = lines[1:]
+        if not any(body):
+            raise DumpError(f"{path}: dataset has no samples")
+        # a split flag wider than one character stays wider than one in U2, so it fails the check
+        dtype = np.dtype(
+            [("domain", "<i8"), ("split", "U2"), ("label", "<i8"), ("z", "<f4", (dim,))]
+        )
+        try:
+            rec = np.loadtxt(body, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+            if not np.isin(rec["split"], list(SPLIT_CHARS)).all():
+                raise ValueError("split flags must be F or H")
+        except ValueError as exc:
+            raise _csv_fault(path, body, dim) or DumpError(f"{path}: {exc}") from exc
+        splits = rec["split"] == SPLIT_NAMES[SPLIT_HOLDOUT]
         return _build_checked(
-            path,
-            dim,
-            num_classes,
-            domains,
-            np.asarray(ids, dtype=np.int64),
-            np.asarray(splits, dtype=np.uint8),
-            np.asarray(labels, dtype=np.int64),
-            z,
+            path, dim, num_classes, domains, rec["domain"], splits, rec["label"], rec["z"], body
         )
     raise DumpError(f"unknown dump format {format!r}")
 
 
-def _build_checked(path, dim, num_classes, domains, ids, splits, labels, z):
+def _csv_fault(path, body, dim):
+    """The error for the first malformed line of a CSV record section, or None.
+
+    Lines are numbered from 1 after the header, blank lines included; blank
+    lines are skipped.  These per-line rules run only after the bulk parse
+    has failed, to name the line.  The bulk parse accepts no line they
+    reject; the few it rejects and they accept (underscores between digits,
+    non-ASCII digits, integers beyond 64 bits) fail with its own message.
+    """
+    for row, line in enumerate(body, start=1):
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 3 + dim:
+            return DumpError(
+                f"{path}: dimension mismatch at row {row} "
+                f"(expected {3 + dim} fields, got {len(parts)})"
+            )
+        try:
+            int(parts[0])
+            if parts[1] not in SPLIT_CHARS:
+                raise ValueError(f"bad split flag {parts[1]!r}")
+            int(parts[2])
+            for v in parts[3:]:
+                float(v)
+        except ValueError as exc:
+            return DumpError(f"{path}: malformed value at row {row}: {exc}")
+    return None
+
+
+def _build_checked(path, dim, num_classes, domains, ids, splits, labels, z, body=None):
+    """Construct the dataset, turning a DatasetError into a DumpError.  Given
+    ``body``, a CSV record section, a faulty sample is named by its line."""
     try:
         return RepresentationDataset(dim, num_classes, domains, ids, splits, labels, z)
     except DatasetError as exc:
-        raise DumpError(f"{path}: {exc}") from exc
+        msg = str(exc)
+        if body is not None and exc.index is not None:
+            msg = exc.at_row([row for row, line in enumerate(body, start=1) if line][exc.index])
+        raise DumpError(f"{path}: {msg}") from exc
 
 
 def sniff_format(path):

@@ -24,8 +24,11 @@ _ZO_RANDOM_DIRECTIONS = 8
 _ZO_MAX_COORDINATES = 8
 _ZO_MIN_DECREASE = 0.005
 _ZO_STREAMS = 3
-# elements per temporary array in the Hessian and the line searches
+# elements per temporary array in the Hessian's row chunks; its sums depend on the chunking
 _CHUNK_ELEMENTS = 1 << 16
+# elements held by one call of the 0-1 line search, over all its temporary arrays; each
+# direction is searched on its own, so the batch size changes no result, only the call count
+_LINE_SEARCH_ELEMENTS = 1 << 18
 # probes predicted at once in exact_best_error
 _FAMILY_BATCH = 4096
 # most parameters, k(d + 1), for which the logistic stage builds the Hessian
@@ -388,7 +391,7 @@ def _zero_one_stream(theta, err, z, targets, weights, coords, basis, rng):
     n = z.shape[0]
     k, dp1 = theta.shape
     # directions per line-search call: it holds about eight (n, directions) arrays at once
-    batch = max(1, _CHUNK_ELEMENTS // (8 * n * k))
+    batch = max(1, _LINE_SEARCH_ELEMENTS // (8 * n * k))
     scores = _scores(theta, z)
     stalled = 0
     for _ in range(_ZO_MAX_ROUNDS):

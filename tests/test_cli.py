@@ -6,7 +6,15 @@ from click.testing import CliRunner
 
 from dgdx import expt
 from dgdx.cli import main
-from dgdx.core import FORMAT_BINARY, FORMAT_CSV, ROLE_VALID, LinearProbe, load_dump, save_dump
+from dgdx.core import (
+    FORMAT_BINARY,
+    FORMAT_CSV,
+    ROLE_VALID,
+    LinearProbe,
+    _record_dtype,
+    load_dump,
+    save_dump,
+)
 from dgdx.metrics import MetricConfig, csv_row
 from dgdx.scenarios import ScenarioSpec, generate
 
@@ -67,6 +75,28 @@ class TestDiagnoseCommand:
         err = res.stderr if hasattr(res, "stderr") else ""
         payload = json.loads((err or res.output).splitlines()[0])
         assert "per_domain" in payload
+
+    @pytest.mark.parametrize("fmt", [FORMAT_BINARY, FORMAT_CSV])
+    def test_non_finite_feature_exit_two_naming_the_row(self, runner, tmp_path, fmt):
+        ds = random_dataset(0, per_cell=8)
+        dump = tmp_path / "reps"
+        save_dump(ds, dump, fmt)
+        if fmt == FORMAT_CSV:
+            lines = dump.read_text().splitlines()
+            lines[3] = lines[3].rsplit(",", 1)[0] + ",inf"  # row 3 after the header
+            dump.write_text("\n".join(lines) + "\n")
+        else:
+            blob = bytearray(dump.read_bytes())
+            itemsize = _record_dtype(ds.dim).itemsize
+            end = len(blob) - (ds.num_samples - 3) * itemsize
+            blob[end - 4 : end] = np.float32(np.inf).tobytes()  # row 3's last feature
+            dump.write_bytes(bytes(blob))
+        head = tmp_path / "head.json"
+        LinearProbe(np.zeros((2, 3)), np.zeros(2)).save(head)
+        res = runner.invoke(main, ["diagnose", "--dump", str(dump), "--head", str(head),
+                                   "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2
+        assert "non-finite feature value inf at row 3" in res.output + (res.stderr or "")
 
 
 class TestScenarioCommand:

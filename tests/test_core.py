@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dgdx import core
 from dgdx.core import (
     DatasetError,
     DomainMeta,
@@ -114,6 +117,156 @@ class TestLoadDump:
         assert sniff_format(pc) == FORMAT_CSV
 
 
+def _line_error(path, message):
+    """``pytest.raises`` pattern for exactly this DumpError message."""
+    return re.escape(f"{path}: {message}") + "$"
+
+
+BAD_VALUE = "malformed value at row 5:"
+
+
+class TestCsvRecordLines:
+    # the malformed line sits at line 5 after the header: three records, a blank line, then it
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("0,F,0,abc,0.0", f"{BAD_VALUE} could not convert string to float: 'abc'"),
+            ("1.5,F,0,0.0,0.0", f"{BAD_VALUE} invalid literal for int() with base 10: '1.5'"),
+            ("0,F,1.5,0.0,0.0", f"{BAD_VALUE} invalid literal for int() with base 10: '1.5'"),
+            ("0,Q,0,0.0,0.0", f"{BAD_VALUE} bad split flag 'Q'"),
+            ("0,FH,0,0.0,0.0", f"{BAD_VALUE} bad split flag 'FH'"),
+            ("0, F,0,0.0,0.0", f"{BAD_VALUE} bad split flag ' F'"),
+            ("0,F,0,0.0", "dimension mismatch at row 5 (expected 5 fields, got 4)"),
+            ("0,F,0,0.0,0.0,0.0", "dimension mismatch at row 5 (expected 5 fields, got 6)"),
+            ("#0,F,0,0.0,0.0", f"{BAD_VALUE} invalid literal for int() with base 10: '#0'"),
+            ("# comment", "dimension mismatch at row 5 (expected 5 fields, got 1)"),
+            ("   ", "dimension mismatch at row 5 (expected 5 fields, got 1)"),
+        ],
+    )
+    def test_malformed_line_names_its_row(self, tmp_path, line, message):
+        path = _two_domain_csv(tmp_path, BASE_ROWS[:3] + ["", line] + BASE_ROWS[3:])
+        with pytest.raises(DumpError, match=_line_error(path, message)):
+            load_dump(path, FORMAT_CSV)
+
+    @pytest.mark.parametrize(
+        "line", ["99999999999999999999,F,0,0.0,0.0", "0,F,0,1_0.5,0.0", "0,F,٣,0.0,0.0"]
+    )
+    def test_values_python_reads_but_numpy_does_not_are_rejected(self, tmp_path, line):
+        path = _two_domain_csv(tmp_path, BASE_ROWS + [line])
+        with pytest.raises(DumpError, match=re.escape(f"{path}: could not convert string")):
+            load_dump(path, FORMAT_CSV)
+
+    def test_blank_line_numbers_parse_and_validation_errors_alike(self, tmp_path):
+        # line 5 after the header is the fourth record: both kinds of fault name row 5
+        rows = BASE_ROWS[:3] + ["", "0,H,x,1.1,1.0"] + BASE_ROWS[4:]
+        path = _two_domain_csv(tmp_path, rows)
+        with pytest.raises(DumpError, match="malformed value at row 5:"):
+            load_dump(path, FORMAT_CSV)
+        rows[4] = "0,H,5,1.1,1.0"
+        path = _two_domain_csv(tmp_path, rows)
+        message = "label out of range at row 5 (label 5, num_classes 2)"
+        with pytest.raises(DumpError, match=_line_error(path, message)):
+            load_dump(path, FORMAT_CSV)
+        rows[4] = "7,H,1,1.1,1.0"
+        path = _two_domain_csv(tmp_path, rows)
+        with pytest.raises(DumpError, match=_line_error(path, "unknown domain id 7 at row 5")):
+            load_dump(path, FORMAT_CSV)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        plain = load_dump(_two_domain_csv(tmp_path, BASE_ROWS), FORMAT_CSV)
+        spaced = _two_domain_csv(tmp_path, [""] + BASE_ROWS[:5] + ["", ""] + BASE_ROWS[5:])
+        spaced = load_dump(spaced, FORMAT_CSV)
+        assert spaced.equals(plain)
+
+    def test_no_records_is_an_error(self, tmp_path):
+        path = _two_domain_csv(tmp_path, ["", ""])
+        with pytest.raises(DumpError, match=_line_error(path, "dataset has no samples")):
+            load_dump(path, FORMAT_CSV)
+
+    @pytest.mark.parametrize("value, shown", [("nan", "nan"), ("-inf", "-inf"), ("1e39", "inf")])
+    def test_non_finite_feature_names_its_row(self, tmp_path, value, shown):
+        rows = BASE_ROWS[:3] + ["", f"0,H,1,1.1,{value}"] + BASE_ROWS[4:]
+        path = _two_domain_csv(tmp_path, rows)
+        message = f"non-finite feature value {shown} at row 5"
+        with pytest.raises(DumpError, match=_line_error(path, message)):
+            load_dump(path, FORMAT_CSV)
+
+    def test_binary_non_finite_feature_names_its_row(self, tmp_path):
+        ds = random_dataset(2, per_cell=4)
+        path = tmp_path / "d.bin"
+        save_dump(ds, path, FORMAT_BINARY)
+        blob = bytearray(path.read_bytes())
+        itemsize = _record_dtype(ds.dim).itemsize
+        row = 6
+        end = len(blob) - (ds.num_samples - row) * itemsize
+        blob[end - 4 : end] = np.float32(np.nan).tobytes()  # the record's last feature
+        path.write_bytes(bytes(blob))
+        message = "non-finite feature value nan at row 6"
+        with pytest.raises(DumpError, match=_line_error(path, message)):
+            load_dump(path, FORMAT_BINARY)
+
+
+def _reference_csv(ds):
+    """The CSV dump written one value at a time, with 9 significant digits each."""
+    header = core.json.dumps(core._header_dict(ds), separators=(",", ":"))
+    lines = [header]
+    for i in range(ds.num_samples):
+        zs = ",".join(format(float(v), ".9g") for v in ds.z[i])
+        lines.append(f"{int(ds.domain_ids[i])},{'FH'[int(ds.splits[i])]},{int(ds.labels[i])},{zs}")
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+HARD_FLOAT32 = np.array(
+    [
+        -0.0,
+        0.0,
+        np.finfo(np.float32).smallest_subnormal,
+        -np.finfo(np.float32).smallest_subnormal,
+        np.finfo(np.float32).tiny,
+        np.finfo(np.float32).max,
+        -np.finfo(np.float32).max,
+        0.1,  # 0.100000001: all 9 digits
+        1.0 / 3.0,
+        16777217.0,  # rounds to 2**24
+        123456789.0,
+        1e-7,
+    ],
+    dtype=np.float32,
+)
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("dim", [1, 64])
+    def test_blocks_equal_a_per_value_reference(self, tmp_path, monkeypatch, dim):
+        ds = random_dataset(4, dim=dim, per_cell=5)
+        z = ds.z.copy().ravel()
+        z[: HARD_FLOAT32.size] = HARD_FLOAT32
+        z[-HARD_FLOAT32.size :] = HARD_FLOAT32
+        ds = RepresentationDataset(
+            dim, ds.num_classes, ds.domains, ds.domain_ids, ds.splits, ds.labels,
+            z.reshape(ds.z.shape),
+        )
+        # blocks of 7 rows, the last one short
+        monkeypatch.setattr(core, "_CSV_BLOCK_VALUES", 7 * (3 + dim))
+        assert ds.num_samples % 7
+        path = tmp_path / "d.csv"
+        save_dump(ds, path, FORMAT_CSV)
+        assert path.read_bytes() == _reference_csv(ds)
+        back = load_dump(path, FORMAT_CSV)
+        assert back.equals(ds)
+        assert np.array_equal(np.signbit(back.z), np.signbit(ds.z))
+
+    def test_round_trip_bytes_identical(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(core, "_CSV_BLOCK_VALUES", 64)
+        ds = random_dataset(9, n_train=3, num_classes=3, dim=4, per_cell=9)
+        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        save_dump(ds, p1, FORMAT_CSV)
+        ds2 = load_dump(p1, FORMAT_CSV)
+        save_dump(ds2, p2, FORMAT_CSV)
+        assert p1.read_bytes() == p2.read_bytes()
+        assert ds2.equals(ds)
+
+
 class TestSaveDump:
     def test_empty_dataset_unconstructible(self):
         with pytest.raises(DatasetError, match="no samples"):
@@ -167,6 +320,19 @@ class TestDatasetInvariants:
             RepresentationDataset(
                 ds.dim, ds.num_classes, ds.domains, ds.domain_ids, splits, ds.labels, ds.z
             )
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_features(self, value):
+        ds = random_dataset(0)
+        z = ds.z.copy()
+        z[4, 1] = value
+        message = f"non-finite feature value {value} at row 5$"
+        with pytest.raises(DatasetError, match=message) as info:
+            RepresentationDataset(
+                ds.dim, ds.num_classes, ds.domains, ds.domain_ids, ds.splits, ds.labels, z
+            )
+        assert info.value.index == 4
+        assert info.value.at_row(9) == f"non-finite feature value {value} at row 9"
 
     def test_rejects_wrong_dim(self):
         ds = random_dataset(0)

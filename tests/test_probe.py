@@ -214,6 +214,39 @@ class TestZeroOneStage:
                 lowered += several < one
         assert lowered >= 1  # a stalled stream is escaped somewhere here
 
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_line_search_batch_size_changes_no_bit(self, k, monkeypatch):
+        # k = 3 and 5 in the plane search only the biases among the coordinate directions
+        z, t = _blobs(0, num_classes=k)
+        bias_only = k * 3 > probe_module._ZO_MAX_COORDINATES
+        assert bias_only == (k > 2)
+        # one class's three coordinates for a binary probe, else each class's bias
+        per_round = (k if bias_only else 3) + probe_module._ZO_RANDOM_DIRECTIONS
+        widths = []
+        real = probe_module._line_minima
+
+        def counted(scores, slopes, targets, weights):
+            widths.append(slopes.shape[2])
+            return real(scores, slopes, targets, weights)
+
+        monkeypatch.setattr(probe_module, "_line_minima", counted)
+        fits = []
+        for directions, budget in [
+            (per_round, probe_module._LINE_SEARCH_ELEMENTS),
+            (3, 3 * 8 * len(t) * k),
+            (1, 1),
+        ]:
+            monkeypatch.setattr(probe_module, "_LINE_SEARCH_ELEMENTS", budget)
+            widths.clear()
+            fits.append(fit_probe(z, t, k))
+            assert max(widths) == directions
+        (first, rec), *others = fits
+        assert first is not rec.start  # the 0-1 stage moved the probe
+        for probe, other_rec in others:
+            assert np.array_equal(probe.weights, first.weights)
+            assert np.array_equal(probe.bias, first.bias)
+            assert other_rec == rec
+
     def test_zero_fit_error_skips_the_stage(self):
         z, t = _clusters(0)
         probe, rec = fit_probe(z, t, 2)
