@@ -432,7 +432,7 @@ def load_dump(path, format=FORMAT_BINARY):
         hlen = int(np.frombuffer(blob[5:9], dtype="<u4")[0])
         if len(blob) < 9 + hlen:
             raise DumpError(f"{path}: truncated header")
-        dim, num_classes, domains = _parse_header(blob[9 : 9 + hlen].decode("utf-8"), path)
+        dim, num_classes, domains = _parse_header(_decode(blob[9 : 9 + hlen], 9, path), path)
         body = blob[9 + hlen :]
         dtype = _record_dtype(dim)
         if len(body) % dtype.itemsize != 0:
@@ -444,8 +444,8 @@ def load_dump(path, format=FORMAT_BINARY):
         z = rec["z"].astype(np.float32)
         return _build_checked(path, dim, num_classes, domains, ids, splits, labels, z)
     if format == FORMAT_CSV:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        with open(path, "rb") as fh:
+            lines = _decode(fh.read(), 0, path).splitlines()
         if not lines:
             raise DumpError(f"{path}: empty file")
         dim, num_classes, domains = _parse_header(lines[0], path)
@@ -467,6 +467,17 @@ def load_dump(path, format=FORMAT_BINARY):
             path, dim, num_classes, domains, rec["domain"], splits, rec["label"], rec["z"], body
         )
     raise DumpError(f"unknown dump format {format!r}")
+
+
+def _decode(data, offset, path):
+    """``data``, the bytes at ``offset`` in the file, as UTF-8 text; a
+    DumpError names the file offset of the first byte that is not UTF-8."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DumpError(
+            f"{path}: not UTF-8 text at byte {offset + exc.start} ({exc.reason})"
+        ) from exc
 
 
 def _csv_fault(path, body, dim):

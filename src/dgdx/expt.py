@@ -283,27 +283,44 @@ def representations(params, x):
     return forward(params, x)[3]
 
 
-def _softmax(logits):
-    u = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(u)
-    return e / e.sum(axis=1, keepdims=True)
+@dataclass(frozen=True)
+class FrozenFeatures:
+    """The feature layers' forward pass at fixed feature weights and the
+    representation penalty on it, computed once (see ``frozen_batch``)."""
+
+    features: tuple  # pre1, h1, pre2, h2
+    penalty: float
 
 
 @dataclass(frozen=True)
 class Batch:
-    """The training batch and the constants every objective evaluation on it
-    reuses, built once per ``train`` call (see ``make_batch``)."""
+    """The training batch, the constants every objective evaluation on it
+    reuses, and the workspace those evaluations write into; built once per
+    ``train`` call (see ``make_batch``).
+
+    ``work`` maps a name to an array that ``objective`` and
+    ``objective_gradient`` overwrite on every call instead of allocating a
+    fresh one: the forward activations, the penalty's per-class or per-group
+    gathers, and the backpropagated ``(n, hidden)`` gradients.  An array is
+    allocated on first use and again only when its shape or dtype changes.
+    Whatever ``objective`` returns in its ``ObjectiveState`` aliases these
+    arrays, so it is valid only until the next ``objective`` call on the same
+    batch, and a batch serves one thread at a time.  With ``frozen`` set (see
+    ``frozen_batch``) the feature layers are not evaluated at all.
+    """
 
     x: np.ndarray
     labels: np.ndarray
     rows: np.ndarray  # np.arange(n), for picking each sample's label entry
     groups: tuple  # sample indices of each training domain
     classes: tuple  # (sample indices, centred one-hot domain codes) per class with >= 2 samples
+    frozen: FrozenFeatures = None
+    work: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def make_batch(x, labels, domain_pos, n_groups, num_classes):
     """The ``Batch`` of samples ``x`` with their labels and training-domain
-    positions 0..n_groups-1."""
+    positions 0..n_groups-1, with an empty workspace."""
     onehot = np.eye(n_groups)[domain_pos]
     classes = []
     for y in range(num_classes):
@@ -316,28 +333,80 @@ def make_batch(x, labels, domain_pos, n_groups, num_classes):
     return Batch(x, labels, np.arange(x.shape[0]), groups, tuple(classes))
 
 
+def frozen_batch(batch, params, cfg):
+    """``batch`` with the feature layers fixed at ``params``' feature weights.
+
+    Their forward pass and ``cfg``'s representation penalty are computed here
+    once; ``objective`` then evaluates only the head on them, and
+    ``objective_gradient`` returns only the head's gradients (``W3``,
+    ``b3``).  The values are those the full path computes, bit for bit.  The
+    result serves ``cfg`` alone and has a workspace of its own.
+    """
+    features = forward(params, batch.x)[:4]
+    penalty, _ = _penalty(features[3], batch, cfg)
+    return replace(batch, frozen=FrozenFeatures(features, penalty), work={})
+
+
+def _buffer(batch, name, shape, dtype):
+    """The workspace array ``name`` of ``batch``, of ``shape`` and ``dtype``."""
+    buf = batch.work.get(name)
+    if buf is None or buf.shape != shape or buf.dtype != dtype:
+        buf = batch.work[name] = np.empty(shape, dtype)
+    return buf
+
+
+def _affine(batch, name, a, w, b):
+    """``a @ w + b``, written into the workspace array ``name``."""
+    out = _buffer(batch, name, (a.shape[0], w.shape[1]), np.result_type(a, w, b))
+    np.matmul(a, w, out=out)
+    out += b
+    return out
+
+
+def _gather(batch, name, h, idx):
+    """``h[idx]``, written into the workspace array ``name``.  ``idx`` is in
+    range, so clipping changes nothing; ``take`` would buffer the result
+    under its default ``mode="raise"``."""
+    out = _buffer(batch, name, (idx.size,) + h.shape[1:], h.dtype)
+    return np.take(h, idx, axis=0, out=out, mode="clip")
+
+
 @dataclass(frozen=True)
 class ObjectiveState:
     """What ``objective`` computed at ``params`` that ``objective_gradient``
-    reuses instead of repeating the forward pass."""
+    reuses instead of repeating the forward pass.  Its arrays alias the
+    batch's workspace: it is valid only until the next ``objective`` call on
+    the same batch."""
 
     params: dict
     forward: tuple  # pre1, h1, pre2, h2, logits
+    softmax: tuple  # exp(logits - row max) and its row sums
     q: np.ndarray  # group-DRO domain weights, else None
     penalty: tuple  # CORAL per-group stats, cond-invariance per-class m, or None
 
 
-def _coral_penalty(h2, groups):
+def _penalty(h2, batch, cfg):
+    """The configured representation penalty and the state its gradient
+    needs: (0.0, None) when the algorithm has none or ``beta`` is 0."""
+    if cfg.algorithm == ALG_CORAL and cfg.beta > 0:
+        return _coral_penalty(h2, batch)
+    if cfg.algorithm == ALG_COND_INVARIANCE and cfg.beta > 0:
+        return _condinv_penalty(h2, batch)
+    return 0.0, None
+
+
+def _coral_penalty(h2, batch):
     """Mean over training-domain pairs of the squared mean difference plus the
     squared Frobenius covariance difference of representations (entry-wise
     means, so the scale is width independent).  Also returns the centred
     representations per group and each pair's differences, for the gradient."""
+    groups = batch.groups
     d = h2.shape[1]
     stats = []
-    for idx in groups:
-        hg = h2[idx]
-        mu = hg.mean(axis=0)
-        hc = hg - mu
+    for g, idx in enumerate(groups):
+        hc = _gather(batch, ("group", g), h2, idx)
+        mu = hc.mean(axis=0)
+        hc -= mu
         cov = hc.T @ hc / idx.size
         stats.append((mu, hc, cov))
     penalty = 0.0
@@ -352,43 +421,71 @@ def _coral_penalty(h2, groups):
     return penalty / n_pairs, (tuple(hc for _, hc, _ in stats), tuple(diffs))
 
 
-def _coral_grad(h2, groups, state):
+def _coral_grad(h2, batch, state):
+    """The CORAL penalty's gradient with respect to ``h2``, in the workspace.
+
+    The groups are disjoint, so each group's rows are accumulated in a
+    zeroed buffer of their own, in the order the pairs visit them, and then
+    copied to their rows: the same sums as adding into the rows directly."""
     hcs, diffs = state
+    groups = batch.groups
     d = h2.shape[1]
-    grad = np.zeros_like(h2)
+    accs = [_buffer(batch, ("group grad", g), hc.shape, hc.dtype) for g, hc in enumerate(hcs)]
+    for acc in accs:
+        acc.fill(0.0)
     for a, b, dmu, dcov in diffs:
         idx_a, idx_b = groups[a], groups[b]
-        grad[idx_a] += (2.0 / (d * idx_a.size)) * dmu
-        grad[idx_b] -= (2.0 / (d * idx_b.size)) * dmu
-        grad[idx_a] += (4.0 / (d * d * idx_a.size)) * hcs[a] @ dcov
-        grad[idx_b] -= (4.0 / (d * d * idx_b.size)) * hcs[b] @ dcov
-    n_pairs = max(len(diffs), 1)
-    return grad / n_pairs
+        accs[a] += (2.0 / (d * idx_a.size)) * dmu
+        accs[b] -= (2.0 / (d * idx_b.size)) * dmu
+        accs[a] += _scaled_product(batch, a, 4.0 / (d * d * idx_a.size), hcs[a], dcov)
+        accs[b] -= _scaled_product(batch, b, 4.0 / (d * d * idx_b.size), hcs[b], dcov)
+    grad = _buffer(batch, "penalty grad", h2.shape, h2.dtype)
+    grad.fill(0.0)
+    for idx, acc in zip(groups, accs):
+        grad[idx] = acc
+    grad /= max(len(diffs), 1)
+    return grad
 
 
-def _condinv_penalty(h2, classes):
+def _scaled_product(batch, g, s, hc, dcov):
+    """``s * hc @ dcov`` (scaled first, as written) in group ``g``'s buffers."""
+    scaled = np.multiply(s, hc, out=_buffer(batch, ("group scaled", g), hc.shape, hc.dtype))
+    shape = (hc.shape[0], dcov.shape[1])
+    return np.matmul(scaled, dcov, out=_buffer(batch, ("group product", g), shape, hc.dtype))
+
+
+def _condinv_penalty(h2, batch):
     """Per-class linear-kernel dependence between representations and one-hot
     domain codes: the total squared entries of the class-conditional cross
     covariance ``m``, averaged over the classes with at least 2 samples.  Also
     returns each class's ``m``, for the gradient."""
     penalty = 0.0
     ms = []
-    for idx, dc in classes:
-        r = h2[idx]
-        rc = r - r.mean(axis=0)
+    for c, (idx, dc) in enumerate(batch.classes):
+        rc = _gather(batch, ("class", c), h2, idx)
+        rc -= rc.mean(axis=0)
         m = rc.T @ dc / idx.size  # (d, n_groups)
         penalty += (m * m).sum()
         ms.append(m)
-    scale = PENALTY_SCALE / max(len(classes), 1)
+    scale = PENALTY_SCALE / max(len(batch.classes), 1)
     return penalty * scale, tuple(ms)
 
 
-def _condinv_grad(h2, classes, ms):
-    grad = np.zeros_like(h2)
-    for (idx, dc), m in zip(classes, ms):
-        grad[idx] += dc @ (2.0 * m.T) / idx.size
-    scale = PENALTY_SCALE / max(len(classes), 1)
-    return grad * scale
+def _condinv_grad(h2, batch, ms):
+    """The cond-invariance penalty's gradient with respect to ``h2``, in the
+    workspace; each class's gather buffer holds its rows' share on the way."""
+    grad = _buffer(batch, "penalty grad", h2.shape, h2.dtype)
+    grad.fill(0.0)
+    for c, ((idx, dc), m) in enumerate(zip(batch.classes, ms)):
+        share = _buffer(batch, ("class", c), (idx.size, h2.shape[1]), h2.dtype)
+        np.matmul(dc, 2.0 * m.T, out=share)
+        share /= idx.size
+        # the classes are disjoint, so this is ``grad[idx] += share`` on zeroed
+        # rows; adding 0.0 keeps its sums, which turn a -0.0 into 0.0
+        share += 0.0
+        grad[idx] = share
+    grad *= PENALTY_SCALE / max(len(batch.classes), 1)
+    return grad
 
 
 def objective(params, batch, cfg):
@@ -398,11 +495,25 @@ def objective(params, batch, cfg):
     The objective is the cross-entropy term (softmax-weighted across domains
     for the worst-case variant), plus ``beta`` times the algorithm's
     representation penalty, plus L2 weight decay on the weight matrices.
+    The forward pass and the penalty write into ``batch``'s workspace, and
+    the returned state aliases it: it is valid only until the next
+    ``objective`` call on ``batch``.  On a ``frozen_batch`` only the head is
+    evaluated, on the cached last hidden layer.
     """
-    fwd = forward(params, batch.x)
-    logits = fwd[4]
-    logp = logits - logits.max(axis=1, keepdims=True)
-    logp = logp - np.log(np.exp(logp).sum(axis=1, keepdims=True))
+    frozen = batch.frozen
+    if frozen is None:
+        pre1 = _affine(batch, "pre1", batch.x, params["W1"], params["b1"])
+        h1 = np.maximum(pre1, 0.0, out=_buffer(batch, "h1", pre1.shape, pre1.dtype))
+        pre2 = _affine(batch, "pre2", h1, params["W2"], params["b2"])
+        h2 = np.maximum(pre2, 0.0, out=_buffer(batch, "h2", pre2.shape, pre2.dtype))
+    else:
+        pre1, h1, pre2, h2 = frozen.features
+    logits = _affine(batch, "logits", h2, params["W3"], params["b3"])
+    logp = _buffer(batch, "logp", logits.shape, logits.dtype)
+    np.subtract(logits, logits.max(axis=1, keepdims=True), out=logp)
+    e = np.exp(logp, out=_buffer(batch, "exp", logits.shape, logits.dtype))
+    esum = e.sum(axis=1, keepdims=True)
+    logp -= np.log(esum)
     nll = -logp[batch.rows, batch.labels]
 
     q = None
@@ -416,26 +527,33 @@ def objective(params, batch, cfg):
     else:
         data_term = nll.mean()
 
-    penalty, penalty_state = 0.0, None
-    if cfg.algorithm == ALG_CORAL and cfg.beta > 0:
-        penalty, penalty_state = _coral_penalty(fwd[3], batch.groups)
-    elif cfg.algorithm == ALG_COND_INVARIANCE and cfg.beta > 0:
-        penalty, penalty_state = _condinv_penalty(fwd[3], batch.classes)
+    if frozen is None:
+        penalty, penalty_state = _penalty(h2, batch, cfg)
+    else:
+        penalty, penalty_state = frozen.penalty, None
 
     obj = data_term + cfg.beta * penalty
     wd = cfg.weight_decay
     for key in ("W1", "W2", "W3"):
         obj += 0.5 * wd * float((params[key] ** 2).sum())
-    return obj, ObjectiveState(params, fwd, q, penalty_state)
+    return obj, ObjectiveState(params, (pre1, h1, pre2, h2, logits), (e, esum), q,
+                               penalty_state)
 
 
 def objective_gradient(state, batch, cfg):
     """Analytic gradients of ``objective`` from its state, by backpropagation
-    through the cached forward pass (no forward pass is repeated)."""
+    through the cached forward pass (no forward pass is repeated).
+
+    ``state`` must come from the latest ``objective`` call on ``batch``.  The
+    backpropagated activations go through the workspace; the returned
+    gradients are fresh arrays.  On a ``frozen_batch`` only ``W3`` and ``b3``
+    are returned.
+    """
     params = state.params
-    pre1, h1, pre2, h2, logits = state.forward
+    pre1, h1, pre2, h2, _ = state.forward
+    e, esum = state.softmax
     n = batch.x.shape[0]
-    dlogits = _softmax(logits)
+    dlogits = np.divide(e, esum, out=_buffer(batch, "dlogits", e.shape, e.dtype))
     dlogits[batch.rows, batch.labels] -= 1.0
     if cfg.algorithm == ALG_GROUP_DRO:
         scale = np.zeros(n)
@@ -445,25 +563,29 @@ def objective_gradient(state, batch, cfg):
     else:
         dlogits /= n
 
-    dh2_pen = np.zeros_like(h2)
-    if cfg.algorithm == ALG_CORAL and cfg.beta > 0:
-        dh2_pen = _coral_grad(h2, batch.groups, state.penalty)
-    elif cfg.algorithm == ALG_COND_INVARIANCE and cfg.beta > 0:
-        dh2_pen = _condinv_grad(h2, batch.classes, state.penalty)
-
     wd = cfg.weight_decay
-    dh2 = dlogits @ params["W3"].T + cfg.beta * dh2_pen
-    dpre2 = dh2 * (pre2 > 0)
-    dh1 = dpre2 @ params["W2"].T
-    dpre1 = dh1 * (pre1 > 0)
-    return {
-        "W3": h2.T @ dlogits + wd * params["W3"],
-        "b3": dlogits.sum(axis=0),
-        "W2": h1.T @ dpre2 + wd * params["W2"],
-        "b2": dpre2.sum(axis=0),
-        "W1": batch.x.T @ dpre1 + wd * params["W1"],
-        "b1": dpre1.sum(axis=0),
-    }
+    grads = {"W3": h2.T @ dlogits + wd * params["W3"], "b3": dlogits.sum(axis=0)}
+    if batch.frozen is not None:
+        return grads
+
+    # dh2, then dpre2 in the same array
+    dpre2 = np.matmul(dlogits, params["W3"].T, out=_buffer(batch, "dpre2", h2.shape, h2.dtype))
+    if state.penalty is None:
+        dpre2 += cfg.beta * 0.0  # beta times a zero penalty gradient: turns -0.0 into 0.0
+    else:
+        penalty_grad = _coral_grad if cfg.algorithm == ALG_CORAL else _condinv_grad
+        dh2_pen = penalty_grad(h2, batch, state.penalty)
+        dh2_pen *= cfg.beta
+        dpre2 += dh2_pen
+    dpre2 *= np.greater(pre2, 0, out=_buffer(batch, "mask", pre2.shape, np.bool_))
+    # dh1, then dpre1 in the same array
+    dpre1 = np.matmul(dpre2, params["W2"].T, out=_buffer(batch, "dpre1", h1.shape, h1.dtype))
+    dpre1 *= np.greater(pre1, 0, out=_buffer(batch, "mask", pre1.shape, np.bool_))
+    grads["W2"] = h1.T @ dpre2 + wd * params["W2"]
+    grads["b2"] = dpre2.sum(axis=0)
+    grads["W1"] = batch.x.T @ dpre1 + wd * params["W1"]
+    grads["b1"] = dpre1.sum(axis=0)
+    return grads
 
 
 def objective_and_grad(params, x, labels, domain_pos, n_groups, num_classes, cfg):
@@ -473,19 +595,6 @@ def objective_and_grad(params, x, labels, domain_pos, n_groups, num_classes, cfg
     batch = make_batch(x, labels, domain_pos, n_groups, num_classes)
     obj, state = objective(params, batch, cfg)
     return obj, objective_gradient(state, batch, cfg)
-
-
-def pack_params(params):
-    return np.concatenate([params[k].ravel() for k in PARAM_KEYS])
-
-
-def unpack_params(vec, like):
-    out, pos = {}, 0
-    for k in PARAM_KEYS:
-        size = like[k].size
-        out[k] = vec[pos : pos + size].reshape(like[k].shape).copy()
-        pos += size
-    return out
 
 
 def _fit_batch(raw):
@@ -502,12 +611,15 @@ def train(raw, cfg, init_model=None):
 
     The backtracking (Armijo) line search evaluates only the objective at
     each trial step; each accepted step then computes one gradient, from the
-    forward pass of the trial that was accepted.  The batch constants are
-    built once per call.  With ``freeze_features`` only the head moves
-    (features stay at their initialization, or at ``init_model``'s final
-    checkpoint when given, which is how a pretrained frozen extractor is
-    expressed).  Deterministic per seed.  Raises DivergenceError, naming the
-    epoch, if the objective stops being finite.
+    forward pass of the trial that was accepted, before the next
+    ``objective`` call can overwrite it.  The batch, with its constants and
+    the workspace every evaluation writes into, is built once per call.
+    With ``freeze_features`` only the head moves (features stay at their
+    initialization, or at ``init_model``'s final checkpoint when given,
+    which is how a pretrained frozen extractor is expressed); the last
+    hidden layer is then computed once (``frozen_batch``), and trials and
+    gradients evaluate only the head.  Deterministic per seed.  Raises
+    DivergenceError, naming the epoch, if the objective stops being finite.
     """
     x, labels, pos, n_groups = _fit_batch(raw)
     batch = make_batch(x, labels, pos, n_groups, raw.spec.num_classes)
@@ -519,6 +631,8 @@ def train(raw, cfg, init_model=None):
         raise ValueError("model input width does not match the dataset")
 
     moving = [k for k in PARAM_KEYS if not (cfg.freeze_features and k in FEATURE_KEYS)]
+    if cfg.freeze_features:
+        batch = frozen_batch(batch, params, cfg)
 
     obj, state = objective(params, batch, cfg)
     if not np.isfinite(obj):

@@ -16,6 +16,7 @@ from dgdx.probe import ProbeFitConfig, binary_grid_family, exact_best_error, fit
 from dgdx.propositions import run_suite
 
 from conftest import random_dataset
+from support import pack_params, unpack_params
 
 
 def _report(name, ok, detail=""):
@@ -139,14 +140,14 @@ def test_criterion_5_gradient_checks():
                 pre1, _, pre2, _, _ = expt.forward(p, x)
                 if min(np.abs(pre1).min(), np.abs(pre2).min()) > 2e-5:
                     break
-            vec = expt.pack_params(p)
+            vec = pack_params(p)
 
             def f(v):
-                return expt.objective_and_grad(expt.unpack_params(v, p), x, labels,
+                return expt.objective_and_grad(unpack_params(v, p), x, labels,
                                                pos, n_groups, 3, cfg)
 
             _, grads = f(vec)
-            g = expt.pack_params(grads)
+            g = pack_params(grads)
             h = 1e-6
             fd = np.zeros_like(vec)
             for i in range(vec.size):

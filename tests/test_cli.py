@@ -99,6 +99,43 @@ class TestDiagnoseCommand:
         assert "non-finite feature value inf at row 3" in res.output + (res.stderr or "")
 
 
+def _undecodable_dump(tmp_path, kind):
+    """A dump file that is not UTF-8 where it must be, and the file offset of
+    its first byte that is not."""
+    path = tmp_path / kind
+    if kind == "random":
+        blob = np.random.default_rng(3).bytes(200)
+        assert blob[:4] != b"DGDX"
+        try:
+            blob.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            offset = exc.start
+    elif kind == "bom":
+        blob, offset = b"\xff\xfe" + "1,F,0,0.5\n".encode("utf-16-le"), 0
+    else:
+        save_dump(random_dataset(0, per_cell=8), path, FORMAT_BINARY)
+        blob = bytearray(path.read_bytes())
+        offset = 9 + blob[9:].index(b'"name"') + 1  # inside the JSON header
+        blob[offset] = 0xFF
+    path.write_bytes(bytes(blob))
+    return path, offset
+
+
+class TestUndecodableDump:
+    @pytest.mark.parametrize("kind", ["random", "bom", "binary-header"])
+    def test_exit_two_naming_the_byte(self, runner, tmp_path, kind):
+        dump, offset = _undecodable_dump(tmp_path, kind)
+        head = tmp_path / "head.json"
+        LinearProbe(np.zeros((2, 3)), np.zeros(2)).save(head)
+        res = runner.invoke(main, ["diagnose", "--dump", str(dump), "--head", str(head),
+                                   "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        text = res.output + (res.stderr or "")
+        assert "Traceback" not in text
+        assert f"not UTF-8 text at byte {offset}" in text
+
+
 class TestScenarioCommand:
     def test_verify_misaligned_passes(self, runner, tmp_path):
         res = runner.invoke(main, ["scenario", "--kind", "misaligned", "--seed", "1",

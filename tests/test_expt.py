@@ -14,6 +14,8 @@ from dgdx.core import (
 )
 from dgdx.metrics import MetricConfig, diagnose
 
+from support import pack_params, unpack_params
+
 
 SMALL_SPEC = expt.SyntheticColoredSpec(
     num_domains=4, num_classes=3, signal_dim=4, color_dim=6, samples_per_domain=90,
@@ -77,15 +79,15 @@ class TestObjectives:
             pre1, _, pre2, _, _ = expt.forward(p, x)
             if min(np.abs(pre1).min(), np.abs(pre2).min()) > 1e-4:
                 break
-        vec = expt.pack_params(p)
+        vec = pack_params(p)
 
         def f(v):
             return expt.objective_and_grad(
-                expt.unpack_params(v, p), x, labels, pos, n_groups, 3, cfg
+                unpack_params(v, p), x, labels, pos, n_groups, 3, cfg
             )
 
         _, grads = f(vec)
-        g = expt.pack_params(grads)
+        g = pack_params(grads)
         h = 1e-6
         idx = rng.choice(vec.size, size=60, replace=False)
         fd = np.zeros_like(idx, dtype=float)
@@ -106,13 +108,19 @@ class TestObjectives:
             expt.TrainConfig(algorithm="group-dro", beta=0.0)
 
 
+def _softmax(logits):
+    u = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(u)
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def _fused_objective_and_grad(params, x, labels, domain_pos, n_groups, num_classes, cfg):
     """The objective and gradient in one pass, as written before the split
     into ``objective`` and ``objective_gradient``: the reference they must
     match bit for bit."""
     n = x.shape[0]
     pre1, h1, pre2, h2, logits = expt.forward(params, x)
-    probs = expt._softmax(logits)
+    probs = _softmax(logits)
     logp = logits - logits.max(axis=1, keepdims=True)
     logp = logp - np.log(np.exp(logp).sum(axis=1, keepdims=True))
     nll = -logp[np.arange(n), labels]
@@ -269,6 +277,67 @@ class TestObjectiveSplit:
                                    n_groups)
 
 
+def _assert_same_bits(grads, ref_grads):
+    assert grads.keys() == ref_grads.keys()
+    for k in ref_grads:
+        assert grads[k].dtype == ref_grads[k].dtype, k
+        assert grads[k].tobytes() == ref_grads[k].tobytes(), k
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("alg,beta", SPLIT_CASES)
+    def test_objective_reuses_the_batch_workspace(self, alg, beta):
+        x, labels, pos, n_groups = expt._fit_batch(expt.make_dataset(SMALL_SPEC))
+        cfg = small_cfg(algorithm=alg, beta=beta)
+        batch = expt.make_batch(x, labels, pos, n_groups, 3)
+        states = []
+        for seed in range(2):
+            p = expt.init_params(SMALL_SPEC.input_dim, cfg.hidden_width, 3, seed=seed)
+            obj, state = expt.objective(p, batch, cfg)
+            grads = expt.objective_gradient(state, batch, cfg)
+            ref_obj, ref_grads = _fused_objective_and_grad(p, x, labels, pos, n_groups, 3, cfg)
+            assert obj == ref_obj
+            _assert_same_bits(grads, ref_grads)
+            states.append(state)
+        # pre1, h1, pre2, h2 and the logits of both calls live in the same arrays
+        for first, second in zip(states[0].forward, states[1].forward):
+            assert np.shares_memory(first, second)
+
+    @pytest.mark.parametrize("alg,beta", SPLIT_CASES)
+    def test_frozen_batch_evaluates_the_head_on_cached_features(self, alg, beta):
+        x, labels, pos, n_groups = expt._fit_batch(expt.make_dataset(SMALL_SPEC))
+        cfg = small_cfg(algorithm=alg, beta=beta)
+        batch = expt.make_batch(x, labels, pos, n_groups, 3)
+        p = expt.init_params(SMALL_SPEC.input_dim, cfg.hidden_width, 3, seed=0)
+        frozen = expt.frozen_batch(batch, p, cfg)
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            moved = dict(p, W3=p["W3"] + rng.normal(0, 0.5, p["W3"].shape),
+                         b3=p["b3"] + rng.normal(0, 0.5, p["b3"].shape))
+            obj, state = expt.objective(moved, frozen, cfg)
+            grads = expt.objective_gradient(state, frozen, cfg)
+            ref_obj, ref_grads = _fused_objective_and_grad(moved, x, labels, pos, n_groups, 3,
+                                                           cfg)
+            assert obj == ref_obj
+            _assert_same_bits(grads, {k: ref_grads[k] for k in ("W3", "b3")})
+
+    def test_condinv_grad_adds_shares_into_zeroed_rows(self):
+        """A class's share that underflows to -0.0 lands as 0.0, as
+        ``grad[idx] += share`` on zeroed rows leaves it."""
+        labels = np.zeros(4, dtype=int)
+        batch = expt.make_batch(np.zeros((4, 2)), labels, np.array([0, 0, 1, 1]), 2, 1)
+        ms = (np.array([[-5e-324, 0.0]]),)  # centred codes are +-0.5: shares -0.0 and 0.0
+        h2 = np.ones((4, 1))
+        ref = np.zeros_like(h2)
+        for (idx, dc), m in zip(batch.classes, ms):
+            share = dc @ (2.0 * m.T) / idx.size
+            assert np.signbit(share).any() and not share.any()
+            ref[idx] += share
+        ref = ref * expt.PENALTY_SCALE
+        got = expt._condinv_grad(h2, batch, ms)
+        assert got.tobytes() == ref.tobytes()
+
+
 class TestTrain:
     def test_zero_learning_rate_keeps_parameters(self):
         raw = expt.make_dataset(SMALL_SPEC)
@@ -343,6 +412,45 @@ class TestTrainMatchesReference:
         for got, want in zip(model.checkpoints, checkpoints):
             for k in expt.PARAM_KEYS:
                 assert np.array_equal(got[k], want[k]), k
+
+
+class TestTrainCallsModuleGlobals:
+    """``train`` reaches the objective and its gradient through the module
+    globals, once per trial step and once per accepted step (plus once each at
+    the start), so a tracer that wraps those globals sees every call."""
+
+    @pytest.mark.parametrize("kw", [
+        dict(algorithm="erm"),
+        dict(algorithm="coral", beta=1.0),
+        dict(algorithm="cond-invariance", beta=1.0),
+        dict(algorithm="group-dro", beta=2.0),
+        dict(algorithm="erm", freeze_features=True),
+    ], ids=["erm", "coral", "cond-invariance", "group-dro", "frozen"])
+    def test_calls_equal_reference_trials_and_accepted_steps(self, monkeypatch, kw):
+        raw = expt.make_dataset(SMALL_SPEC)
+        cfg = small_cfg(learning_rate=4.0, epochs=3, steps_per_epoch=8, **kw)
+        counts = {"objective_and_grad": 0, "objective": 0, "objective_gradient": 0}
+
+        def count(name):
+            original = getattr(expt, name)
+
+            def wrapper(*args):
+                counts[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(expt, name, wrapper)
+
+        count("objective_and_grad")
+        _, _, rejected = _reference_train(raw, cfg)
+        monkeypatch.undo()
+        trials = counts["objective_and_grad"] - 1  # the first call is the starting point
+        assert rejected > 0
+
+        count("objective")
+        count("objective_gradient")
+        expt.train(raw, cfg)
+        assert counts["objective"] == trials + 1
+        assert counts["objective_gradient"] == trials - rejected + 1
 
 
 class TestExportRepresentations:
