@@ -9,8 +9,11 @@ from dgdx.cli import main
 from dgdx.core import (
     FORMAT_BINARY,
     FORMAT_CSV,
+    ROLE_TRAIN,
     ROLE_VALID,
+    DomainMeta,
     LinearProbe,
+    RepresentationDataset,
     _record_dtype,
     load_dump,
     save_dump,
@@ -97,6 +100,27 @@ class TestDiagnoseCommand:
                                    "--out", str(tmp_path / "o")])
         assert res.exit_code == 2
         assert "non-finite feature value inf at row 3" in res.output + (res.stderr or "")
+
+    @pytest.mark.parametrize("roles, target, message", [
+        ((ROLE_TRAIN, ROLE_TRAIN, ROLE_VALID), "test", "no domains with role 'test'"),
+        ((ROLE_TRAIN, ROLE_TRAIN, ROLE_VALID, ROLE_VALID), "valid",
+         "needs fewer validation domains than training domains"),
+    ])
+    def test_unusable_domain_roles_exit_two(self, runner, tmp_path, roles, target, message):
+        ds = random_dataset(0, n_test=len(roles) - 2, per_cell=8)
+        domains = tuple(DomainMeta(dm.id, dm.name, role) for dm, role in zip(ds.domains, roles))
+        dump = tmp_path / "reps.bin"
+        save_dump(RepresentationDataset(ds.dim, ds.num_classes, domains, ds.domain_ids,
+                                        ds.splits, ds.labels, ds.z), dump, FORMAT_BINARY)
+        head = tmp_path / "head.json"
+        LinearProbe(np.zeros((2, 3)), np.zeros(2)).save(head)
+        res = runner.invoke(main, ["diagnose", "--dump", str(dump), "--head", str(head),
+                                   "--target", target, "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        text = res.output + (res.stderr or "")
+        assert "Traceback" not in text
+        assert message in text
 
 
 def _undecodable_dump(tmp_path, kind):

@@ -357,6 +357,22 @@ class TestDiagnose:
                   "d0_prime", "d1_prime", "d2_prime"):
             assert getattr(a, f) == pytest.approx(getattr(b, f), abs=1e-3)
 
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_probe_meta_layout(self, exact):
+        ds = random_dataset(8, n_train=3, n_test=2, num_classes=3, per_cell=10)
+        head = LinearProbe(np.random.default_rng(1).normal(size=(3, 3)), np.zeros(3))
+        cfg = MetricConfig(oracle_family_provider=_random_family_provider(0) if exact else None)
+        meta = diagnose(ds, head, cfg).probe_meta
+        assert set(meta) == {"e1", "e2", "d0", "d1", "d2"}
+        assert set(meta["d2"]) == {"class0", "class1", "class2"}
+        if exact:
+            keys = {"mode", "family_size", "index", "error"}
+        else:
+            keys = {"iterations", "objective", "grad_max", "converged", "n_points", "mode", "kept"}
+        for probe_meta in [meta[k] for k in ("e1", "e2", "d0", "d1")] + list(meta["d2"].values()):
+            assert set(probe_meta) == keys
+            assert probe_meta["mode"] == ("exact" if exact else "fit")
+
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=15, deadline=None)
     def test_identities_property(self, seed):
