@@ -14,9 +14,8 @@ import sys
 from pathlib import Path
 
 import click
-import numpy as np
 
-from . import expt, metrics, propositions, scenarios
+from . import expt, propositions, scenarios
 from .core import (
     DatasetError,
     DumpError,
@@ -185,58 +184,63 @@ def cmd_verify(suite, trials, seed, out, instance_path):
     click.echo(str(out / "verify.json"))
 
 
-def _train_cfg(algorithm, beta, epochs, seed, lr, width, freeze, steps=500):
-    return expt.TrainConfig(
-        algorithm=algorithm,
-        beta=beta,
-        epochs=epochs,
-        steps_per_epoch=steps,
-        seed=seed,
-        learning_rate=lr,
-        hidden_width=width,
-        freeze_features=freeze,
-    )
-
-
 _ALG = click.Choice(list(expt.ALGORITHMS))
+
+
+def _training_options(command):
+    """Add the options shared by the commands that train on the synthetic dataset."""
+    for option in reversed((
+        click.option("--epochs", default=10, show_default=True),
+        click.option("--steps-per-epoch", default=500, show_default=True),
+        click.option("--samples-per-domain", default=1200, show_default=True),
+        click.option("--seed", required=True, type=int),
+        click.option("--learning-rate", default=0.2, show_default=True),
+        click.option("--hidden-width", default=12, show_default=True),
+        click.option("--target", type=click.Choice([ROLE_TEST, ROLE_VALID]), default=ROLE_VALID),
+        click.option("--out", default=".", help="output directory"),
+    )):
+        command = option(command)
+    return command
+
+
+def _training(run, target, samples_per_domain, seed, **fields):
+    """``run(raw, cfg, metric_cfg)`` on the synthetic dataset of ``seed``,
+    where ``cfg`` is the TrainConfig of ``seed`` and ``fields``.  A
+    DivergenceError exits 3 and a ValueError, an invalid option value, 2."""
+    try:
+        raw = expt.make_dataset(
+            expt.SyntheticColoredSpec(seed=seed, samples_per_domain=samples_per_domain)
+        )
+        return run(raw, expt.TrainConfig(seed=seed, **fields), MetricConfig(target_role=target))
+    except expt.DivergenceError as exc:
+        _fail(EXIT_NUMERIC, str(exc))
+    except ValueError as exc:
+        _fail(EXIT_INPUT, str(exc))
 
 
 @main.command("train")
 @click.option("--algorithm", type=_ALG, default=expt.ALG_ERM, show_default=True)
 @click.option("--beta", default=0.0, show_default=True)
-@click.option("--epochs", default=10, show_default=True)
-@click.option("--steps-per-epoch", default=500, show_default=True)
-@click.option("--samples-per-domain", default=1200, show_default=True)
-@click.option("--seed", required=True, type=int)
-@click.option("--learning-rate", default=0.2, show_default=True)
-@click.option("--hidden-width", default=12, show_default=True)
 @click.option("--freeze-features", is_flag=True)
-@click.option("--target", type=click.Choice([ROLE_TEST, ROLE_VALID]), default=ROLE_VALID)
-@click.option("--out", default=".", help="output directory")
-def cmd_train(algorithm, beta, epochs, steps_per_epoch, samples_per_domain, seed,
-              learning_rate, hidden_width, freeze_features, target, out):
+@_training_options
+def cmd_train(target, out, **opts):
     """Train on the synthetic multi-domain dataset, export and diagnose."""
     out = _out_dir(out)
-    try:
-        raw = expt.make_dataset(
-            expt.SyntheticColoredSpec(seed=seed, samples_per_domain=samples_per_domain)
-        )
-        cfg = _train_cfg(algorithm, beta, epochs, seed, learning_rate, hidden_width,
-                         freeze_features, steps_per_epoch)
+
+    def run(raw, cfg, metric_cfg):
         model = expt.train(raw, cfg)
-    except expt.DivergenceError as exc:
-        _fail(EXIT_NUMERIC, str(exc))
-    except ValueError as exc:
-        _fail(EXIT_INPUT, str(exc))
-    ds = expt.export_representations(model, raw)
+        ds = expt.export_representations(model, raw)
+        diag = diagnose(ds, model.head_probe(), metric_cfg)
+        return model, ds, diag, expt.model_error(model.final, raw)
+
+    model, ds, diag, train_error = _training(run, target, **opts)
     save_dump(ds, out / "representations.bin", FORMAT_BINARY)
     model.head_probe().save(out / "head.json")
-    diag = diagnose(ds, model.head_probe(), MetricConfig(target_role=target))
     _write_json(out / "diagnosis.json", diag.to_dict())
     _write_csv(out / "diagnosis.csv", csv_header(("target",)), [csv_row(diag, (target,))])
     _write_json(out / "training.json", {
         "objective_trace": list(model.objective_trace),
-        "train_holdout_error": expt.model_error(model.final, raw),
+        "train_holdout_error": train_error,
     })
     click.echo(str(out / "diagnosis.json"))
 
@@ -245,16 +249,8 @@ def cmd_train(algorithm, beta, epochs, steps_per_epoch, samples_per_domain, seed
 @click.option("--algorithm", type=_ALG, required=True)
 @click.option("--betas", default=",".join(str(b) for b in expt.BETA_GRID), show_default=True,
               help="comma-separated regularization strengths")
-@click.option("--epochs", default=10, show_default=True)
-@click.option("--steps-per-epoch", default=500, show_default=True)
-@click.option("--samples-per-domain", default=1200, show_default=True)
-@click.option("--seed", required=True, type=int)
-@click.option("--learning-rate", default=0.2, show_default=True)
-@click.option("--hidden-width", default=12, show_default=True)
-@click.option("--target", type=click.Choice([ROLE_TEST, ROLE_VALID]), default=ROLE_VALID)
-@click.option("--out", default=".", help="output directory")
-def cmd_sweep(algorithm, betas, epochs, steps_per_epoch, samples_per_domain, seed,
-              learning_rate, hidden_width, target, out):
+@_training_options
+def cmd_sweep(algorithm, betas, target, out, **opts):
     """One full training plus diagnosis per regularization strength."""
     try:
         grid = [float(b) for b in betas.split(",") if b.strip() != ""]
@@ -263,19 +259,13 @@ def cmd_sweep(algorithm, betas, epochs, steps_per_epoch, samples_per_domain, see
     if not grid:
         _fail(EXIT_INPUT, "beta grid is empty")
     out = _out_dir(out)
-    raw = expt.make_dataset(
-        expt.SyntheticColoredSpec(seed=seed, samples_per_domain=samples_per_domain)
-    )
-    try:
-        # sweep_beta sets the algorithm and beta of each point; the base must be
-        # valid on its own, and group-dro rejects beta 0
-        base = _train_cfg(expt.ALG_ERM, 0.0, epochs, seed, learning_rate, hidden_width, False,
-                          steps_per_epoch)
-        rows = expt.sweep_beta(raw, algorithm, grid, base, MetricConfig(target_role=target))
-    except expt.DivergenceError as exc:
-        _fail(EXIT_NUMERIC, str(exc))
-    except ValueError as exc:
-        _fail(EXIT_INPUT, str(exc))
+
+    def run(raw, base, metric_cfg):
+        return expt.sweep_beta(raw, algorithm, grid, base, metric_cfg)
+
+    # sweep_beta sets the algorithm and beta of each point; the base must be
+    # valid on its own, and group-dro rejects beta 0
+    rows = _training(run, target, algorithm=expt.ALG_ERM, beta=0.0, **opts)
     _write_csv(
         out / "sweep.csv",
         csv_header(("beta_or_epoch",)),
@@ -295,31 +285,11 @@ def cmd_sweep(algorithm, betas, epochs, steps_per_epoch, samples_per_domain, see
 @main.command("trajectory")
 @click.option("--algorithm", type=_ALG, default=expt.ALG_ERM, show_default=True)
 @click.option("--beta", default=0.0, show_default=True)
-@click.option("--epochs", default=10, show_default=True)
-@click.option("--steps-per-epoch", default=500, show_default=True)
-@click.option("--samples-per-domain", default=1200, show_default=True)
-@click.option("--seed", required=True, type=int)
-@click.option("--learning-rate", default=0.2, show_default=True)
-@click.option("--hidden-width", default=12, show_default=True)
-@click.option("--target", type=click.Choice([ROLE_TEST, ROLE_VALID]), default=ROLE_VALID)
-@click.option("--out", default=".", help="output directory")
-def cmd_trajectory(algorithm, beta, epochs, steps_per_epoch, samples_per_domain, seed,
-                   learning_rate, hidden_width, target, out):
+@_training_options
+def cmd_trajectory(target, out, **opts):
     """Diagnose every per-epoch checkpoint of one training run."""
-    if epochs < 2:
-        _fail(EXIT_INPUT, "trajectory needs at least 2 epochs")
     out = _out_dir(out)
-    try:
-        raw = expt.make_dataset(
-            expt.SyntheticColoredSpec(seed=seed, samples_per_domain=samples_per_domain)
-        )
-        cfg = _train_cfg(algorithm, beta, epochs, seed, learning_rate, hidden_width, False,
-                         steps_per_epoch)
-        result = expt.trajectory(raw, cfg, MetricConfig(target_role=target))
-    except expt.DivergenceError as exc:
-        _fail(EXIT_NUMERIC, str(exc))
-    except ValueError as exc:
-        _fail(EXIT_INPUT, str(exc))
+    result = _training(expt.trajectory, target, **opts)
     _write_csv(
         out / "trajectory.csv",
         csv_header(("beta_or_epoch",)),

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from functools import cached_property
 
 import numpy as np
 
@@ -128,11 +128,9 @@ class RepresentationDataset:
         if not np.isin(self.splits, [SPLIT_FIT, SPLIT_HOLDOUT]).all():
             raise DatasetError("split flags must be 0 (fit) or 1 (holdout)")
         for dm in self.domains:
-            mask = self.domain_ids == dm.id
-            if not (self.splits[mask] == SPLIT_FIT).any():
-                raise DatasetError(f"domain {dm.id} has no fit samples")
-            if not (self.splits[mask] == SPLIT_HOLDOUT).any():
-                raise DatasetError(f"domain {dm.id} has no holdout samples")
+            for split, name in ((SPLIT_FIT, "fit"), (SPLIT_HOLDOUT, "holdout")):
+                if (dm.id, split) not in self.cell_rows:
+                    raise DatasetError(f"domain {dm.id} has no {name} samples")
 
     # -- convenience accessors -------------------------------------------------
 
@@ -143,15 +141,20 @@ class RepresentationDataset:
     def domain_ids_with_role(self, role):
         return [dm.id for dm in self.domains if dm.role == role]
 
-    def mask(self, domain_id=None, split=None, label=None):
-        m = np.ones(self.num_samples, dtype=bool)
-        if domain_id is not None:
-            m &= self.domain_ids == domain_id
-        if split is not None:
-            m &= self.splits == split
-        if label is not None:
-            m &= self.labels == label
-        return m
+    @cached_property
+    def cell_rows(self):
+        """``{(domain id, split): row indices}``, each cell's rows in row order.
+
+        ``_validate`` builds it while the dataset is constructed.  Built later,
+        this long-lived index can sit above heap memory freed in between and
+        keep that memory resident.
+        """
+        order = np.lexsort((self.splits, self.domain_ids))  # stable: row order within a cell
+        order.flags.writeable = False
+        ids, splits = self.domain_ids[order], self.splits[order]
+        starts = np.flatnonzero(np.r_[True, (ids[1:] != ids[:-1]) | (splits[1:] != splits[:-1])])
+        cells = np.split(order, starts[1:])
+        return {(int(ids[s]), int(splits[s])): rows for s, rows in zip(starts, cells)}
 
     def equals(self, other):
         return (
@@ -284,24 +287,9 @@ class Diagnosis:
         return getattr(self, name)
 
     def to_dict(self):
-        return {
-            "e0_prime": self.e0_prime,
-            "e1_prime": self.e1_prime,
-            "e2_prime": self.e2_prime,
-            "e3_prime": self.e3_prime,
-            "e0": self.e0,
-            "e1": self.e1,
-            "e2": self.e2,
-            "e3": self.e3,
-            "d0_prime": self.d0_prime,
-            "d1_prime": self.d1_prime,
-            "d2_prime": self.d2_prime,
-            "d0": self.d0,
-            "d1": self.d1,
-            "d2": self.d2,
-            "negative_component_flags": list(self.negative_component_flags),
-            "probe_meta": self.probe_meta,
-        }
+        out = {name: getattr(self, name) for name in self.__dataclass_fields__}
+        out["negative_component_flags"] = list(self.negative_component_flags)
+        return out
 
 
 # -- label-shift validation ----------------------------------------------------

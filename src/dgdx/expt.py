@@ -179,8 +179,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; valid: {ALGORITHMS}")
-        if self.beta < 0:
-            raise ValueError("beta must be nonnegative")
+        if not (np.isfinite(self.beta) and self.beta >= 0):
+            raise ValueError(f"beta must be finite and nonnegative, got {self.beta}")
         if self.algorithm == ALG_ERM and self.beta != 0:
             raise ValueError("erm takes beta = 0")
         if self.algorithm == ALG_GROUP_DRO and self.beta <= 0:

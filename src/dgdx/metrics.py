@@ -30,6 +30,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import (
+    D_COMPONENTS,
+    E_COMPONENTS,
     Diagnosis,
     ROLE_TEST,
     ROLE_TRAIN,
@@ -45,22 +47,10 @@ from .probe import (
     zero_one_error,
 )
 
-CSV_METRIC_COLUMNS = (
-    "e0",
-    "e1",
-    "e2",
-    "e3",
-    "d0",
-    "d1",
-    "d2",
-    "e0p",
-    "e1p",
-    "e2p",
-    "e3p",
-    "d0p",
-    "d1p",
-    "d2p",
-)
+_COMPONENTS = E_COMPONENTS + D_COMPONENTS
+# the components, then the primed metrics: column "e0p" holds field e0_prime
+CSV_METRIC_COLUMNS = _COMPONENTS + tuple(c + "p" for c in _COMPONENTS)
+_CSV_FIELDS = _COMPONENTS + tuple(c + "_prime" for c in _COMPONENTS)
 
 
 class ConstantSeriesError(ValueError):
@@ -69,100 +59,113 @@ class ConstantSeriesError(ValueError):
 
 @dataclass(frozen=True)
 class MetricConfig:
+    """How probes are found (``probe_cfg``, or exact search over the family
+    that ``oracle_family_provider`` returns) and which domains are the
+    targets: the test domains, or the validation domains as their proxy."""
+
     probe_cfg: ProbeFitConfig = field(default_factory=ProbeFitConfig)
     target_role: str = ROLE_TEST
-    negative_tolerance: float = 1e-6
     oracle_family_provider: object = None  # callable(num_outputs, z) -> FiniteProbeFamily
 
     def __post_init__(self):
         if self.target_role not in (ROLE_TEST, ROLE_VALID):
             raise ValueError("target_role must be 'test' or 'valid'")
-        if self.negative_tolerance < 0:
-            raise ValueError("negative_tolerance must be nonnegative")
 
     @property
     def exact_mode(self):
         return self.oracle_family_provider is not None
 
 
-# -- sample selection helpers ----------------------------------------------------
+# components below minus this are flagged negative; smaller ones are rounding
+_NEGATIVE_TOLERANCE = 1e-6
 
 
-def _train_ids(ds):
-    return ds.domain_ids_with_role(ROLE_TRAIN)
+# -- the metric engine -----------------------------------------------------------
 
 
-def _target_ids(ds, cfg):
-    ids = ds.domain_ids_with_role(cfg.target_role)
-    if not ids:
+def _domains(ds, cfg, which):
+    """The domain ids a metric covers, in the order their samples stack.
+
+    ``"train"``: the training domains in header order (e0'); ``"target"``:
+    the target domains in header order (e1', e3'); ``"train_sorted"``: the
+    training domains by id (d0'); ``"joint"``: all training domains by id,
+    then the target domains (e2', in either mode); ``"union"``: see
+    ``_union_ids`` (d1', d2').
+    """
+    train = ds.domain_ids_with_role(ROLE_TRAIN)
+    if which == "train":
+        return train
+    if which == "train_sorted":
+        return sorted(train)
+    target = ds.domain_ids_with_role(cfg.target_role)
+    if not target:
         raise DatasetError(f"dataset has no domains with role {cfg.target_role!r}")
-    return ids
+    if which == "target":
+        return target
+    if which == "union":
+        return _union_ids(sorted(train), target, cfg)
+    return sorted(train) + target
 
 
-def _union_ids(ds, cfg):
-    """Domain set for the joint and invariance probes.
+def _union_ids(train, target, cfg):
+    """Domain set of the union distinguishability probes, d1' and d2'.
 
     With a test target this is all training plus all test domains.  In
     validation-proxy mode the last n2 training domains (by id) are dropped so
     the domain count, and hence the chance baseline, matches the
-    training-only metric.
+    training-only metric d0'.  (e2' fits on all training domains in both
+    modes.)
     """
-    train = sorted(_train_ids(ds))
-    target = _target_ids(ds, cfg)
     if cfg.target_role == ROLE_VALID:
-        n2 = len(target)
-        if n2 >= len(train):
+        if len(target) >= len(train):
             raise DatasetError(
                 "validation-proxy mode needs fewer validation domains than training domains"
             )
-        train = train[: len(train) - n2]
-    return train + list(target)
+        train = train[: len(train) - len(target)]
+    return train + target
 
 
-def _cell(ds, domain_id, split, label=None):
-    m = ds.mask(domain_id=domain_id, split=split, label=label)
-    return np.flatnonzero(m)
+def _rows(ds, domain_ids, split, targets, label=None):
+    """Per-domain blocks ``(z, targets, weights)`` of one split's samples,
+    only those of class ``label`` when it is given.
 
-
-def _gather(ds, domain_ids, split, label=None):
-    """Stack samples of the listed domains with equal per-domain weight.
-
-    Returns (z64, labels, domain_positions, weights); weights sum to 1.
+    ``targets`` are the labels (``"label"``) or each domain's position in
+    ``domain_ids`` (``"domain"``); a block's weights sum to
+    ``1 / len(domain_ids)``, so every domain weighs the same.
     """
-    zs, ys, pos, ws = [], [], [], []
+    blocks = []
     for k, did in enumerate(domain_ids):
-        idx = _cell(ds, did, split, label)
-        if idx.size == 0:
+        idx = ds.cell_rows[did, split]
+        if label is not None:
+            idx = idx[ds.labels[idx] == label]
+        if idx.size == 0:  # only a class cell can be empty: every domain has both splits
             raise DatasetError(
-                f"domain {did} has no split={split} samples"
-                + (f" for class {label}" if label is not None else "")
+                f"domain {did} has no split={split} samples for class {label}; "
+                "the class-conditional metric is undefined"
             )
-        zs.append(ds.z[idx].astype(np.float64))
-        ys.append(ds.labels[idx])
-        pos.append(np.full(idx.size, k, dtype=np.int64))
-        ws.append(np.full(idx.size, 1.0 / (len(domain_ids) * idx.size)))
-    return (
-        np.vstack(zs),
-        np.concatenate(ys),
-        np.concatenate(pos),
-        np.concatenate(ws),
-    )
-
-
-def _mean_domain_error(ds, probe, domain_ids, split, targets="label"):
-    """Equal-weight mean over domains of the probe's 0-1 error on one split."""
-    errs = []
-    for k, did in enumerate(domain_ids):
-        idx = _cell(ds, did, split)
-        z = ds.z[idx].astype(np.float64)
         t = ds.labels[idx] if targets == "label" else np.full(idx.size, k, dtype=np.int64)
-        errs.append(zero_one_error(probe, z, t))
-    return float(np.mean(errs))
+        w = np.full(idx.size, 1.0 / (len(domain_ids) * idx.size))
+        blocks.append((ds.z[idx].astype(np.float64), t, w))
+    return blocks
 
 
-def _select_probe(ds, cfg, domain_ids, num_outputs, targets, score, label=None):
-    """Pick the error-minimizing probe, by fitting or by exact family search,
-    and return ``(score(probe), meta)``.
+def _score(probe, blocks, targets):
+    """The probe's 0-1 error on the blocks, every domain weighted equally.
+
+    Label targets (e0'-e3') average the per-domain errors; domain targets
+    (d0'-d2') take one weighted error over all blocks.  The two differ in
+    the last bits, so each metric's way is part of its reported value.
+    """
+    if targets == "label":
+        return float(np.mean([zero_one_error(probe, z, t) for z, t, _ in blocks]))
+    z, t, w = map(np.concatenate, zip(*blocks))
+    return zero_one_error(probe, z, t, weights=w)
+
+
+def _select(ds, cfg, domain_ids, targets, label=None, scored_ids=None):
+    """Pick the error-minimizing probe over ``domain_ids``, by fitting or by
+    exact family search, and return ``(holdout error, meta)``; the error is
+    taken on ``scored_ids`` (default: ``domain_ids``).
 
     Fitted mode trains on fit samples.  The fit's 0-1 stage can overfit a
     small fit split, so the logistic solution it started from is scored as
@@ -174,33 +177,32 @@ def _select_probe(ds, cfg, domain_ids, num_outputs, targets, score, label=None):
     same empirical distribution the metrics report on), which makes the
     infimum exact.
     """
+    num_outputs = ds.num_classes if targets == "label" else len(domain_ids)
+    split = SPLIT_HOLDOUT if cfg.exact_mode else SPLIT_FIT
+    z, t, w = map(np.concatenate, zip(*_rows(ds, domain_ids, split, targets, label)))
     if cfg.exact_mode:
-        z, ys, pos, w = _gather(ds, domain_ids, SPLIT_HOLDOUT, label)
-        t = ys if targets == "label" else pos
         family = cfg.oracle_family_provider(num_outputs, z)
         err, idx = exact_best_error(family, z, t, weights=w)
         meta = {"mode": "exact", "family_size": len(family), "index": idx, "error": err}
-        return score(family[idx]), meta
-    z, ys, pos, w = _gather(ds, domain_ids, SPLIT_FIT, label)
-    t = ys if targets == "label" else pos
-    probe, record = fit_probe(z, t, num_outputs, cfg.probe_cfg, sample_weight=w)
-    meta = record.to_dict()
-    value = score(probe)
-    meta["kept"] = "zero_one"
-    if record.start is not probe:
-        start_value = score(record.start)
+        probe = start = family[idx]
+    else:
+        probe, record = fit_probe(z, t, num_outputs, cfg.probe_cfg, sample_weight=w)
+        meta = dict(record.to_dict(), kept="zero_one")
+        start = record.start
+    # gathered after the fit, so these rows are not held at the fit's peak memory
+    held = _rows(ds, scored_ids or domain_ids, SPLIT_HOLDOUT, targets, label)
+    value = _score(probe, held, targets)
+    if start is not probe:
+        start_value = _score(start, held, targets)
         if start_value < value:
             value, meta["kept"] = start_value, "logistic"
     return value, meta
 
 
-def _holdout_error(ds, cfg, probe, domain_ids, targets="label", label=None):
-    """Domain-equal holdout error; restricted to one class for conditional metrics."""
-    if label is None and targets == "label":
-        return _mean_domain_error(ds, probe, domain_ids, SPLIT_HOLDOUT, targets="label")
-    z, ys, pos, w = _gather(ds, domain_ids, SPLIT_HOLDOUT, label)
-    t = ys if targets == "label" else pos
-    return zero_one_error(probe, z, t, weights=w)
+def _head_error(ds, head, cfg, which):
+    if head.num_outputs != ds.num_classes:
+        raise ValueError("head must have num_classes outputs")
+    return _score(head, _rows(ds, _domains(ds, cfg, which), SPLIT_HOLDOUT, "label"), "label")
 
 
 # -- the seven primed metrics ----------------------------------------------------
@@ -208,10 +210,7 @@ def _holdout_error(ds, cfg, probe, domain_ids, targets="label", label=None):
 
 def e0_prime(ds, head, cfg=None):
     """Learned head's 0-1 error averaged over training domains (underfitting)."""
-    cfg = cfg or MetricConfig()
-    if head.num_outputs != ds.num_classes:
-        raise ValueError("head must have num_classes outputs")
-    return _mean_domain_error(ds, head, _train_ids(ds), SPLIT_HOLDOUT)
+    return _head_error(ds, head, cfg or MetricConfig(), "train")
 
 
 def e1_prime(ds, cfg=None, return_meta=False):
@@ -219,12 +218,10 @@ def e1_prime(ds, cfg=None, return_meta=False):
 
     One probe is shared across all target domains, matching the single
     minimizer inside the defining infimum.  Fitted probes report the lower
-    holdout error of a fit's two stages (see ``_select_probe``).
+    holdout error of a fit's two stages (see ``_select``).
     """
     cfg = cfg or MetricConfig()
-    target = _target_ids(ds, cfg)
-    value, meta = _select_probe(ds, cfg, target, ds.num_classes, "label",
-                                lambda p: _holdout_error(ds, cfg, p, target))
+    value, meta = _select(ds, cfg, _domains(ds, cfg, "target"), "label")
     return (value, meta) if return_meta else value
 
 
@@ -232,35 +229,27 @@ def e2_prime(ds, cfg=None, return_meta=False):
     """Error on target domains of the probe fit jointly on training plus
     target domains, every domain weighted equally (misalignment).  Fitted
     probes report the lower holdout error of a fit's two stages (see
-    ``_select_probe``)."""
+    ``_select``)."""
     cfg = cfg or MetricConfig()
-    union = sorted(_train_ids(ds)) + list(_target_ids(ds, cfg))
-    target = _target_ids(ds, cfg)
-    value, meta = _select_probe(ds, cfg, union, ds.num_classes, "label",
-                                lambda p: _holdout_error(ds, cfg, p, target))
+    value, meta = _select(ds, cfg, _domains(ds, cfg, "joint"), "label",
+                          scored_ids=_domains(ds, cfg, "target"))
     return (value, meta) if return_meta else value
 
 
 def e3_prime(ds, head, cfg=None):
     """Learned head's 0-1 error averaged over target domains (plain test error)."""
-    cfg = cfg or MetricConfig()
-    if head.num_outputs != ds.num_classes:
-        raise ValueError("head must have num_classes outputs")
-    return _mean_domain_error(ds, head, _target_ids(ds, cfg), SPLIT_HOLDOUT)
+    return _head_error(ds, head, cfg or MetricConfig(), "target")
 
 
 def d0_prime(ds, cfg=None, return_meta=False):
     """Chance-adjusted accuracy of the best domain classifier on training domains.
 
     Fitted probes report the lower holdout error of a fit's two stages (see
-    ``_select_probe``), as do ``d1_prime`` and ``d2_prime``.
+    ``_select``), as do ``d1_prime`` and ``d2_prime``.
     """
     cfg = cfg or MetricConfig()
-    train = sorted(_train_ids(ds))
-    if len(train) < 2:
-        raise DatasetError("training-domain distinguishability needs at least 2 training domains")
-    err, meta = _select_probe(ds, cfg, train, len(train), "domain",
-                              lambda p: _holdout_error(ds, cfg, p, train, targets="domain"))
+    train = _domains(ds, cfg, "train_sorted")
+    err, meta = _select(ds, cfg, train, "domain")
     value = 1.0 - err - 1.0 / len(train)
     return (value, meta) if return_meta else value
 
@@ -270,33 +259,22 @@ def d1_prime(ds, cfg=None, return_meta=False):
     training and target domains (validation-proxy mode swaps target domains
     in for an equal number of training domains so baselines match)."""
     cfg = cfg or MetricConfig()
-    union = _union_ids(ds, cfg)
-    err, meta = _select_probe(ds, cfg, union, len(union), "domain",
-                              lambda p: _holdout_error(ds, cfg, p, union, targets="domain"))
+    union = _domains(ds, cfg, "union")
+    err, meta = _select(ds, cfg, union, "domain")
     value = 1.0 - err - 1.0 / len(union)
     return (value, meta) if return_meta else value
 
 
 def d2_prime(ds, cfg=None, return_meta=False):
     """Class-conditional version of the union distinguishability: a separate
-    domain classifier per class, averaged over classes with equal weight."""
+    domain classifier per class, averaged over classes with equal weight.
+    A class missing from a cell of the union makes it undefined."""
     cfg = cfg or MetricConfig()
-    union = _union_ids(ds, cfg)
+    union = _domains(ds, cfg, "union")
     values, metas = [], {}
     for y in range(ds.num_classes):
-        for did in union:
-            for split in (SPLIT_FIT, SPLIT_HOLDOUT):
-                if _cell(ds, did, split, y).size == 0:
-                    raise DatasetError(
-                        f"domain {did} has no split={split} samples for class {y}; "
-                        "the class-conditional metric is undefined"
-                    )
-        err, meta = _select_probe(
-            ds, cfg, union, len(union), "domain",
-            lambda p: _holdout_error(ds, cfg, p, union, targets="domain", label=y), label=y,
-        )
+        err, metas[f"class{y}"] = _select(ds, cfg, union, "domain", label=y)
         values.append(1.0 - err - 1.0 / len(union))
-        metas[f"class{y}"] = meta
     value = float(np.mean(values))
     return (value, metas) if return_meta else value
 
@@ -331,13 +309,13 @@ def _chain(deltas, total, clamp=None):
     return deltas[:-1] + [last], achieved
 
 
-def decompose(e0p, e1p, e2p, e3p, d0p, d1p, d2p, negative_tolerance=1e-6):
+def decompose(e0p, e1p, e2p, e3p, d0p, d1p, d2p):
     """Split the target-domain error into four components and the
     class-conditional distinguishability into three.
 
     Components are successive differences of the primed metrics; the sums
     telescope bit exactly back to e3' and d2'.  Negative components are
-    reported and flagged, never clamped.
+    reported, and flagged when below ``-1e-6``, never clamped.
     """
     for name, v in (("e0'", e0p), ("e1'", e1p), ("e2'", e2p), ("e3'", e3p),
                     ("d0'", d0p), ("d1'", d1p), ("d2'", d2p)):
@@ -345,13 +323,7 @@ def decompose(e0p, e1p, e2p, e3p, d0p, d1p, d2p, negative_tolerance=1e-6):
             raise ValueError(f"{name} must be finite")
     e, e3p = _chain([e0p, e1p - e0p, e2p - e1p, e3p - e2p], e3p, clamp=(0.0, 1.0))
     d, d2p = _chain([d0p, d1p - d0p, d2p - d1p], d2p)
-    flags = []
-    for name, v in zip(("e0", "e1", "e2", "e3"), e):
-        if v < -negative_tolerance:
-            flags.append(name)
-    for name, v in zip(("d0", "d1", "d2"), d):
-        if v < -negative_tolerance:
-            flags.append(name)
+    flags = [n for n, v in zip(_COMPONENTS, e + d) if v < -_NEGATIVE_TOLERANCE]
     return Diagnosis(
         e0_prime=e0p,
         e1_prime=e1p,
@@ -405,7 +377,7 @@ def diagnose(ds, head, cfg=None):
     d0p, md0 = d0_prime(ds, cfg, return_meta=True)
     d1p, md1 = d1_prime(ds, cfg, return_meta=True)
     d2p, md2 = d2_prime(ds, cfg, return_meta=True)
-    diag = decompose(e0p, e1p, e2p, e3p, d0p, d1p, d2p, cfg.negative_tolerance)
+    diag = decompose(e0p, e1p, e2p, e3p, d0p, d1p, d2p)
     meta = {"e1": m1, "e2": m2, "d0": md0, "d1": md1, "d2": md2}
     return replace(diag, probe_meta=meta)
 
@@ -435,10 +407,4 @@ def csv_header(context_keys=("beta_or_epoch",)):
 
 
 def csv_row(diag, context_values=()):
-    vals = [
-        diag.e0, diag.e1, diag.e2, diag.e3,
-        diag.d0, diag.d1, diag.d2,
-        diag.e0_prime, diag.e1_prime, diag.e2_prime, diag.e3_prime,
-        diag.d0_prime, diag.d1_prime, diag.d2_prime,
-    ]
-    return list(context_values) + [repr(float(v)) for v in vals]
+    return list(context_values) + [repr(float(getattr(diag, f))) for f in _CSV_FIELDS]

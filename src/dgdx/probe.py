@@ -5,8 +5,7 @@ stages: L2-regularized multinomial logistic regression, solved by damped
 Newton steps, then descent on the 0-1 error itself by exact line searches
 in parameter space (Nguyen & Sanner, "Algorithms for direct 0-1 loss
 optimization in binary classification", ICML 2013).  For verification, a
-finite probe family makes the minimum exact and a 2-d enumeration oracle
-computes the best achievable linear 0-1 error without any fitting.
+finite probe family makes the minimum exact.
 """
 
 from __future__ import annotations
@@ -526,114 +525,3 @@ def exact_best_error(family, z, targets, weights=None):
     errs = np.concatenate(errs)
     idx = int(np.argmin(errs))
     return float(errs[idx]), idx
-
-
-# -- oracle constructions --------------------------------------------------------
-
-
-def binary_threshold_probe(direction, offset, dim=None):
-    """Binary probe predicting class 1 iff direction . z > offset."""
-    direction = np.asarray(direction, dtype=np.float64)
-    d = dim or direction.shape[0]
-    w = np.zeros((2, d))
-    w[1, : direction.shape[0]] = direction
-    b = np.array([0.0, -float(offset)])
-    return LinearProbe(w, b)
-
-
-def constant_probe(output, num_outputs, dim):
-    """Probe that predicts a fixed output everywhere."""
-    b = np.zeros(num_outputs)
-    b[output] = 1.0
-    return LinearProbe(np.zeros((num_outputs, dim)), b)
-
-
-def binary_grid_family(z, n_angles=180, n_offsets=81, pad=0.05):
-    """Dense grid of 2-d binary probes over line angles and offsets.
-
-    Angles cover the full circle so both orientations of every direction
-    appear; offsets span the projection range of the data.  The two
-    constant predictors come first, then, angle by angle, the
-    ``binary_threshold_probe`` of each offset.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape[1] != 2:
-        raise ValueError("binary_grid_family requires 2-d points")
-    angles = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
-    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)  # (n_angles, 2)
-    # one matrix-vector product per angle, the same arithmetic as z @ direction
-    proj = np.matmul(z, dirs[:, :, None])[:, :, 0]  # (n_angles, n)
-    lo, hi = proj.min(axis=1), proj.max(axis=1)
-    span = np.maximum(hi - lo, 1e-12)
-    offsets = np.linspace(lo - pad * span, hi + pad * span, n_offsets, axis=1)
-    m = 2 + n_angles * n_offsets
-    weights = np.zeros((m, 2, 2))
-    weights[2:, 1] = np.repeat(dirs, n_offsets, axis=0)
-    bias = np.zeros((m, 2))
-    bias[:2] = np.eye(2)
-    bias[2:, 1] = -offsets.ravel()
-    return FiniteProbeFamily(weights, bias)
-
-
-def best_linear01_error_2d(z, targets, weights=None):
-    """Exact minimum 0-1 error of any linear classifier on 2-d binary data.
-
-    Enumerates every realizable dichotomy: for each candidate direction
-    (perpendiculars of all point pairs, slightly rotated both ways, plus the
-    axes), it scans all thresholds that fall strictly between consecutive
-    projections.  Splits landing inside a tie are skipped, so the returned
-    value never undercuts what a real separating line can achieve.
-    """
-    z, targets = _as_points(z, targets)
-    n = z.shape[0]
-    if z.shape[1] != 2:
-        raise ValueError("best_linear01_error_2d requires 2-d points")
-    if not np.isin(targets, [0, 1]).all():
-        raise ValueError("targets must be binary (0/1)")
-    if weights is None:
-        w = np.full(n, 1.0 / n)
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        w = w / w.sum()
-
-    diffs = z[:, None, :] - z[None, :, :]
-    iu = np.triu_indices(n, k=1)
-    d = diffs[iu]
-    norms = np.linalg.norm(d, axis=1)
-    d = d[norms > 0] / norms[norms > 0, None]
-    perp = np.stack([-d[:, 1], d[:, 0]], axis=1)
-    eps = 1e-7
-    dirs = np.concatenate(
-        [
-            perp,
-            perp + eps * d,
-            perp - eps * d,
-            np.array([[1.0, 0.0], [0.0, 1.0]]),
-        ]
-    )
-
-    total1 = float(w[targets == 1].sum())
-    total0 = float(w[targets == 0].sum())
-    best = min(total0, total1)  # constant predictors
-    chunk = 2048
-    for start in range(0, dirs.shape[0], chunk):
-        dd = dirs[start : start + chunk]
-        proj = z @ dd.T  # (n, m)
-        order = np.argsort(proj, axis=0, kind="stable")
-        sorted_proj = np.take_along_axis(proj, order, axis=0)
-        t_sorted = targets[order]
-        w_sorted = w[order]
-        # prefix sums of class-1 / class-0 weight below each split point
-        c1 = np.cumsum(w_sorted * (t_sorted == 1), axis=0)
-        c0 = np.cumsum(w_sorted * (t_sorted == 0), axis=0)
-        # split after position i is realizable only between distinct projections
-        valid = sorted_proj[:-1, :] < sorted_proj[1:, :]
-        # predict 0 below / 1 above: err = class-1 weight below + class-0 weight above
-        err_low1 = c1[:-1, :] + (total0 - c0[:-1, :])
-        err_both = np.minimum(err_low1, 1.0 - err_low1)
-        err_both = np.where(valid, err_both, np.inf)
-        if err_both.size:
-            m = float(err_both.min())
-            if m < best:
-                best = m
-    return max(best, 0.0)

@@ -12,11 +12,11 @@ import pytest
 from dgdx import expt, metrics, scenarios
 from dgdx.core import DomainMeta, LinearProbe, RepresentationDataset, ROLE_TEST, ROLE_TRAIN, ROLE_VALID
 from dgdx.metrics import MetricConfig, diagnose, pearson
-from dgdx.probe import ProbeFitConfig, binary_grid_family, exact_best_error, fit_probe, zero_one_error
+from dgdx.probe import ProbeFitConfig, exact_best_error, fit_probe, zero_one_error
 from dgdx.propositions import run_suite
 
 from conftest import random_dataset
-from support import pack_params, unpack_params
+from support import binary_grid_family, pack_params, unpack_params
 
 
 def _report(name, ok, detail=""):

@@ -301,3 +301,15 @@ class TestTrainSweepTrajectory:
         res = runner.invoke(main, ["sweep", "--algorithm", "erm", "--betas", "x,y",
                                    "--seed", "0", "--out", str(tmp_path)])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("args", [
+        ["sweep", "--algorithm", "coral", "--samples-per-domain", "1"],
+        ["train", "--algorithm", "coral", "--beta", "nan"],
+        ["sweep", "--algorithm", "group-dro", "--betas", "inf"],
+        ["trajectory", "--epochs", "1"],
+    ])
+    def test_invalid_training_option_exit_two(self, runner, tmp_path, args):
+        res = runner.invoke(main, [*args, "--seed", "0", "--out", str(tmp_path)])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output + (res.stderr or "")

@@ -345,6 +345,20 @@ class TestDatasetInvariants:
         ds = random_dataset(0)
         assert ds.num_samples > 0
 
+    def test_cell_rows_list_each_cell_in_row_order(self):
+        ds = random_dataset(6, n_train=3, n_test=2, per_cell=10)
+        order = np.random.default_rng(0).permutation(ds.num_samples)
+        ids = np.array([7, -3, 2, 40, 0])[ds.domain_ids[order]]
+        domains = tuple(DomainMeta(int(i), dm.name, dm.role)
+                        for i, dm in zip([7, -3, 2, 40, 0], ds.domains))
+        mixed = RepresentationDataset(ds.dim, ds.num_classes, domains, ids, ds.splits[order],
+                                      ds.labels[order], ds.z[order])
+        expected = {(dm.id, s): np.flatnonzero((ids == dm.id) & (mixed.splits == s))
+                    for dm in domains for s in (0, 1)}
+        assert mixed.cell_rows.keys() == expected.keys()
+        for key, rows in expected.items():
+            assert np.array_equal(mixed.cell_rows[key], rows)
+
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
     def test_binary_round_trip_property(self, seed):

@@ -34,13 +34,12 @@ from dgdx.metrics import (
 )
 from dgdx.probe import (
     FiniteProbeFamily,
-    binary_threshold_probe,
-    constant_probe,
     fit_probe,
     zero_one_error,
 )
 
 from conftest import random_dataset
+from support import constant_probe
 
 
 def build_dataset(cells, dim=2, num_classes=2, per_cell=80, std=0.05, seed=0, roles=None):
@@ -93,7 +92,7 @@ class TestGeneralizationMetrics:
         for dm in ds.domains:
             if dm.role != ROLE_TRAIN:
                 continue
-            m = ds.mask(domain_id=dm.id, split=1)
+            m = (ds.domain_ids == dm.id) & (ds.splits == SPLIT_HOLDOUT)
             errs.append(zero_one_error(head, ds.z[m].astype(float), ds.labels[m]))
         assert e0_prime(ds, head) == pytest.approx(np.mean(errs))
 
@@ -127,8 +126,8 @@ class TestGeneralizationMetrics:
         # reports whichever of the two probes does better on the holdout split
         cells = {(d, y): (0, 2 * y - 1) for d in range(3) for y in range(2)}
         ds = build_dataset(cells, std=0.8, per_cell=160, roles={2: ROLE_TEST})
-        fit = ds.mask(domain_id=2, split=SPLIT_FIT)
-        held = ds.mask(domain_id=2, split=SPLIT_HOLDOUT)
+        fit = (ds.domain_ids == 2) & (ds.splits == SPLIT_FIT)
+        held = (ds.domain_ids == 2) & (ds.splits == SPLIT_HOLDOUT)
         probe, rec = fit_probe(ds.z[fit].astype(np.float64), ds.labels[fit], 2,
                                sample_weight=np.full(fit.sum(), 1.0 / fit.sum()))
         errs = [zero_one_error(p, ds.z[held].astype(np.float64), ds.labels[held])
@@ -330,7 +329,7 @@ class TestDiagnose:
         order = np.arange(ds.num_samples)
         for dm in ds.domains:
             for split in (0, 1):
-                idx = np.flatnonzero(ds.mask(domain_id=dm.id, split=split))
+                idx = np.flatnonzero((ds.domain_ids == dm.id) & (ds.splits == split))
                 order[idx] = rng.permutation(idx)
         shuffled = RepresentationDataset(ds.dim, ds.num_classes, ds.domains,
                                          ds.domain_ids[order], ds.splits[order],
@@ -413,14 +412,14 @@ class TestExactFamilyMode:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_e2_le_e3_for_train_optimal_head(self, seed):
-        from dgdx.metrics import _gather, _train_ids
+        from dgdx.metrics import _domains, _rows
         from dgdx.probe import exact_best_error
-        from dgdx.core import SPLIT_HOLDOUT
 
         ds = self._balanced_dataset(seed)
         provider = _random_family_provider(seed)
         cfg = MetricConfig(oracle_family_provider=provider)
-        z, ys, _, w = _gather(ds, sorted(_train_ids(ds)), SPLIT_HOLDOUT)
+        train = _domains(ds, cfg, "train_sorted")
+        z, ys, w = map(np.concatenate, zip(*_rows(ds, train, SPLIT_HOLDOUT, "label")))
         family = provider(ds.num_classes, z)
         _, idx = exact_best_error(family, z, ys, weights=w)
         head = family[idx]

@@ -6,16 +6,19 @@ from dgdx.core import LinearProbe
 from dgdx.probe import (
     FiniteProbeFamily,
     ProbeFitConfig,
-    best_linear01_error_2d,
-    binary_grid_family,
-    binary_threshold_probe,
-    constant_probe,
     exact_best_error,
     fit_probe,
     zero_one_error,
 )
 from dgdx import probe as probe_module
 from dgdx.probe import _hessian, _hessian_product, _line_minima
+
+from support import (
+    best_linear01_error_2d,
+    binary_grid_family,
+    binary_threshold_probe,
+    constant_probe,
+)
 
 XOR_Z = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
 XOR_T = np.array([0, 0, 1, 1])

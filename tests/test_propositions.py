@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dgdx.core import LinearProbe
-from dgdx.probe import FiniteProbeFamily, constant_probe
+from dgdx.probe import FiniteProbeFamily
 from dgdx.propositions import (
     PartitionInstance,
     _best_domain,
@@ -20,6 +20,8 @@ from dgdx.propositions import (
     random_instance,
     run_suite,
 )
+
+from support import constant_probe
 
 
 def _tiny_instance(seed=13, flip_mass=False):
