@@ -371,8 +371,6 @@ def _record_dtype(dim):
 def save_dump(ds, path, format=FORMAT_BINARY):
     """Write a dataset dump. Binary dumps round-trip bit exactly; CSV dumps
     carry 9 significant digits, which is lossless for float32 values."""
-    if ds.num_samples == 0:
-        raise DatasetError("dataset has no samples")
     header = json.dumps(_header_dict(ds), separators=(",", ":"))
     if format == FORMAT_BINARY:
         rec = np.empty(ds.num_samples, dtype=_record_dtype(ds.dim))

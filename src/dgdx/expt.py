@@ -610,16 +610,24 @@ def train(raw, cfg, init_model=None):
     """Full-batch line-searched gradient descent; one checkpoint per epoch.
 
     The backtracking (Armijo) line search evaluates only the objective at
-    each trial step; each accepted step then computes one gradient, from the
-    forward pass of the trial that was accepted, before the next
-    ``objective`` call can overwrite it.  The batch, with its constants and
-    the workspace every evaluation writes into, is built once per call.
+    each trial step, halving the step up to 40 times; each accepted step
+    then computes one gradient, from the forward pass of the trial that was
+    accepted, before the next ``objective`` call can overwrite it.  The
+    first search starts at ``cfg.learning_rate``; after an immediate accept
+    the next starts at twice the accepted step, capped at
+    ``cfg.learning_rate``, and after a backtracked accept at the accepted
+    step itself (Nocedal & Wright, *Numerical Optimization*, 2nd ed.,
+    section 3.5).  No trial step exceeds ``cfg.learning_rate``, and a run
+    that never backtracks takes ``cfg.learning_rate`` on every step.  The
+    batch, with its constants and the workspace every evaluation writes
+    into, is built once per call.
     With ``freeze_features`` only the head moves (features stay at their
     initialization, or at ``init_model``'s final checkpoint when given,
     which is how a pretrained frozen extractor is expressed); the last
     hidden layer is then computed once (``frozen_batch``), and trials and
     gradients evaluate only the head.  Deterministic per seed.  Raises
-    DivergenceError, naming the epoch, if the objective stops being finite.
+    DivergenceError, naming the epoch, if the objective stops being finite;
+    the overflow on the way there raises no numpy warning.
     """
     x, labels, pos, n_groups = _fit_batch(raw)
     batch = make_batch(x, labels, pos, n_groups, raw.spec.num_classes)
@@ -634,35 +642,39 @@ def train(raw, cfg, init_model=None):
     if cfg.freeze_features:
         batch = frozen_batch(batch, params, cfg)
 
-    obj, state = objective(params, batch, cfg)
-    if not np.isfinite(obj):
-        raise DivergenceError("objective non-finite at epoch 1 (before any update)")
-    grads = objective_gradient(state, batch, cfg)
-    checkpoints, trace = [], []
-    for epoch in range(cfg.epochs):
-        for _ in range(cfg.steps_per_epoch):
-            gnorm2 = sum(float((grads[k] ** 2).sum()) for k in moving)
-            if gnorm2 == 0.0:
-                break
-            step = cfg.learning_rate
-            accepted = False
-            for _ in range(40):
-                cand = dict(params)
-                for k in moving:
-                    cand[k] = params[k] - step * grads[k]
-                new_obj, state = objective(cand, batch, cfg)
-                if not np.isfinite(new_obj):
-                    raise DivergenceError(f"objective non-finite at epoch {epoch + 1}")
-                if new_obj <= obj - 1e-4 * step * gnorm2:
-                    params, obj = cand, new_obj
-                    grads = objective_gradient(state, batch, cfg)
-                    accepted = True
+    # the finite checks below, not numpy's warnings, report an overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        obj, state = objective(params, batch, cfg)
+        if not np.isfinite(obj):
+            raise DivergenceError("objective non-finite at epoch 1 (before any update)")
+        grads = objective_gradient(state, batch, cfg)
+        checkpoints, trace = [], []
+        start = cfg.learning_rate
+        for epoch in range(cfg.epochs):
+            for _ in range(cfg.steps_per_epoch):
+                gnorm2 = sum(float((grads[k] ** 2).sum()) for k in moving)
+                if gnorm2 == 0.0:
                     break
-                step *= 0.5
-            if not accepted:
-                break  # no descent step at float resolution; plateau reached
-        checkpoints.append({k: v.copy() for k, v in params.items()})
-        trace.append(float(obj))
+                step = start
+                accepted = False
+                for trial in range(40):
+                    cand = dict(params)
+                    for k in moving:
+                        cand[k] = params[k] - step * grads[k]
+                    new_obj, state = objective(cand, batch, cfg)
+                    if not np.isfinite(new_obj):
+                        raise DivergenceError(f"objective non-finite at epoch {epoch + 1}")
+                    if new_obj <= obj - 1e-4 * step * gnorm2:
+                        params, obj = cand, new_obj
+                        grads = objective_gradient(state, batch, cfg)
+                        accepted = True
+                        break
+                    step *= 0.5
+                if not accepted:
+                    break  # no descent step at float resolution; plateau reached
+                start = min(cfg.learning_rate, 2.0 * step) if trial == 0 else step
+            checkpoints.append({k: v.copy() for k, v in params.items()})
+            trace.append(float(obj))
     return TrainedModel(tuple(checkpoints), cfg, tuple(trace))
 
 

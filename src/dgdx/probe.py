@@ -115,12 +115,24 @@ class FiniteProbeFamily:
 
     def predict(self, z):
         """Every probe's output at every point, ``(m, n)``: bit for bit each
-        probe's ``LinearProbe.predict``, ties going to the lowest output."""
+        probe's ``LinearProbe.predict``, ties going to the lowest output.
+
+        A running best over the outputs, replaced only by a strictly greater
+        score, takes the place of ``argmax``: on these strided scores it is
+        several times faster (for finite scores the two agree)."""
         z = np.asarray(z, dtype=np.float64)
         if z.shape[-1] != self.dim:
             raise ValueError(f"family expects dim {self.dim}, got {z.shape[-1]}")
         scores = np.matmul(z, self.weights.transpose(0, 2, 1)) + self.bias[:, None, :]
-        return scores.argmax(axis=2)
+        if self.num_outputs < 2:
+            return scores.argmax(axis=2)
+        best = scores[:, :, 0]
+        out = (scores[:, :, 1] > best).astype(np.intp)
+        for j in range(2, self.num_outputs):
+            best = np.maximum(best, scores[:, :, j - 1])
+            # j exceeds every earlier output, so this sets ``out`` to j where j wins
+            np.maximum(out, np.multiply(scores[:, :, j] > best, j, dtype=np.intp), out=out)
+        return out
 
     def to_dict(self):
         return {"probes": [self[i].to_dict() for i in range(len(self))]}

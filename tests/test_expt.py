@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -195,10 +197,12 @@ def _fused_objective_and_grad(params, x, labels, domain_pos, n_groups, num_class
     }
 
 
-def _reference_train(raw, cfg):
+def _reference_train(raw, cfg, carry=True):
     """The line search as written before trial steps skipped the gradient:
-    every trial calls ``objective_and_grad``.  Also returns how many trial
-    steps were rejected."""
+    every trial calls ``objective_and_grad``.  Each search starts where
+    ``train``'s does; with ``carry`` False, every search starts at the
+    learning rate instead, as before the step length was carried over.
+    Also returns how many trial steps were rejected."""
     x, labels, pos, n_groups = expt._fit_batch(raw)
     params = expt.init_params(raw.spec.input_dim, cfg.hidden_width, raw.spec.num_classes,
                               cfg.seed)
@@ -210,14 +214,15 @@ def _reference_train(raw, cfg):
 
     obj, grads = value(params)
     checkpoints, trace, rejected = [], [], 0
+    start = cfg.learning_rate
     for _ in range(cfg.epochs):
         for _ in range(cfg.steps_per_epoch):
             gnorm2 = sum(float((grads[k] ** 2).sum()) for k in moving)
             if gnorm2 == 0.0:
                 break
-            step = cfg.learning_rate
+            step = start
             accepted = False
-            for _ in range(40):
+            for trial in range(40):
                 cand = dict(params)
                 for k in moving:
                     cand[k] = params[k] - step * grads[k]
@@ -230,6 +235,8 @@ def _reference_train(raw, cfg):
                 step *= 0.5
             if not accepted:
                 break
+            if carry:
+                start = min(cfg.learning_rate, 2.0 * step) if trial == 0 else step
         checkpoints.append({k: v.copy() for k, v in params.items()})
         trace.append(float(obj))
     return checkpoints, tuple(trace), rejected
@@ -366,6 +373,14 @@ class TestTrain:
         with pytest.raises(expt.DivergenceError, match="epoch"):
             expt.train(raw, cfg)
 
+    def test_divergence_raises_no_numpy_warning(self):
+        raw = expt.make_dataset(SMALL_SPEC)
+        cfg = small_cfg(algorithm="cond-invariance", beta=1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(expt.DivergenceError, match="epoch"):
+                expt.train(raw, cfg)
+
     def test_deterministic(self):
         raw = expt.make_dataset(SMALL_SPEC)
         m1 = expt.train(raw, small_cfg())
@@ -451,6 +466,80 @@ class TestTrainCallsModuleGlobals:
         expt.train(raw, cfg)
         assert counts["objective"] == trials + 1
         assert counts["objective_gradient"] == trials - rejected + 1
+
+
+class TestStepStart:
+    """Each line search starts at twice the last accepted step after an
+    immediate accept (capped at the learning rate), at the accepted step
+    after a backtracked one, and at the learning rate the first time."""
+
+    @staticmethod
+    def _searches(monkeypatch, raw, cfg):
+        """The trial steps of each of ``train``'s line searches, read off the
+        candidates it evaluates: the least-squares step from the accepted
+        parameters along their gradient."""
+        events = []
+        objective, gradient = expt.objective, expt.objective_gradient
+
+        def trial(params, batch, cfg):
+            events.append((params, None))
+            return objective(params, batch, cfg)
+
+        def accept(state, batch, cfg):
+            grads = gradient(state, batch, cfg)
+            events.append((state.params, grads))
+            return grads
+
+        monkeypatch.setattr(expt, "objective", trial)
+        monkeypatch.setattr(expt, "objective_gradient", accept)
+        expt.train(raw, cfg)
+        searches = []
+        for params, grads in events[1:]:  # the first evaluation is the starting point
+            if grads is not None:
+                base, direction = params, grads
+                searches.append([])
+                continue
+            num = sum(float(((base[k] - params[k]) * g).sum()) for k, g in direction.items())
+            den = sum(float((g * g).sum()) for g in direction.values())
+            searches[-1].append(num / den)
+        return [s for s in searches if s]
+
+    @pytest.mark.parametrize("kw", [
+        dict(algorithm="cond-invariance", beta=1.0, learning_rate=4.0),
+        dict(algorithm="erm", learning_rate=1.0),
+        dict(algorithm="erm", learning_rate=4.0, freeze_features=True),
+    ], ids=["cond-invariance", "erm", "frozen"])
+    def test_each_search_starts_from_the_last_accepted_step(self, monkeypatch, kw):
+        raw = expt.make_dataset(SMALL_SPEC)
+        cfg = small_cfg(epochs=3, steps_per_epoch=8, **kw)
+        lr = cfg.learning_rate
+        searches = self._searches(monkeypatch, raw, cfg)
+        assert len(searches) == 24
+        assert searches[0][0] == pytest.approx(lr, rel=1e-9)
+        grown = carried = 0
+        for prev, cur in zip(searches, searches[1:]):
+            for a, b in zip(cur, cur[1:]):
+                assert b == pytest.approx(0.5 * a, rel=1e-9)
+            accepted = prev[-1]
+            if len(prev) == 1:
+                assert cur[0] == pytest.approx(min(lr, 2.0 * accepted), rel=1e-9)
+                grown += cur[0] > accepted * (1 + 1e-9)
+            else:
+                assert cur[0] == pytest.approx(accepted, rel=1e-9)
+                carried += accepted < lr * (1 - 1e-9)
+        assert grown > 0 and carried > 0  # both rules ran, from below the learning rate
+        assert max(max(s) for s in searches) <= lr * (1 + 1e-9)
+
+    def test_run_without_backtracking_keeps_the_old_checkpoints(self):
+        raw = expt.make_dataset(SMALL_SPEC)
+        cfg = small_cfg(learning_rate=0.5, epochs=3, steps_per_epoch=20)
+        checkpoints, trace, rejected = _reference_train(raw, cfg, carry=False)
+        assert rejected == 0
+        model = expt.train(raw, cfg)
+        assert model.objective_trace == trace
+        for got, want in zip(model.checkpoints, checkpoints, strict=True):
+            for k in expt.PARAM_KEYS:
+                assert got[k].tobytes() == want[k].tobytes(), k
 
 
 class TestExportRepresentations:

@@ -405,6 +405,25 @@ class TestFiniteProbeFamily:
         for i in range(len(family)):
             assert np.array_equal(preds[i], family[i].predict(z))
 
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_predict_equals_argmax_with_planted_ties(self, k):
+        rng = np.random.default_rng(k)
+        # small integers make many scores tie exactly, between any outputs
+        z = rng.integers(-2, 3, size=(60, 3)).astype(np.float64)
+        weights = rng.integers(-1, 2, size=(40, k, 3)).astype(np.float64)
+        bias = rng.integers(-1, 2, size=(40, k)).astype(np.float64)
+        weights[:8, -1] = weights[:8, 0]  # the first and last outputs tie everywhere
+        bias[:8, -1] = bias[:8, 0]
+        family = FiniteProbeFamily(weights, bias)
+        scores = np.matmul(z, weights.transpose(0, 2, 1)) + bias[:, None, :]
+        top = scores.max(axis=2, keepdims=True)
+        assert ((scores == top).sum(axis=2) > 1).mean() > 0.2  # ties are common
+        preds = family.predict(z)
+        assert preds.dtype == scores.argmax(axis=2).dtype
+        assert np.array_equal(preds, scores.argmax(axis=2))
+        for i in range(len(family)):
+            assert np.array_equal(preds[i], family[i].predict(z))
+
     def test_grid_equals_a_reference_built_from_single_probes(self):
         z = np.random.default_rng(3).normal(size=(25, 2))
         n_angles, n_offsets, pad = 12, 7, 0.05
