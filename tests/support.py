@@ -23,6 +23,36 @@ def unpack_params(vec, like):
 # -- oracle constructions --------------------------------------------------------
 
 
+def oracle_instance(seed, factor=1):
+    """Random 2-d binary instance: a few Gaussian blobs per class, each of
+    ``factor`` times 20 to 44 points (the draws do not depend on ``factor``)."""
+    rng = np.random.default_rng(seed)
+    zs, ts = [], []
+    for cls in (0, 1):
+        for _ in range(int(rng.integers(1, 3))):
+            center = rng.uniform(-2.0, 2.0, size=2)
+            n = int(rng.integers(20, 45)) * factor
+            zs.append(center + rng.normal(0.0, 0.45, size=(n, 2)))
+            ts.append(np.full(n, cls))
+    return np.vstack(zs), np.concatenate(ts)
+
+
+def dense_hessian(p, z, weights, lam):
+    """The probe objective's Hessian, class-major over ``(k, d + 1)``, point
+    by point: ``sum_i w_i (diag p_i - p_i p_i^T) (x) x_i x_i^T`` with
+    ``x_i = (z_i, 1)``, plus ``1 / k`` on the directions that add one vector
+    to every class row and ``lam`` on every weight (not bias) coordinate."""
+    n, d = z.shape
+    k = p.shape[1]
+    hess = np.zeros((k * (d + 1), k * (d + 1)))
+    for wi, pi, zi in zip(weights, p, z):
+        x = np.append(zi, 1.0)
+        hess += wi * np.kron(np.diag(pi) - np.outer(pi, pi), np.outer(x, x))
+    hess += np.kron(np.full((k, k), 1.0 / k), np.eye(d + 1))
+    hess += np.diag(np.tile(np.append(np.full(d, lam), 0.0), k))
+    return hess
+
+
 def binary_threshold_probe(direction, offset, dim=None):
     """Binary probe predicting class 1 iff direction . z > offset."""
     direction = np.asarray(direction, dtype=np.float64)

@@ -117,6 +117,35 @@ class TestLoadDump:
         assert sniff_format(pc) == FORMAT_CSV
 
 
+class TestBinaryDumpDamage:
+    @pytest.fixture(scope="class")
+    def dump(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("damage") / "dump.bin"
+        save_dump(random_dataset(0), path, FORMAT_BINARY)
+        return path, path.read_bytes()
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_truncated_or_flipped_dump_loads_or_raises_dump_error(self, dump, data):
+        path, blob = dump
+        header_end = 9 + int.from_bytes(blob[5:9], "little")
+        # offsets come from the 9 fixed bytes, from those and the JSON header, or from anywhere
+        offset = data.draw(
+            st.integers(0, 9) | st.integers(0, header_end) | st.integers(0, len(blob) - 1)
+        )
+        if data.draw(st.booleans(), label="truncate"):
+            damaged = blob[:offset]
+        else:
+            damaged = bytearray(blob)
+            damaged[offset] ^= data.draw(st.integers(1, 255), label="xor mask")
+        path.write_bytes(bytes(damaged))
+        try:
+            ds = load_dump(path, FORMAT_BINARY)
+        except DumpError:
+            return
+        assert isinstance(ds, RepresentationDataset)
+
+
 def _line_error(path, message):
     """``pytest.raises`` pattern for exactly this DumpError message."""
     return re.escape(f"{path}: {message}") + "$"

@@ -18,6 +18,8 @@ from support import (
     binary_grid_family,
     binary_threshold_probe,
     constant_probe,
+    dense_hessian,
+    oracle_instance,
 )
 
 XOR_Z = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
@@ -255,6 +257,17 @@ class TestZeroOneStage:
         probe, rec = fit_probe(z, t, 2)
         assert probe is rec.start
 
+    @pytest.mark.parametrize("seed", [11, 49, 54])
+    def test_plane_planted_in_64_dimensions_reaches_its_grid_error(self, seed):
+        # 65 coordinates per class row, so the stage searches the biases and random directions
+        plane, t = oracle_instance(seed, factor=20)
+        basis = np.linalg.qr(np.random.default_rng(seed).normal(size=(64, 2)))[0]
+        z = plane @ basis.T
+        probe, _ = fit_probe(z, t, 2)
+        grid = binary_grid_family(plane, n_angles=240, n_offsets=101)
+        grid_err, _ = exact_best_error(grid, plane, t)
+        assert zero_one_error(probe, z, t) <= grid_err + 0.02
+
 
 def _gaussian_classes(seed, n, d, k):
     rng = np.random.default_rng(seed)
@@ -263,6 +276,24 @@ def _gaussian_classes(seed, n, d, k):
 
 
 class TestLogisticStage:
+    @pytest.mark.parametrize("k", [2, 3, 7])
+    @pytest.mark.parametrize("d", [2, 64])
+    @pytest.mark.parametrize("constant_rows", [False, True])
+    def test_hessian_matches_the_dense_oracle(self, k, d, constant_rows, monkeypatch):
+        # 301 points in row chunks of 15 (d = 64) or 47 to 166 (d = 2): a partial last chunk
+        monkeypatch.setattr(probe_module, "_CHUNK_ELEMENTS", 1000)
+        assert (d + 1 >= probe_module._HESSIAN_PAIR_MIN_WIDTH) == (d == 64)
+        z, _ = _gaussian_classes(d, 301, d, k)
+        rng = np.random.default_rng(k)
+        p = rng.dirichlet(np.ones(k), size=1 if constant_rows else 301)
+        p = np.broadcast_to(p, (301, k))
+        w = rng.uniform(0.1, 1.0, size=301)
+        w /= w.sum()
+        hess = _hessian(p, z, w, 0.01)
+        oracle = dense_hessian(p, z, w, 0.01)
+        assert np.abs(hess - oracle).max() <= 1e-12 * np.abs(oracle).max()
+        assert np.array_equal(hess, hess.T)
+
     def test_hessian_product_matches_the_matrix(self):
         z, t = _gaussian_classes(0, 60, 4, 3)
         rng = np.random.default_rng(1)
