@@ -2,10 +2,12 @@
 
 Probes approximate infimums of 0-1 error over the linear-head family in two
 stages: L2-regularized multinomial logistic regression, solved by damped
-Newton steps, then descent on the 0-1 error itself by exact line searches
-in parameter space (Nguyen & Sanner, "Algorithms for direct 0-1 loss
-optimization in binary classification", ICML 2013).  For verification, a
-finite probe family makes the minimum exact.
+Newton steps (a direct solve for few parameters, conjugate gradients
+preconditioned by Böhning's bound for many), then descent on the 0-1 error
+itself by exact line searches in parameter space (Nguyen & Sanner,
+"Algorithms for direct 0-1 loss optimization in binary classification",
+ICML 2013).  For verification, a finite probe family makes the minimum
+exact.
 """
 
 from __future__ import annotations
@@ -23,20 +25,22 @@ _ZO_RANDOM_DIRECTIONS = 8
 _ZO_MAX_COORDINATES = 8
 _ZO_MIN_DECREASE = 0.005
 _ZO_STREAMS = 3
-# elements per temporary array in the Hessian's row chunks; its sums depend on the chunking
+# elements per temporary array in the row chunks of the Hessian and of the preconditioner's
+# Gram; their sums depend on the chunking.  A Gram chunk holds at least d + 1 rows, no more
+# elements than the Gram: at d = 2,048 on 8,000 points, one BLAS thread, 31-row chunks took
+# 9.8 s against 0.9 s
 _CHUNK_ELEMENTS = 1 << 16
 # elements held by one call of the 0-1 line search, over all its temporary arrays; each
 # direction is searched on its own, so the batch size changes no result, only the call count
 _LINE_SEARCH_ELEMENTS = 1 << 18
 # probes predicted at once in exact_best_error
 _FAMILY_BATCH = 4096
-# most parameters, k(d + 1), for which the logistic stage builds the Hessian
-_HESSIAN_MAX_PARAMS = 512
-# narrowest block, d + 1, that _hessian builds from its distinct class-pair Grams.  Their
-# build time over the outer product's, one BLAS thread, 2-core VM, k = 2, 3, 5, 7, 10: from
-# d = 47, 0.25-0.70 on 1,000-11,200 points and 0.68-1.20 on 150; at d = 32, 0.28-1.14 on
-# 1,000-11,200; at d = 8, 0.39-0.78 for k <= 3 but up to 2.7 at k = 10
-_HESSIAN_PAIR_MIN_WIDTH = 48
+# most parameters, k(d + 1), for which the logistic stage builds the Hessian and solves it
+# directly; above it, preconditioned conjugate gradients.  The stage's time, PCG over the
+# direct solve, one BLAS thread, 2-core VM, 1,200-16,000 points: for k <= 3, 0.52-1.29 at
+# 48-100 parameters and 0.32-0.88 at 150; for k >= 5, 0.81-1.73 up to 100 and 0.68-1.34 at
+# 150 (no one constant suits every k); 0.24-0.69 on a 16k x 64 diagnose's fits (325, 455)
+_HESSIAN_MAX_PARAMS = 64
 
 
 @dataclass(frozen=True)
@@ -193,64 +197,13 @@ def _hessian(p, z, weights, lam):
 
     Its cross-entropy part is ``sum_i w_i (diag p_i - p_i p_i^T) (x) x_i x_i^T``
     with ``x_i = (z_i, 1)`` (Böhning, "Multinomial logistic regression
-    algorithm", 1992), so block ``(a, b)`` is the weighted Gram
-    ``X^T diag(w p_a (delta_ab - p_b)) X``.  Blocks at least
-    ``_HESSIAN_PAIR_MIN_WIDTH`` wide are built from those distinct blocks:
-    when every row of ``p`` is the same (the zero start of every fit), all
-    are multiples of the one Gram ``X^T diag(w) X``; otherwise each of the
-    ``k(k - 1) / 2`` off-diagonal blocks is minus the Gram of the rows
-    scaled by ``sqrt(w p_a p_b)``, and, as a softmax row sums to one, each
-    diagonal block is the sum of those of its row.  Narrower blocks take
-    the whole ``k(d + 1)``-wide outer product, which costs fewer calls.
-    Cross-entropy is unchanged by adding one vector to every class row; the
-    projector onto those directions is added to make the matrix definite.
+    algorithm", 1992), built from the ``k(d + 1)``-wide outer products of the
+    rows ``sqrt(w_i) p_i (x) x_i`` and the per-class ``X^T diag(w p_a) X``,
+    whose blocks are symmetrized.  Rows are taken in chunks so the
+    temporaries stay small.  Cross-entropy is unchanged by adding one vector
+    to every class row; the projector onto those directions is added to make
+    the matrix definite.
     """
-    d = z.shape[1]
-    k = p.shape[1]
-    m = k * (d + 1)
-    if d + 1 < _HESSIAN_PAIR_MIN_WIDTH:
-        hess = _outer_product_hessian(p, z, weights)
-    elif (p == p[0]).all():
-        gram = _grams(z, np.sqrt(weights)[:, None])[0]
-        hess = np.kron(np.diag(p[0]) - np.outer(p[0], p[0]), gram)
-    else:
-        first, second = np.triu_indices(k, 1)
-        grams = _grams(z, np.sqrt(weights[:, None] * p[:, first] * p[:, second]))
-        hess = np.zeros((m, m))
-        blocks = hess.reshape(k, d + 1, k, d + 1)
-        for gram, a, b in zip(grams, first, second):
-            blocks[a, :, b] = blocks[b, :, a] = -gram
-            blocks[a, :, a] += gram
-            blocks[b, :, b] += gram
-    same = np.arange(d + 1)
-    hess.reshape(k, d + 1, k, d + 1)[:, same, :, same] += 1.0 / k
-    hess[np.diag_indices(m)] += np.tile(np.append(np.full(d, lam), 0.0), k)
-    return hess
-
-
-def _grams(z, scales):
-    """``(q, d + 1, d + 1)``: for each column ``j`` of ``scales`` ``(n, q)``,
-    the Gram of the rows ``scales[i, j] * (z_i, 1)``, exactly symmetric.
-    Rows are taken in chunks so the temporaries stay small."""
-    n, d = z.shape
-    grams = np.zeros((scales.shape[1], d + 1, d + 1))
-    chunk = max(1, _CHUNK_ELEMENTS // (d + 1))
-    z1 = np.ones((min(chunk, n), d + 1))
-    rows = np.empty_like(z1)
-    for s in range(0, n, chunk):
-        c = min(chunk, n - s)
-        z1[:c, :-1] = z[s : s + c]
-        for j, gram in enumerate(grams):
-            r = np.multiply(scales[s : s + c, j, None], z1[:c], out=rows[:c])
-            gram += r.T @ r
-    return grams
-
-
-def _outer_product_hessian(p, z, weights):
-    """The cross-entropy part of the Hessian from the ``k(d + 1)``-wide outer
-    products of the rows ``sqrt(w_i) p_i (x) x_i`` and the per-class
-    ``X^T diag(w p_a) X``, whose blocks are symmetrized.  Rows are taken in
-    chunks so the temporaries stay small."""
     n, d = z.shape
     k = p.shape[1]
     m = k * (d + 1)
@@ -269,6 +222,9 @@ def _outer_product_hessian(p, z, weights):
     for c in range(k):
         blk = slice(c * (d + 1), (c + 1) * (d + 1))
         hess[blk, blk] += diag[c]
+    same = np.arange(d + 1)
+    hess.reshape(k, d + 1, k, d + 1)[:, same, :, same] += 1.0 / k
+    hess[np.diag_indices(m)] += np.tile(np.append(np.full(d, lam), 0.0), k)
     return hess
 
 
@@ -283,19 +239,45 @@ def _hessian_product(v, p, z, weights, lam):
     return out
 
 
-def _newton_step(grad, p, z, weights, lam):
+def _preconditioner(z, weights, lam):
+    """Pseudo-inverse of Böhning's bound on the Hessian, ``(d + 1, d + 1)``,
+    to apply to each class row of a direction whose class rows sum to zero.
+
+    As ``diag p - p p^T <= (I - 1 1^T / k) / 2``, along such directions the
+    Hessian is at most ``X^T diag(w) X / 2``, plus ``lam`` on the weight
+    coordinates, applied to each class row.  The bound is singular when
+    ``lam`` is 0 and a feature is zero or constant (a dead unit).  Its Gram
+    is summed over row chunks so the temporaries stay small.
+    """
+    n, d = z.shape
+    gram = np.zeros((d + 1, d + 1))
+    chunk = max(d + 1, _CHUNK_ELEMENTS // (d + 1))
+    rows = np.empty((min(chunk, n), d + 1))
+    for s in range(0, n, chunk):
+        c = min(chunk, n - s)
+        root = np.sqrt(weights[s : s + c, None])
+        np.multiply(root, z[s : s + c], out=rows[:c, :-1])
+        rows[:c, -1:] = root
+        gram += rows[:c].T @ rows[:c]
+    bound = 0.5 * gram
+    bound[np.diag_indices(d)] += lam
+    return np.linalg.pinv(bound, hermitian=True)
+
+
+def _newton_step(grad, p, z, weights, lam, precond):
     """Solve the Newton system for the step.
 
     Up to ``_HESSIAN_MAX_PARAMS`` parameters ``m = k(d + 1)`` the Hessian
-    is built (see ``_hessian``: about ``n k(k - 1)(d + 1)^2 / 4``
-    multiply-adds from its distinct blocks, ``n (d + 1)^2 / 2`` at the zero
-    start, ``n m^2 / 2 + n m (d + 1)`` from the outer product of narrow
-    blocks) and solved directly, ``m^3`` work and ``m^2`` memory.  Above
-    that, conjugate gradients on Hessian-vector products
-    (``n m`` work each) solve it to a relative residual of
-    ``min(0.5, sqrt(|grad|))``, which keeps Newton's fast local convergence.
-    Gradients, and so the iterates, have no component along the directions
-    that add one vector to every class row, where the Hessian is singular.
+    is built (``n m^2 / 2 + n m (d + 1)`` multiply-adds, see ``_hessian``)
+    and solved directly, ``m^3`` work and ``m^2`` memory.  Above that,
+    conjugate gradients on Hessian-vector products (``n m`` work each),
+    preconditioned by ``precond`` (see ``_preconditioner``) applied to each
+    class row, solve it to a relative residual of ``min(0.5, sqrt(|grad|))``,
+    which keeps Newton's fast local convergence (Lin, Weng & Keerthi, "Trust
+    region Newton method for logistic regression", JMLR 2008).  Gradients,
+    and so the iterates, have no component along the directions that add one
+    vector to every class row, where the Hessian is singular; the
+    preconditioner, applied row by row, keeps that so.
     """
     if grad.size <= _HESSIAN_MAX_PARAMS:
         hess = _hessian(p, z, weights, lam)
@@ -306,22 +288,24 @@ def _newton_step(grad, p, z, weights, lam):
         return step.reshape(grad.shape)
     step = np.zeros_like(grad)
     resid = -grad
-    direction = resid.copy()
-    rr = float((resid * resid).sum())
-    tol = min(0.5, rr**0.25) * np.sqrt(rr)
+    direction = resid @ precond
+    rz = float((resid * direction).sum())
+    gnorm = np.linalg.norm(grad)
+    tol = min(0.5, np.sqrt(gnorm)) * gnorm
     for _ in range(grad.size):
         hd = _hessian_product(direction, p, z, weights, lam)
         curvature = float((direction * hd).sum())
         if curvature <= 0.0:
             break
-        alpha = rr / curvature
+        alpha = rz / curvature
         step += alpha * direction
         resid -= alpha * hd
-        rr_next = float((resid * resid).sum())
-        if np.sqrt(rr_next) <= tol:
+        if np.linalg.norm(resid) <= tol:
             break
-        direction = resid + (rr_next / rr) * direction
-        rr = rr_next
+        scaled = resid @ precond
+        rz_next = float((resid * scaled).sum())
+        direction = scaled + (rz_next / rz) * direction
+        rz = rz_next
     return step if step.any() else -grad
 
 
@@ -329,15 +313,18 @@ def _fit_logistic(z, targets, weights, k, cfg):
     """Damped Newton descent on the logistic objective from zero weights.
 
     Each step solves the Newton system (see ``_newton_step``) and halves the
-    step until the Armijo condition holds.  Returns ``(theta, iterations,
-    objective, grad)``.
+    step until the Armijo condition holds.  The weights never change during
+    a fit, so the preconditioner is computed once, and only when the
+    conjugate-gradient path runs.  Returns ``(theta, iterations, objective,
+    grad)``.
     """
     lam = cfg.l2_strength
     theta = np.zeros((k, z.shape[1] + 1))
+    precond = _preconditioner(z, weights, lam) if theta.size > _HESSIAN_MAX_PARAMS else None
     obj, grad, p = _objective_and_grad(theta, z, targets, weights, lam)
     iterations = 0
     while np.abs(grad).max() > cfg.gradient_tolerance and iterations < cfg.max_iterations:
-        step = _newton_step(grad, p, z, weights, lam)
+        step = _newton_step(grad, p, z, weights, lam, precond)
         slope = float((grad * step).sum())
         t = 1.0
         while True:
@@ -504,11 +491,11 @@ def fit_probe(z, targets, num_outputs, cfg=None, sample_weight=None, allow_singl
     Two stages.  First, L2-regularized multinomial logistic regression:
     damped Newton steps from zero weights (the objective is convex, so the
     start only affects the path, not the optimum), solved with the
-    closed-form Hessian, built from its distinct class-pair blocks (see
-    ``_hessian``), up to ``_HESSIAN_MAX_PARAMS`` parameters and by
-    conjugate gradients on Hessian-vector products above, until the
-    gradient infinity norm falls below ``cfg.gradient_tolerance`` or
-    ``cfg.max_iterations`` steps pass.  Second, from that solution, descent
+    closed-form Hessian (see ``_hessian``) up to ``_HESSIAN_MAX_PARAMS``
+    parameters and by conjugate gradients on Hessian-vector products,
+    preconditioned by Böhning's bound (see ``_preconditioner``), above,
+    until the gradient infinity norm falls below ``cfg.gradient_tolerance``
+    or ``cfg.max_iterations`` steps pass.  Second, from that solution, descent
     on the weighted 0-1 error of the same points by exact line searches
     along coordinate and random directions (seeded by ``cfg.seed``),
     accepting only strict decreases, so the returned probe's fit error

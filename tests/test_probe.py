@@ -11,7 +11,7 @@ from dgdx.probe import (
     zero_one_error,
 )
 from dgdx import probe as probe_module
-from dgdx.probe import _hessian, _hessian_product, _line_minima
+from dgdx.probe import _hessian, _hessian_product, _line_minima, _newton_step, _preconditioner
 
 from support import (
     best_linear01_error_2d,
@@ -268,6 +268,15 @@ class TestZeroOneStage:
         grid_err, _ = exact_best_error(grid, plane, t)
         assert zero_one_error(probe, z, t) <= grid_err + 0.02
 
+    @pytest.mark.parametrize("seed", [3, 12, 19])
+    def test_three_classes_planted_in_64_dimensions_match_the_plane(self, seed):
+        # k(d + 1) = 195 takes the conjugate-gradient path; in the plane, the direct solve
+        plane, t = _blobs(seed, num_classes=3)
+        basis = np.linalg.qr(np.random.default_rng(seed).normal(size=(64, 2)))[0]
+        z = plane @ basis.T
+        flat = zero_one_error(fit_probe(plane, t, 3)[0], plane, t)
+        assert zero_one_error(fit_probe(z, t, 3)[0], z, t) <= flat + 0.02
+
 
 def _gaussian_classes(seed, n, d, k):
     rng = np.random.default_rng(seed)
@@ -280,19 +289,26 @@ class TestLogisticStage:
     @pytest.mark.parametrize("d", [2, 64])
     @pytest.mark.parametrize("constant_rows", [False, True])
     def test_hessian_matches_the_dense_oracle(self, k, d, constant_rows, monkeypatch):
-        # 301 points in row chunks of 15 (d = 64) or 47 to 166 (d = 2): a partial last chunk
+        # 303 points in row chunks of 2 to 7 (d = 64) or 47 to 166 (d = 2): a partial last chunk
         monkeypatch.setattr(probe_module, "_CHUNK_ELEMENTS", 1000)
-        assert (d + 1 >= probe_module._HESSIAN_PAIR_MIN_WIDTH) == (d == 64)
-        z, _ = _gaussian_classes(d, 301, d, k)
+        z, _ = _gaussian_classes(d, 303, d, k)
         rng = np.random.default_rng(k)
-        p = rng.dirichlet(np.ones(k), size=1 if constant_rows else 301)
-        p = np.broadcast_to(p, (301, k))
-        w = rng.uniform(0.1, 1.0, size=301)
+        p = rng.dirichlet(np.ones(k), size=1 if constant_rows else 303)
+        p = np.broadcast_to(p, (303, k))
+        w = rng.uniform(0.1, 1.0, size=303)
         w /= w.sum()
         hess = _hessian(p, z, w, 0.01)
         oracle = dense_hessian(p, z, w, 0.01)
         assert np.abs(hess - oracle).max() <= 1e-12 * np.abs(oracle).max()
         assert np.array_equal(hess, hess.T)
+        # the Newton step: solved directly at d = 2, by preconditioned CG at d = 64
+        assert (k * (d + 1) > probe_module._HESSIAN_MAX_PARAMS) == (d == 64)
+        grad = rng.normal(size=(k, d + 1))
+        grad -= grad.mean(axis=0)
+        step = _newton_step(grad, p, z, w, 0.01, _preconditioner(z, w, 0.01))
+        g = np.linalg.norm(grad)
+        assert np.linalg.norm(oracle @ step.ravel() + grad.ravel()) <= min(0.5, np.sqrt(g)) * g
+        assert np.allclose(step.sum(axis=0), 0.0, atol=1e-12 * np.abs(step).max())
 
     def test_hessian_product_matches_the_matrix(self):
         z, t = _gaussian_classes(0, 60, 4, 3)
@@ -303,6 +319,35 @@ class TestLogisticStage:
         v -= v.mean(axis=0)  # the product leaves out the projector the matrix adds
         hess = _hessian(p, z, w, 0.01)
         assert np.allclose(_hessian_product(v, p, z, w, 0.01).ravel(), hess @ v.ravel())
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_preconditioner_inverts_a_bound_on_the_hessian(self, k, monkeypatch):
+        # Böhning: (I - 1 1^T / k) / 2 (x) X^T W X, plus lam on the weights, dominates the
+        # Hessian; on class-centred directions that is the bound applied to each class row.
+        # 200 rows in chunks of d + 1 = 6, the fewest a Gram chunk holds: a partial last chunk
+        monkeypatch.setattr(probe_module, "_CHUNK_ELEMENTS", 30)
+        z, _ = _gaussian_classes(k, 200, 5, k)
+        rng = np.random.default_rng(10 + k)
+        p = rng.dirichlet(np.full(k, 0.5), size=200)
+        w = rng.uniform(0.1, 1.0, size=200)
+        w /= w.sum()
+        x = np.hstack([z, np.ones((200, 1))])
+        bound = 0.5 * x.T @ (w[:, None] * x) + np.diag(np.append(np.full(5, 0.01), 0.0))
+        hess = dense_hessian(p, z, w, 0.01)
+        for _ in range(50):
+            v = rng.normal(size=(k, 6))
+            v -= v.mean(axis=0)
+            assert np.einsum("ai,ij,aj->", v, bound, v) >= v.ravel() @ hess @ v.ravel()
+        precond = _preconditioner(z, w, 0.01)
+        assert np.allclose(precond @ bound, np.eye(6), atol=1e-10)
+
+    def test_singular_bound_still_converges(self):
+        # l2_strength 0 with a dead unit and a constant feature: the bound has a null space
+        z, t = _gaussian_classes(5, 600, 30, 3)
+        z = np.hstack([z, np.zeros((600, 1)), np.full((600, 1), 2.5)])
+        assert 3 * (z.shape[1] + 1) > probe_module._HESSIAN_MAX_PARAMS
+        _, rec = fit_probe(z, t, 3, ProbeFitConfig(l2_strength=0.0))
+        assert rec.converged and np.isfinite(rec.start.weights).all()
 
     def test_conjugate_gradient_steps_reach_the_same_optimum(self, monkeypatch):
         z, t = _gaussian_classes(2, 300, 6, 4)
