@@ -163,7 +163,7 @@ def cmd_verify(suite, trials, seed, out, instance_path):
         try:
             with open(instance_path, "r", encoding="utf-8") as fh:
                 inst = propositions.PartitionInstance.from_dict(json.load(fh))
-        except (ValueError, KeyError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             _fail(EXIT_INPUT, f"{instance_path}: {exc}")
         rep = propositions.check_orderings(inst)
         _write_json(out / "verify.json", rep.to_dict())

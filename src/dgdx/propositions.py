@@ -47,20 +47,34 @@ class PartitionInstance:
     def __post_init__(self):
         object.__setattr__(self, "points", np.asarray(self.points, dtype=np.float64))
         object.__setattr__(self, "joint", np.asarray(self.joint, dtype=np.float64))
+        if self.points.ndim != 2 or self.points.shape[1] != self.label_family.dim:
+            raise ValueError("points must have shape (num_points, label_family dim)")
         if self.joint.ndim != 3 or self.joint.shape[1] != self.points.shape[0]:
             raise ValueError("joint must have shape (num_domains, num_points, num_classes)")
+        if not (np.isfinite(self.points).all() and np.isfinite(self.joint).all()):
+            raise ValueError("points and joint must be finite")
         if (self.joint < 0).any():
             raise ValueError("probabilities must be nonnegative")
         sums = self.joint.sum(axis=(1, 2))
         if np.abs(sums - 1.0).max() > 1e-9:
             raise ValueError("each domain's probabilities must sum to 1")
         k = self.joint.shape[0]
-        if not self.train_idx or len(self.train_idx) >= k:
+        idx = self.train_idx
+        if not all(_is_index(i, k) for i in idx) or len(set(idx)) != len(idx):
+            raise ValueError(f"train_idx must list distinct integer domain indices in [0, {k})")
+        if not idx or len(idx) >= k:
             raise ValueError("train_idx must be a nonempty proper subset of domains")
         if self.label_family.num_outputs != self.joint.shape[2]:
-            raise ValueError("label family outputs must equal the number of classes")
-        if self.domain_family is not None and self.domain_family.num_outputs != k:
-            raise ValueError("domain family outputs must equal the number of domains")
+            raise ValueError("label_family outputs must equal the number of classes")
+        if self.domain_family is not None and (
+            self.domain_family.num_outputs != k or self.domain_family.dim != self.label_family.dim
+        ):
+            raise ValueError("domain_family needs one output per domain and the points' dim")
+        if self.head_index is not None and not _is_index(self.head_index, len(self.label_family)):
+            raise ValueError(
+                f"head_index must be an integer in [0, {len(self.label_family)}), "
+                "the size of label_family"
+            )
 
     @property
     def num_domains(self):
@@ -94,18 +108,31 @@ class PartitionInstance:
 
     @classmethod
     def from_dict(cls, obj):
-        return cls(
-            points=np.asarray(obj["points"], dtype=np.float64),
-            joint=np.asarray(obj["joint"], dtype=np.float64),
-            train_idx=tuple(obj["train_idx"]),
-            label_family=FiniteProbeFamily.from_dict(obj["label_family"]),
-            domain_family=(
-                FiniteProbeFamily.from_dict(obj["domain_family"])
-                if obj.get("domain_family")
-                else None
-            ),
-            head_index=obj.get("head_index"),
-        )
+        """Inverse of :meth:`to_dict`.  Malformed input raises ``ValueError``
+        naming the field at fault."""
+        if not isinstance(obj, dict):
+            raise ValueError("an instance must be a JSON object")
+        parsers = {
+            "points": lambda v: np.asarray(v, dtype=np.float64),
+            "joint": lambda v: np.asarray(v, dtype=np.float64),
+            "train_idx": tuple,
+            "label_family": FiniteProbeFamily.from_dict,
+            "domain_family": lambda v: None if v is None else FiniteProbeFamily.from_dict(v),
+            "head_index": lambda v: v,
+        }
+        fields = {}
+        for name, parse in parsers.items():
+            if name not in obj and name in ("points", "joint", "train_idx", "label_family"):
+                raise ValueError(f"missing field {name!r}")
+            try:
+                fields[name] = parse(obj.get(name))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"field {name!r}: {exc}") from exc
+        return cls(**fields)
+
+
+def _is_index(i, n):
+    return isinstance(i, (int, np.integer)) and not isinstance(i, bool) and 0 <= i < n
 
 
 # -- exact evaluation --------------------------------------------------------------
@@ -204,53 +231,46 @@ class PropositionReport:
         }
 
 
-def _conditionals(inst, y):
-    """Per-domain conditional point distributions for class y, or None if the
-    class prior vanishes in some domain while positive in another."""
-    pri = inst.priors()[:, y]
-    total = pri.sum()
-    if total <= _EXACT_TOL:
-        return "absent"
-    if (pri <= _EXACT_TOL).any():
-        return None
-    return inst.joint[:, :, y] / pri[:, None]
+def _class_conditionals(inst):
+    """The failed-precondition reason (or None) of the first class whose
+    prior vanishes in some domain only, and the per-class conditional point
+    distributions ``[(y, (K, m))]`` of the classes before it that carry mass
+    somewhere."""
+    pri = inst.priors()
+    conds = []
+    for y in range(inst.num_classes):
+        if pri[:, y].sum() <= _EXACT_TOL:  # class carries no mass anywhere
+            continue
+        if (pri[:, y] <= _EXACT_TOL).any():
+            return f"precondition not met: class {y} prior vanishes in some domain only", conds
+        conds.append((y, inst.joint[:, :, y] / pri[:, y, None]))
+    return None, conds
 
 
-def check_prop1(inst, tol=_EXACT_TOL):
+def _gated_out(name, reason):
+    return PropositionReport(name, False, reason, False, ())
+
+
+def check_prop1(inst):
     """Gate: domain-invariant marginals and a common zero-error classifier in
     the family.  Conclusion: class-conditional distributions agree across all
     domains for every class."""
     marg = inst.marginals()
     dev = np.abs(marg - marg[0]).max()
-    if dev > tol:
-        return PropositionReport(
-            "prop1", False, f"precondition not met: marginals differ by {dev:.3e}", False, ()
+    if dev > _EXACT_TOL:
+        return _gated_out("prop1", f"precondition not met: marginals differ by {dev:.3e}")
+    best, _ = _best_label(inst, range(inst.num_domains))
+    if best > _EXACT_TOL:
+        return _gated_out(
+            "prop1", f"precondition not met: no common zero-error classifier (best {best:.3e})"
         )
-    all_domains = range(inst.num_domains)
-    best, _ = _best_label(inst, all_domains)
-    if best > tol:
-        return PropositionReport(
-            "prop1",
-            False,
-            f"precondition not met: no common zero-error classifier (best {best:.3e})",
-            False,
-            (),
-        )
+    reason, conds = _class_conditionals(inst)
+    if reason is not None:
+        return _gated_out("prop1", reason)
     violations = []
-    for y in range(inst.num_classes):
-        cond = _conditionals(inst, y)
-        if isinstance(cond, str):  # class carries no mass anywhere
-            continue
-        if cond is None:
-            return PropositionReport(
-                "prop1",
-                False,
-                f"precondition not met: class {y} prior vanishes in some domain only",
-                False,
-                (),
-            )
+    for y, cond in conds:
         dev = np.abs(cond - cond[0])
-        if dev.max() > tol:
+        if dev.max() > _EXACT_TOL:
             d, s = np.unravel_index(int(np.argmax(dev)), dev.shape)
             violations.append(
                 {"class": y, "domain": int(d), "point": int(s), "deviation": float(dev.max())}
@@ -258,38 +278,23 @@ def check_prop1(inst, tol=_EXACT_TOL):
     return PropositionReport("prop1", True, "ok", not violations, tuple(violations))
 
 
-def check_prop2(inst, tol=_EXACT_TOL):
+def check_prop2(inst):
     """Gate: the trained head has zero training error and class-conditional
     distributions are invariant.  Conclusion: zero error on the held-out
     domains."""
     e0, head_idx = _head(inst)
-    if e0 > tol:
-        return PropositionReport(
-            "prop2", False, f"precondition not met: training error {e0:.3e} > 0", False, ()
-        )
-    for y in range(inst.num_classes):
-        cond = _conditionals(inst, y)
-        if isinstance(cond, str):
-            continue
-        if cond is None:
-            return PropositionReport(
-                "prop2",
-                False,
-                f"precondition not met: class {y} prior vanishes in some domain only",
-                False,
-                (),
-            )
+    if e0 > _EXACT_TOL:
+        return _gated_out("prop2", f"precondition not met: training error {e0:.3e} > 0")
+    reason, conds = _class_conditionals(inst)
+    for y, cond in conds:
         dev = np.abs(cond - cond[0]).max()
-        if dev > tol:
-            return PropositionReport(
-                "prop2",
-                False,
-                f"precondition not met: class {y} conditionals differ by {dev:.3e}",
-                False,
-                (),
-            )
+        if dev > _EXACT_TOL:
+            reason = f"precondition not met: class {y} conditionals differ by {dev:.3e}"
+            return _gated_out("prop2", reason)
+    if reason is not None:
+        return _gated_out("prop2", reason)
     e3 = eval_F(inst, inst.test_idx, inst.label_family[head_idx])
-    ok = e3 <= tol
+    ok = e3 <= _EXACT_TOL
     violations = () if ok else ({"target_error": e3, "head_index": head_idx},)
     return PropositionReport("prop2", True, "ok", ok, violations)
 
@@ -306,7 +311,7 @@ class OrderingReport:
         return {"entries": [dict(e) for e in self.entries]}
 
 
-def check_orderings(inst, tol=_EXACT_TOL):
+def check_orderings(inst):
     """Exact-minimum versions of the metric orderings.
 
     The separability/misalignment ordering must hold unconditionally.  The
@@ -324,7 +329,7 @@ def check_orderings(inst, tol=_EXACT_TOL):
     entries.append(
         {
             "name": "e1_le_e2",
-            "status": "holds" if e1 <= e2 + tol else "violated",
+            "status": "holds" if e1 <= e2 + _EXACT_TOL else "violated",
             "lhs": e1,
             "rhs": e2,
         }
@@ -332,11 +337,11 @@ def check_orderings(inst, tol=_EXACT_TOL):
     e0, head_idx = _head(inst)
     best_train, _ = _best_label(inst, inst.train_idx)
     e3 = eval_F(inst, test, inst.label_family[head_idx])
-    if e0 <= best_train + tol:
+    if e0 <= best_train + _EXACT_TOL:
         entries.append(
             {
                 "name": "e2_le_e3",
-                "status": "holds" if e2 <= e3 + tol else "violated",
+                "status": "holds" if e2 <= e3 + _EXACT_TOL else "violated",
                 "lhs": e2,
                 "rhs": e3,
             }
@@ -363,7 +368,7 @@ def check_orderings(inst, tol=_EXACT_TOL):
             entries.append(
                 {
                     "name": "d1_le_d2",
-                    "status": "holds" if d1 <= d2 + tol else "violated",
+                    "status": "holds" if d1 <= d2 + _EXACT_TOL else "violated",
                     "lhs": d1,
                     "rhs": d2,
                 }
@@ -425,10 +430,10 @@ def check_partition_expectation(points, joint, label_family, n1, max_subsets=100
 # -- random instance constructors ------------------------------------------------------
 
 
-def _random_family(rng, num_outputs, dim, size, scale=1.5):
+def _random_family(rng, num_outputs, dim, size):
     # the constants, then random probes, each drawing its weights and then its bias
     k = num_outputs
-    spread = np.repeat([scale, 0.5], [k * dim, k])
+    spread = np.repeat([1.5, 0.5], [k * dim, k])
     draws = rng.normal(0.0, spread, size=(size, spread.size))
     weights = np.concatenate([np.zeros((k, k, dim)), draws[:, : k * dim].reshape(size, k, dim)])
     bias = np.concatenate([np.eye(k), draws[:, k * dim :]])

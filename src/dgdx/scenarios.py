@@ -10,6 +10,7 @@ just one geometry that realizes it.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,8 +63,8 @@ class ScenarioSpec:
             raise ValueError(f"unknown scenario kind {self.kind!r}; valid kinds: {', '.join(KINDS)}")
         if self.samples_per_cell < 10:
             raise ValueError("samples_per_cell must be at least 10")
-        if self.cluster_std <= 0:
-            raise ValueError("cluster_std must be positive")
+        if not (np.isfinite(self.cluster_std) and self.cluster_std > 0):
+            raise ValueError(f"cluster_std must be positive and finite, got {self.cluster_std}")
         if self.dim < 2:
             raise ValueError(f"kind {self.kind} requires dim >= 2")
         n1, n3 = self.domain_counts()
@@ -135,232 +136,107 @@ def check_expectation(diag, exp):
     return ExpectationResult(not violations, tuple(violations))
 
 
-# -- geometry builders -----------------------------------------------------------
+# -- geometry --------------------------------------------------------------------
 #
-# A builder returns (cells, head_w, head_theta, predicates) where ``cells`` is a
-# list of (domain_index, class, center, weight_fraction) entries placed on the
-# 2-d plane, the head predicts class 1 iff head_w . z > head_theta, and domain
-# indices 0..n1-1 are training domains followed by n3 test domains.
+# A ``_LAYOUTS`` row is (train, test, head, predicates).  ``train(j)`` lists the
+# sites of training domain j, and ``test(k, n1)`` those of test domain k, which
+# is domain n1 + k.  A site is (class, centre on the plane, weight fraction);
+# the sites of one (domain, class) share its sample budget in their listed
+# order, the last taking the rest.  The head (w, theta) predicts class 1 iff
+# w . z > theta.  A predicate "e1<=" reads e1 <= _LOW and "e1>=" reads
+# e1 >= _HIGH.  A row that depends on n1 is a function of n1 returning it.
 
 _LOW = 0.05
 _HIGH = 0.3
 
 
-def _columns(n1, n3, train_pos, test_pos, train_centers, test_centers):
-    cells = []
-    for j in range(n1):
-        for c, center in train_centers(train_pos(j)):
-            cells.append((j, c) + center)
-    for k in range(n3):
-        for c, center in test_centers(test_pos(k)):
-            cells.append((n1 + k, c) + center)
-    return cells
+def _pair(centre0, centre1):
+    return [(0, centre0, 1.0), (1, centre1, 1.0)]
 
 
-def _split_classes(x):
-    return [(0, ((x, -0.5), 1.0)), (1, ((x, 0.5), 1.0))]
+def _y_split(x):
+    return _pair((x, -0.5), (x, 0.5))
 
 
-def _merged_classes(x):
-    return [(0, ((x, 0.0), 1.0)), (1, ((x, 0.0), 1.0))]
+def _y_flip(x):
+    return _pair((x, 0.5), (x, -0.5))
 
 
-def _build_underfit(n1, n3):
-    cells = _columns(n1, n3, lambda j: j, lambda k: n1 + k, _merged_classes, _merged_classes)
-    preds = (("e0", ">=", _HIGH), ("d0_prime", ">=", _HIGH))
-    return cells, (0.0, 1.0), 0.0, preds
+def _x_split(y=0.0):
+    return _pair((-0.5, y), (0.5, y))
 
 
-def _build_test_inseparable(n1, n3):
-    cells = _columns(n1, n3, lambda j: j, lambda k: n1 + k, _split_classes, _merged_classes)
-    preds = (("e0", "<=", _LOW), ("e1", ">=", _HIGH), ("d0_prime", ">=", _HIGH))
-    return cells, (0.0, 1.0), 0.0, preds
+def _x_flip(y=0.0):
+    return _pair((0.5, y), (-0.5, y))
 
 
-def _build_misaligned(n1, n3):
-    def test_centers(x):
-        # class layout mirrored in y: a shared head still separates the test
-        # domains, but no single line is consistent with training too
-        return [(0, ((x, 0.5), 1.0)), (1, ((x, -0.5), 1.0))]
-
-    cells = _columns(n1, n3, lambda j: j, lambda k: n1 + k, _split_classes, test_centers)
-    preds = (
-        ("e0", "<=", _LOW),
-        ("e1", "<=", _LOW),
-        ("e2", ">=", _HIGH),
-        ("d0_prime", ">=", _HIGH),
-    )
-    return cells, (0.0, 1.0), 0.0, preds
+def _merged(x=0.0, y=0.0):
+    return _pair((x, y), (x, y))
 
 
-def _build_head_noninvariant(n1, n3):
+def _mix(y=0.0):
+    # each class half on either x-split site
+    return [(c, (x, y), 0.5) for c in (0, 1) for x in (-0.5, 0.5)]
+
+
+def _fixed(sites):
+    # the same sites for every domain of the role
+    return lambda *position: sites
+
+
+def _beside(sites_at):
+    # test domains continue the row of training domains along x
+    return lambda k, n1: sites_at(n1 + k)
+
+
+def _above(sites_at):
+    # test domains stack along y, clear of training domains at the origin
+    return lambda k, n1: sites_at(y=2.0 + k)
+
+
+def _head_noninvariant(n1):
     # classes split along x everywhere (the consistent rule); training domains
     # stacked along y; the designed head tilts into y, which stays
     # train-optimal but breaks on test domains placed further up
     slope = 0.6 / (n1 - 1)
-    theta = slope * (n1 - 1) / 2.0
     gap = 1
     while slope * (n1 + 2 * gap + 1) / 2.0 - 0.5 < 0.2:
         gap += 1
-
-    def train_centers(y):
-        return [(0, ((-0.5, y), 1.0)), (1, ((0.5, y), 1.0))]
-
-    cells = _columns(
-        n1, n3, lambda j: j, lambda k: n1 + gap + k, train_centers, train_centers
-    )
-    preds = (
-        ("e0", "<=", _LOW),
-        ("e1", "<=", _LOW),
-        ("e2", "<=", _LOW),
-        ("e3", ">=", _HIGH),
-        ("d0_prime", ">=", _HIGH),
-    )
-    return cells, (1.0, slope), theta, preds
+    head = ((1.0, slope), slope * (n1 - 1) / 2.0)
+    return _x_split, lambda k, n1: _x_split(n1 + gap + k), head, "e0<= e1<= e2<= e3>= d0_prime>="
 
 
-def _build_success(n1, n3):
-    cells = _columns(n1, n3, lambda j: j, lambda k: n1 + k, _split_classes, _split_classes)
-    preds = (
-        ("e0", "<=", _LOW),
-        ("e1", "<=", _LOW),
-        ("e2", "<=", _LOW),
-        ("e3", "<=", _LOW),
-        ("d0_prime", ">=", _HIGH),
-        ("d2", "<=", _LOW),
-    )
-    return cells, (0.0, 1.0), 0.0, preds
+_Y_HEAD = ((0.0, 1.0), 0.0)
+_X_HEAD = ((1.0, 0.0), 0.0)
+_SPLIT = _fixed(_x_split())
+_INV_TRAIN = "d0_prime<= d1_prime>= "
 
-
-def _x_split(x_offset, y):
-    return [(0, ((x_offset - 0.5, y), 1.0)), (1, ((x_offset + 0.5, y), 1.0))]
-
-
-def _build_inv_train_only(variant, n1, n3):
-    # all training domains coincide (invariant among themselves); test domains
-    # sit at distinct y offsets, so the union stays distinguishable
-    cells = []
-    head_w, theta = (1.0, 0.0), 0.0
-    base = (("d0_prime", "<=", _LOW), ("d1_prime", ">=", _HIGH))
-    if variant == "a":
-        for j in range(n1):
-            cells += [(j, 0, (0.0, 0.0), 1.0), (j, 1, (0.0, 0.0), 1.0)]
-        for k in range(n3):
-            cells += [(n1 + k, 0, (0.0, 2.0 + k), 1.0), (n1 + k, 1, (0.0, 2.0 + k), 1.0)]
-        preds = base + (("e0", ">=", _HIGH),)
-    elif variant == "b":
-        for j in range(n1):
-            cells += [(j, c, ctr, w) for c, (ctr, w) in _x_split(0.0, 0.0)]
-        for k in range(n3):
-            cells += [(n1 + k, 0, (0.0, 2.0 + k), 1.0), (n1 + k, 1, (0.0, 2.0 + k), 1.0)]
-        preds = base + (("e0", "<=", _LOW), ("e1", ">=", _HIGH))
-    elif variant == "c":
-        for j in range(n1):
-            cells += [(j, c, ctr, w) for c, (ctr, w) in _x_split(0.0, 0.0)]
-        for k in range(n3):
-            y = 2.0 + k
-            cells += [(n1 + k, 0, (0.5, y), 1.0), (n1 + k, 1, (-0.5, y), 1.0)]
-        preds = base + (("e0", "<=", _LOW), ("e1", "<=", _LOW), ("e2", ">=", _HIGH))
-    elif variant == "d":
-        for j in range(n1):
-            cells += [(j, c, ctr, w) for c, (ctr, w) in _x_split(0.0, 0.0)]
-        for k in range(n3):
-            cells += [(n1 + k, c, ctr, w) for c, (ctr, w) in _x_split(0.0, 2.0 + k)]
-        head_w, theta = (1.0, 0.5), 0.0
-        preds = base + (
-            ("e0", "<=", _LOW),
-            ("e1", "<=", _LOW),
-            ("e2", "<=", _LOW),
-            ("e3", ">=", _HIGH),
-        )
-    elif variant == "e":
-        for j in range(n1):
-            cells += [(j, c, ctr, w) for c, (ctr, w) in _x_split(0.0, 0.0)]
-        for k in range(n3):
-            cells += [(n1 + k, c, ctr, w) for c, (ctr, w) in _x_split(0.0, 2.0 + k)]
-        preds = base + tuple((f, "<=", _LOW) for f in ("e0", "e1", "e2", "e3"))
-    else:
-        raise AssertionError(variant)
-    return cells, head_w, theta, preds
-
-
-def _build_inv_all(variant, n1, n3):
+_LAYOUTS = {
+    # Fig. 1 kinds: training domain j sits at x = j
+    KIND_UNDERFIT: (_merged, _beside(_merged), _Y_HEAD, "e0>= d0_prime>="),
+    KIND_TEST_INSEPARABLE: (_y_split, _beside(_merged), _Y_HEAD, "e0<= e1>= d0_prime>="),
+    # a shared head still separates the y-mirrored test domains, but no
+    # single line is consistent with training too
+    KIND_MISALIGNED: (_y_split, _beside(_y_flip), _Y_HEAD, "e0<= e1<= e2>= d0_prime>="),
+    KIND_HEAD_NONINVARIANT: _head_noninvariant,
+    KIND_SUCCESS: (_y_split, _beside(_y_split), _Y_HEAD, "e0<= e1<= e2<= e3<= d0_prime>= d2<="),
+    # training domains coincide (invariant among themselves); distinct test
+    # offsets keep the union distinguishable
+    "inv-train-only-a": (_fixed(_merged()), _above(_merged), _X_HEAD, _INV_TRAIN + "e0>="),
+    "inv-train-only-b": (_SPLIT, _above(_merged), _X_HEAD, _INV_TRAIN + "e0<= e1>="),
+    "inv-train-only-c": (_SPLIT, _above(_x_flip), _X_HEAD, _INV_TRAIN + "e0<= e1<= e2>="),
+    "inv-train-only-d": (
+        _SPLIT, _above(_x_split), ((1.0, 0.5), 0.0), _INV_TRAIN + "e0<= e1<= e2<= e3>="
+    ),
+    "inv-train-only-e": (_SPLIT, _above(_x_split), _X_HEAD, _INV_TRAIN + "e0<= e1<= e2<= e3<="),
     # every domain has the same marginal over the plane; only the
     # class-conditional structure varies
-    left, right = (-0.5, 0.0), (0.5, 0.0)
-    cells = []
-    if variant == "a":
-        for i in range(n1 + n3):
-            cells += [(i, 0, (0.0, 0.0), 1.0), (i, 1, (0.0, 0.0), 1.0)]
-        preds = (("d1_prime", "<=", _LOW), ("e0", ">=", _HIGH))
-    elif variant == "b":
-        for j in range(n1):
-            cells += [(j, 0, left, 1.0), (j, 1, right, 1.0)]
-        for k in range(n3):
-            cells += [
-                (n1 + k, 0, left, 0.5),
-                (n1 + k, 0, right, 0.5),
-                (n1 + k, 1, left, 0.5),
-                (n1 + k, 1, right, 0.5),
-            ]
-        preds = (("d1_prime", "<=", _LOW), ("e0", "<=", _LOW), ("e1", ">=", _HIGH))
-    elif variant == "c":
-        for j in range(n1):
-            cells += [(j, 0, left, 1.0), (j, 1, right, 1.0)]
-        for k in range(n3):
-            cells += [(n1 + k, 0, right, 1.0), (n1 + k, 1, left, 1.0)]
-        preds = (
-            ("d1_prime", "<=", _LOW),
-            ("e0", "<=", _LOW),
-            ("e1", "<=", _LOW),
-            ("e2", ">=", _HIGH),
-        )
-    elif variant == "d":
-        for i in range(n1 + n3):
-            cells += [(i, 0, left, 1.0), (i, 1, right, 1.0)]
-        preds = (("e3_prime", "<=", _LOW), ("d2_prime", "<=", _LOW))
-    else:
-        raise AssertionError(variant)
-    return cells, (1.0, 0.0), 0.0, preds
-
-
-def _build_label_flipped(n1, n3):
-    left, right = (-0.5, 0.0), (0.5, 0.0)
-    cells = []
-    for j in range(n1):
-        cells += [(j, 0, left, 1.0), (j, 1, right, 1.0)]
-    for k in range(n3):
-        cells += [(n1 + k, 0, right, 1.0), (n1 + k, 1, left, 1.0)]
-    preds = (("d1_prime", "<=", _LOW), ("d2_prime", ">=", _HIGH))
-    return cells, (1.0, 0.0), 0.0, preds
-
-
-def _build(kind, n1, n3):
-    if kind == KIND_UNDERFIT:
-        return _build_underfit(n1, n3)
-    if kind == KIND_TEST_INSEPARABLE:
-        return _build_test_inseparable(n1, n3)
-    if kind == KIND_MISALIGNED:
-        return _build_misaligned(n1, n3)
-    if kind == KIND_HEAD_NONINVARIANT:
-        return _build_head_noninvariant(n1, n3)
-    if kind == KIND_SUCCESS:
-        return _build_success(n1, n3)
-    if kind in _INV_TRAIN:
-        return _build_inv_train_only(kind[-1], n1, n3)
-    if kind in _INV_ALL:
-        return _build_inv_all(kind[-1], n1, n3)
-    if kind == KIND_LABEL_FLIPPED:
-        return _build_label_flipped(n1, n3)
-    raise AssertionError(kind)
-
-
-def _head_probe(head_w, theta, dim, scale=4.0):
-    w = np.zeros((2, dim))
-    w[1, 0] = scale * head_w[0]
-    w[1, 1] = scale * head_w[1]
-    b = np.array([0.0, -scale * theta])
-    return LinearProbe(w, b)
+    "inv-all-a": (_fixed(_merged()), _fixed(_merged()), _X_HEAD, "d1_prime<= e0>="),
+    "inv-all-b": (_SPLIT, _fixed(_mix()), _X_HEAD, "d1_prime<= e0<= e1>="),
+    "inv-all-c": (_SPLIT, _fixed(_x_flip()), _X_HEAD, "d1_prime<= e0<= e1<= e2>="),
+    "inv-all-d": (_SPLIT, _SPLIT, _X_HEAD, "e3_prime<= d2_prime<="),
+    KIND_LABEL_FLIPPED: (_SPLIT, _fixed(_x_flip()), _X_HEAD, "d1_prime<= d2_prime>="),
+}
 
 
 def generate(spec):
@@ -371,40 +247,35 @@ def generate(spec):
     extra dimensions beyond the first two carry pure noise.
     """
     n1, n3 = spec.domain_counts()
-    cells, head_w, theta, preds = _build(spec.kind, n1, n3)
+    layout = _LAYOUTS[spec.kind]
+    train, test, (head_w, theta), preds = layout(n1) if callable(layout) else layout
+    preds = tuple((p[:-2], p[-2:], _LOW if p[-2:] == "<=" else _HIGH) for p in preds.split())
     rng = np.random.default_rng(np.random.SeedSequence((spec.seed, KINDS.index(spec.kind))))
 
     domains = tuple(
         [DomainMeta(j, f"train{j}", ROLE_TRAIN) for j in range(n1)]
         + [DomainMeta(n1 + k, f"test{k}", ROLE_TEST) for k in range(n3)]
     )
+    sites = [(j,) + site for j in range(n1) for site in train(j)]
+    sites += [(n1 + k,) + site for k in range(n3) for site in test(k, n1)]
+    sites.sort(key=lambda site: site[:2])  # stable: a cell keeps its site order
 
-    ids, splits, labels, zs = [], [], [], []
-    # group cell entries per (domain, class) so fractional sites share the budget
-    grouped = {}
-    for (dom, cls, center, frac) in cells:
-        grouped.setdefault((dom, cls), []).append((center, frac))
-    for (dom, cls), sites in sorted(grouped.items()):
-        counts = [int(round(frac * spec.samples_per_cell)) for _, frac in sites]
-        counts[-1] = spec.samples_per_cell - sum(counts[:-1])
-        for (center, _), count in zip(sites, counts):
-            mean = np.zeros(spec.dim)
-            mean[0], mean[1] = center
-            pts = mean + rng.normal(0.0, spec.cluster_std, size=(count, spec.dim))
-            n_fit = (count + 1) // 2
-            for i in range(count):
-                ids.append(dom)
-                splits.append(SPLIT_FIT if i < n_fit else SPLIT_HOLDOUT)
-                labels.append(cls)
-            zs.append(pts)
+    counts = []
+    for _, cell in itertools.groupby(sites, key=lambda site: site[:2]):
+        lead = [int(round(site[3] * spec.samples_per_cell)) for site in cell][:-1]
+        counts += lead + [spec.samples_per_cell - sum(lead)]
+    counts = np.array(counts)
+    ids, labels, centres, _ = zip(*sites)
+    first = np.repeat(np.cumsum(counts) - counts, counts)
+    n_fit = np.repeat((counts + 1) // 2, counts)
+    splits = np.where(np.arange(counts.sum()) - first < n_fit, SPLIT_FIT, SPLIT_HOLDOUT)
+    z = np.zeros((counts.sum(), spec.dim))
+    z[:, :2] = np.repeat(centres, counts, axis=0)
+    z += rng.normal(0.0, spec.cluster_std, size=z.shape)
     ds = RepresentationDataset(
-        spec.dim,
-        2,
-        domains,
-        np.asarray(ids),
-        np.asarray(splits),
-        np.asarray(labels),
-        np.vstack(zs).astype(np.float32),
+        spec.dim, 2, domains, np.repeat(ids, counts), splits, np.repeat(labels, counts), z
     )
-    head = _head_probe(head_w, theta, spec.dim)
+    w = np.zeros((2, spec.dim))
+    w[1, :2] = 4.0 * np.asarray(head_w)
+    head = LinearProbe(w, np.array([0.0, -4.0 * theta]))
     return ds, ScenarioExpectation(spec.kind, preds, head)

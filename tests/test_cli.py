@@ -222,6 +222,48 @@ class TestVerifyCommand:
         assert d_rows and d_rows[0]["status"] == "assumption-unmet"
 
 
+def _instance_with(**fields):
+    from dgdx.propositions import random_instance
+
+    return dict(random_instance(7).to_dict(), **fields)
+
+
+def _family_of_dim(dim):
+    from dgdx.propositions import random_instance
+
+    return random_instance(7, dim=dim).domain_family.to_dict()
+
+
+@pytest.mark.parametrize("obj, field", [
+    ([1, 2], "JSON object"),
+    ({"joint": [], "train_idx": [0], "label_family": {}}, "points"),
+    (_instance_with(points="abc"), "points"),
+    (_instance_with(points=[[0.0, 0.0, 0.0]] * 8), "points"),
+    (_instance_with(points=[[float("nan"), 0.0]] * 8), "points"),
+    (_instance_with(joint=[[1, [2]]]), "joint"),
+    (_instance_with(label_family="x"), "label_family"),
+    (_instance_with(label_family={"probes": [1]}), "label_family"),
+    (_instance_with(domain_family=[1]), "domain_family"),
+    (_instance_with(domain_family=_family_of_dim(3)), "domain_family"),
+    (_instance_with(train_idx=[5]), "train_idx"),
+    (_instance_with(train_idx="0"), "train_idx"),
+    (_instance_with(train_idx=[-1]), "train_idx"),
+    (_instance_with(train_idx=[0, 0]), "train_idx"),
+    (_instance_with(train_idx=[True]), "train_idx"),
+    (_instance_with(train_idx=None), "train_idx"),
+    (_instance_with(head_index=999), "head_index"),
+    (_instance_with(head_index=-1), "head_index"),
+    (_instance_with(head_index=1.5), "head_index"),
+])
+def test_malformed_instance_exits_two_naming_the_field(runner, tmp_path, obj, field):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(obj))
+    res = runner.invoke(main, ["verify", "--trials", "1", "--instance", str(path),
+                               "--out", str(tmp_path)])
+    assert res.exit_code == 2, res.output
+    assert field in res.output
+
+
 class TestPcaCommand:
     def test_2d_dump_full_variance(self, runner, tmp_path):
         dump, _ = _scenario_files(tmp_path, kind="success", spc=40)

@@ -1,7 +1,10 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
-from dgdx.core import ROLE_TEST, ROLE_TRAIN, validate_no_label_shift
+from dgdx.core import FORMAT_BINARY, ROLE_TEST, ROLE_TRAIN, save_dump, validate_no_label_shift
 from dgdx.metrics import MetricConfig, diagnose
 from dgdx.scenarios import (
     FIG1_KINDS,
@@ -28,6 +31,11 @@ class TestGenerate:
     def test_too_few_samples(self):
         with pytest.raises(ValueError, match="samples_per_cell"):
             ScenarioSpec(kind="success", samples_per_cell=4)
+
+    @pytest.mark.parametrize("std", [float("nan"), float("inf"), 0.0])
+    def test_cluster_std_must_be_positive_and_finite(self, std):
+        with pytest.raises(ValueError, match="cluster_std"):
+            ScenarioSpec(kind="success", cluster_std=std)
 
     def test_dim_requirement(self):
         with pytest.raises(ValueError, match="dim"):
@@ -120,3 +128,44 @@ class TestCheckExpectation:
         assert back.kind == exp.kind
         assert back.predicates == exp.predicates
         assert np.array_equal(back.head.weights, exp.head.weights)
+
+
+# Each kind's binary dump and expectation JSON, hashed over four
+# configurations: the defaults, a changed seed/size/dim/std, more domains of
+# both roles, and a single test domain with tiny cells.
+_PIN_CONFIGS = (
+    {},
+    {"seed": 3, "samples_per_cell": 37, "dim": 4, "cluster_std": 0.2},
+    {"n_train_domains": 5, "n_test_domains": 3},
+    {"n_train_domains": 4, "n_test_domains": 1, "samples_per_cell": 11},
+)
+_PINNED_SHA256 = {
+    "underfit": "d2a4da18a791348c1642f27ded6e9f229639a1fa2e6ed58c3e01ae8f07dc4895",
+    "test-inseparable": "8391bd11d7b102686aee8b7a4258d496fce11e7cfaf177c37a32dc054fe41d56",
+    "misaligned": "901c74d69bb5f8f0457c32cb4869d8a95ad96ca249906e57eb9c17a1c2d24ed1",
+    "head-noninvariant": "0f03c64d6895fa7c8904e46e9c06e460ab8ca0d2b12492891ed8515a0d400f6c",
+    "success": "40b5c5c18671e3e0900abfd52997b094a7768493ff3963c63a9444130aae3e17",
+    "inv-train-only-a": "8ca16665f3189f40974343da0ea6b0a0e7413df1b2974ad9b2c2fdff488df590",
+    "inv-train-only-b": "97b124284b07deaa9a620efae1869d34c13f5fe096a044b33ac600a55da4a8d8",
+    "inv-train-only-c": "f90d8b2c18a4eafc54323a4bd11de756c0ceb660721bf2052f75a4c06e69b2db",
+    "inv-train-only-d": "f1dc3a1fc7aa245c3d12ebc4563a05f04ec315814ccbe79c0829d04fafc47534",
+    "inv-train-only-e": "e828c3c03a6d09913a0e5ac0afc041f6525cf44b8ef051917f41138d76d69595",
+    "inv-all-a": "1678fa7df569dbacd5e7d1e8c6a33904e9930ea6e2e36bb0058127f7982f5e31",
+    "inv-all-b": "e1a299ccfd0105bea1ce3e603e2a010bb76096552b62644fc928f1eb85332a71",
+    "inv-all-c": "95aa0629ade64736c6569405168499e09733a5feb4af6006883c3055716fa25a",
+    "inv-all-d": "2745ff478214b433324ec2e1e4187b5e9af022b0f9fb20d1c5c99a1921b0d605",
+    "label-flipped": "c8b1cceb96afd7934dd2d12670a404e0d93b81fb1ffb55f709a6d2190e790396",
+}
+
+
+def test_fixture_bytes_are_pinned(tmp_path):
+    assert set(_PINNED_SHA256) == set(KINDS)
+    path = tmp_path / "fixture.bin"
+    for kind in KINDS:
+        h = hashlib.sha256()
+        for cfg in _PIN_CONFIGS:
+            ds, exp = generate(ScenarioSpec(kind=kind, **cfg))
+            save_dump(ds, path, FORMAT_BINARY)
+            h.update(path.read_bytes())
+            h.update(json.dumps(exp.to_dict(), sort_keys=True).encode())
+        assert h.hexdigest() == _PINNED_SHA256[kind], kind
