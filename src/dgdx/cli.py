@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import click
@@ -88,7 +89,7 @@ def cmd_diagnose(dump_path, head_path, target, out, tol):
         _fail(EXIT_INPUT, f"head file not found: {head_path}")
     try:
         head = LinearProbe.load(head_path)
-    except (ValueError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         _fail(EXIT_INPUT, f"{head_path}: {exc}")
     shift = validate_no_label_shift(ds, tol=tol)
     if not shift.passed:
@@ -147,36 +148,44 @@ def cmd_scenario(kind, seed, out, samples_per_cell, cluster_std, dim, fmt, verif
 
 @main.command("verify")
 @click.option("--suite", type=click.Choice(list(propositions.SUITES) + ["all"]), default="all")
-@click.option("--trials", required=True, type=int)
+@click.option("--trials", type=int, help="random trials per suite; required without --instance")
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", default=".", help="output directory")
 @click.option("--instance", "instance_path", default=None,
               help="JSON instance file to check instead of random trials (orderings only)")
 def cmd_verify(suite, trials, seed, out, instance_path):
     """Run the proposition suites; exit 0 only if no conclusion fails."""
-    if trials < 1:
-        _fail(EXIT_INPUT, "trials must be positive")
-    out = _out_dir(out)
     if instance_path is not None:
+        if trials is not None:
+            _fail(EXIT_INPUT, "--trials conflicts with --instance, which checks one instance")
+        if suite not in ("orderings", "all"):
+            _fail(EXIT_INPUT, f"--suite {suite} conflicts with --instance, "
+                              "which runs the orderings check only")
         if not os.path.exists(instance_path):
             _fail(EXIT_INPUT, f"instance file not found: {instance_path}")
         try:
             with open(instance_path, "r", encoding="utf-8") as fh:
                 inst = propositions.PartitionInstance.from_dict(json.load(fh))
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             _fail(EXIT_INPUT, f"{instance_path}: {exc}")
         rep = propositions.check_orderings(inst)
-        _write_json(out / "verify.json", rep.to_dict())
-        if not rep.all_hold:
+        out = _out_dir(out)
+        _write_json(out / "verify.json", asdict(rep))
+        if not rep.holds:
             _fail(EXIT_INPUT, "an ordering was violated on the supplied instance")
         click.echo(str(out / "verify.json"))
         return
+    if trials is None:
+        _fail(EXIT_INPUT, "--trials is required without --instance")
+    if trials < 1:
+        _fail(EXIT_INPUT, "trials must be positive")
+    out = _out_dir(out)
     names = list(propositions.SUITES) if suite == "all" else [suite]
     reports = {}
     failures = 0
     for name in names:
         rep = propositions.run_suite(name, trials, seed=seed)
-        reports[name] = rep.to_dict()
+        reports[name] = asdict(rep)
         failures += rep.failed
     _write_json(out / "verify.json", {"suites": reports, "failures": failures})
     if failures:

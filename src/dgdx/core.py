@@ -217,10 +217,11 @@ class LinearProbe:
         try:
             w = np.asarray(obj["weights"], dtype=np.float64)
             b = np.asarray(obj["bias"], dtype=np.float64)
-        except (KeyError, TypeError) as exc:
+            num_outputs = int(obj["num_outputs"]) if "num_outputs" in obj else None
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"malformed probe object: {exc}") from exc
         probe = cls(w, b)
-        if "num_outputs" in obj and int(obj["num_outputs"]) != probe.num_outputs:
+        if num_outputs is not None and num_outputs != probe.num_outputs:
             raise ValueError("probe num_outputs does not match weight shape")
         return probe
 

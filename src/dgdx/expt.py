@@ -100,20 +100,6 @@ class RawDataset:
     domains: tuple
     spec: SyntheticColoredSpec
 
-    def mask(self, roles=None, split=None, domain_id=None):
-        m = np.ones(self.x.shape[0], dtype=bool)
-        if roles is not None:
-            ids = [dm.id for dm in self.domains if dm.role in roles]
-            m &= np.isin(self.domain_ids, ids)
-        if split is not None:
-            m &= self.splits == split
-        if domain_id is not None:
-            m &= self.domain_ids == domain_id
-        return m
-
-    def train_domain_ids(self):
-        return [dm.id for dm in self.domains if dm.role == ROLE_TRAIN]
-
 
 def make_dataset(spec):
     """Generate the synthetic multi-domain dataset.
@@ -599,9 +585,8 @@ def objective_and_grad(params, x, labels, domain_pos, n_groups, num_classes, cfg
 
 def _fit_batch(raw):
     """Training-domain fit samples with domain positions 0..n_train-1."""
-    train_ids = raw.train_domain_ids()
-    m = raw.mask(roles=(ROLE_TRAIN,), split=SPLIT_FIT)
-    idx = np.flatnonzero(m)
+    train_ids = [dm.id for dm in raw.domains if dm.role == ROLE_TRAIN]
+    idx = np.flatnonzero(np.isin(raw.domain_ids, train_ids) & (raw.splits == SPLIT_FIT))
     pos = np.searchsorted(np.asarray(train_ids), raw.domain_ids[idx])
     return raw.x[idx], raw.labels[idx], pos, len(train_ids)
 
@@ -699,7 +684,7 @@ def model_error(params, raw, roles=(ROLE_TRAIN,), split=SPLIT_HOLDOUT):
     for dm in raw.domains:
         if dm.role not in roles:
             continue
-        m = raw.mask(split=split, domain_id=dm.id)
+        m = (raw.splits == split) & (raw.domain_ids == dm.id)
         logits = forward(params, raw.x[m])[4]
         errs.append(float((logits.argmax(axis=1) != raw.labels[m]).mean()))
     return float(np.mean(errs))

@@ -485,7 +485,7 @@ def _zero_one_stream(theta, err, z, targets, weights, coords, basis, rng):
     return theta, err, False
 
 
-def fit_probe(z, targets, num_outputs, cfg=None, sample_weight=None, allow_single_target=False):
+def fit_probe(z, targets, num_outputs, cfg=None, sample_weight=None):
     """Fit a linear probe that approximately minimizes the weighted 0-1 error.
 
     Two stages.  First, L2-regularized multinomial logistic regression:
@@ -520,11 +520,8 @@ def fit_probe(z, targets, num_outputs, cfg=None, sample_weight=None, allow_singl
         raise ValueError("non-finite input features")
     if ((targets < 0) | (targets >= num_outputs)).any():
         raise ValueError("targets out of range for num_outputs")
-    if np.unique(targets).size < 2 and not allow_single_target:
-        raise ValueError(
-            "fewer than 2 distinct targets present; pass allow_single_target=True "
-            "to fit a degenerate probe"
-        )
+    if np.unique(targets).size < 2:
+        raise ValueError("fewer than 2 distinct targets present")
     if sample_weight is not None:
         weights = np.asarray(sample_weight, dtype=np.float64)
         if weights.shape != (n,):

@@ -17,7 +17,7 @@ and every implication can be verified numerically:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -126,7 +126,7 @@ class PartitionInstance:
                 raise ValueError(f"missing field {name!r}")
             try:
                 fields[name] = parse(obj.get(name))
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"field {name!r}: {exc}") from exc
         return cls(**fields)
 
@@ -211,6 +211,9 @@ def _best_domain(inst, subset, conditional_class=None):
 
 
 # -- proposition checks --------------------------------------------------------------
+#
+# Every report gives ``gate_passed`` (its preconditions held, so the verdict
+# counts) and ``holds`` (the verdict); ``dataclasses.asdict`` is its JSON.
 
 
 @dataclass(frozen=True)
@@ -221,14 +224,9 @@ class PropositionReport:
     conclusion_passed: bool
     violations: tuple
 
-    def to_dict(self):
-        return {
-            "proposition": self.proposition,
-            "gate_passed": self.gate_passed,
-            "gate_reason": self.gate_reason,
-            "conclusion_passed": self.conclusion_passed,
-            "violations": [dict(v) for v in self.violations],
-        }
+    @property
+    def holds(self):
+        return self.conclusion_passed
 
 
 def _class_conditionals(inst):
@@ -304,11 +302,20 @@ class OrderingReport:
     entries: tuple  # of dicts: name, status, lhs, rhs
 
     @property
-    def all_hold(self):
+    def gate_passed(self):
+        return all(e["status"] != "assumption-unmet" for e in self.entries)
+
+    @property
+    def holds(self):
         return all(e["status"] != "violated" for e in self.entries)
 
-    def to_dict(self):
-        return {"entries": [dict(e) for e in self.entries]}
+
+def _ordering(name, lhs, rhs, assumption_met):
+    if not assumption_met:
+        status = "assumption-unmet"
+    else:
+        status = "holds" if lhs <= rhs + _EXACT_TOL else "violated"
+    return {"name": name, "status": status, "lhs": lhs, "rhs": rhs}
 
 
 def check_orderings(inst):
@@ -320,63 +327,24 @@ def check_orderings(inst):
     uniform class priors.  Checks whose assumption fails are reported as
     assumption-unmet with values attached.
     """
-    entries = []
     test = inst.test_idx
     all_domains = tuple(range(inst.num_domains))
     e1, _ = _best_label(inst, test)
-    _, joint_idx = _best_label(inst, all_domains)
-    e2 = eval_F(inst, test, inst.label_family[joint_idx])
-    entries.append(
-        {
-            "name": "e1_le_e2",
-            "status": "holds" if e1 <= e2 + _EXACT_TOL else "violated",
-            "lhs": e1,
-            "rhs": e2,
-        }
-    )
+    e2 = eval_F(inst, test, inst.label_family[_best_label(inst, all_domains)[1]])
     e0, head_idx = _head(inst)
-    best_train, _ = _best_label(inst, inst.train_idx)
     e3 = eval_F(inst, test, inst.label_family[head_idx])
-    if e0 <= best_train + _EXACT_TOL:
-        entries.append(
-            {
-                "name": "e2_le_e3",
-                "status": "holds" if e2 <= e3 + _EXACT_TOL else "violated",
-                "lhs": e2,
-                "rhs": e3,
-            }
-        )
-    else:
-        entries.append(
-            {"name": "e2_le_e3", "status": "assumption-unmet", "lhs": e2, "rhs": e3}
-        )
+    head_minimizes = e0 <= _best_label(inst, inst.train_idx)[0] + _EXACT_TOL
+    entries = [_ordering("e1_le_e2", e1, e2, True), _ordering("e2_le_e3", e2, e3, head_minimizes)]
     if inst.domain_family is not None:
         k = inst.num_domains
         pri = inst.priors()
-        uniform = np.abs(pri - 1.0 / inst.num_classes).max() <= 1e-9
-        g1, _ = _best_domain(inst, all_domains)
-        d1 = 1.0 - g1 - 1.0 / k
+        d1 = 1.0 - _best_domain(inst, all_domains)[0] - 1.0 / k
+        d2 = None
         if (pri > 0).all():
-            gys = [
-                _best_domain(inst, all_domains, conditional_class=y)[0]
-                for y in range(inst.num_classes)
-            ]
+            gys = [_best_domain(inst, all_domains, y)[0] for y in range(inst.num_classes)]
             d2 = 1.0 - float(np.mean(gys)) - 1.0 / k
-        else:
-            d2 = None
-        if uniform and d2 is not None:
-            entries.append(
-                {
-                    "name": "d1_le_d2",
-                    "status": "holds" if d1 <= d2 + _EXACT_TOL else "violated",
-                    "lhs": d1,
-                    "rhs": d2,
-                }
-            )
-        else:
-            entries.append(
-                {"name": "d1_le_d2", "status": "assumption-unmet", "lhs": d1, "rhs": d2}
-            )
+        uniform = np.abs(pri - 1.0 / inst.num_classes).max() <= 1e-9
+        entries.append(_ordering("d1_le_d2", d1, d2, uniform and d2 is not None))
     return OrderingReport(tuple(entries))
 
 
@@ -387,13 +355,7 @@ class PartitionExpectationReport:
     mean_separability_error: float
     holds: bool
 
-    def to_dict(self):
-        return {
-            "n_subsets": self.n_subsets,
-            "mean_train_error": self.mean_train_error,
-            "mean_separability_error": self.mean_separability_error,
-            "holds": self.holds,
-        }
+    gate_passed = True  # not a field: every balanced split counts
 
 
 def check_partition_expectation(points, joint, label_family, n1, max_subsets=10000):
@@ -470,21 +432,26 @@ def random_instance(
     return PartitionInstance(points, joint, train_idx, label_family, domain_family)
 
 
+def _labelled_points(rng, n_points, dim, num_classes, family_size):
+    """Points, a random family and the labels a random member gives them,
+    redrawn (at most 64 times) until two classes appear."""
+    for _ in range(64):
+        points = rng.normal(0.0, 1.0, size=(n_points, dim))
+        family = _random_family(rng, num_classes, dim, family_size)
+        labels = family[int(rng.integers(len(family)))].predict(points)
+        if np.unique(labels).size >= 2:
+            break
+    return points, family, labels
+
+
 def make_prop1_instance(seed, n_domains=3, n_points=8, dim=2, num_classes=2, family_size=12):
     """Precondition-satisfying instance: one shared point marginal for every
     domain and labels assigned by a family probe (so a common zero-error
     classifier exists by construction)."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, 102)))
-    for _ in range(64):
-        points = rng.normal(0.0, 1.0, size=(n_points, dim))
-        family = _random_family(rng, num_classes, dim, family_size)
-        probe = family[int(rng.integers(len(family)))]
-        labels = probe.predict(points)
-        if np.unique(labels).size >= 2:
-            break
-    q = rng.dirichlet(np.ones(n_points))
+    points, family, labels = _labelled_points(rng, n_points, dim, num_classes, family_size)
     joint_one = np.zeros((n_points, num_classes))
-    joint_one[np.arange(n_points), labels] = q
+    joint_one[np.arange(n_points), labels] = rng.dirichlet(np.ones(n_points))
     joint = np.repeat(joint_one[None, :, :], n_domains, axis=0)
     return PartitionInstance(points, joint, (0,), family, None)
 
@@ -495,14 +462,8 @@ def make_prop2_instance(seed, n_domains=3, n_train=2, n_points=8, dim=2, num_cla
     shared across domains (class priors may differ), labels realizable with
     zero error by a family probe."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, 103)))
-    for _ in range(64):
-        points = rng.normal(0.0, 1.0, size=(n_points, dim))
-        family = _random_family(rng, num_classes, dim, family_size)
-        probe = family[int(rng.integers(len(family)))]
-        labels = probe.predict(points)
-        present = np.unique(labels)
-        if present.size >= 2:
-            break
+    points, family, labels = _labelled_points(rng, n_points, dim, num_classes, family_size)
+    present = np.unique(labels)
     cond = np.zeros((num_classes, n_points))
     for y in present:
         mask = labels == y
@@ -528,15 +489,26 @@ class SuiteReport:
     failed: int
     counterexample: dict = None
 
-    def to_dict(self):
-        return {
-            "proposition": self.proposition,
-            "trials": self.trials,
-            "gated_out": self.gated_out,
-            "passed": self.passed,
-            "failed": self.failed,
-            "counterexample": self.counterexample,
-        }
+
+def _partition_trial(t, t_seed):
+    n1 = 2 + t % 2
+    inst = random_instance(t_seed, n_domains=2 * n1, n_train=n1, n_points=6 + t % 4)
+    return check_partition_expectation(inst.points, inst.joint, inst.label_family, n1)
+
+
+# suite -> trial t's report from its seed; the lambdas look the checks and
+# constructors up as module globals at call time, so wrappers put over those
+# globals see every call
+_TRIALS = {
+    "prop1": lambda t, t_seed: check_prop1(
+        make_prop1_instance(t_seed, n_points=6 + t % 5, num_classes=2 + t % 2)),
+    "prop2": lambda t, t_seed: check_prop2(
+        make_prop2_instance(t_seed, n_points=6 + t % 5, num_classes=2 + t % 2)),
+    "orderings": lambda t, t_seed: check_orderings(random_instance(
+        t_seed, n_domains=3 + t % 3, n_points=6 + t % 4, num_classes=2 + t % 2)),
+    "partition": _partition_trial,
+}
+SUITES = tuple(_TRIALS)
 
 
 def run_suite(name, trials, seed=0):
@@ -547,53 +519,19 @@ def run_suite(name, trials, seed=0):
     """
     if trials < 1:
         raise ValueError("trials must be positive")
+    if name not in _TRIALS:
+        raise ValueError(f"unknown suite {name!r}")
     gated_out = passed = failed = 0
     counterexample = None
     for t in range(trials):
         t_seed = (seed << 20) + t
-        if name == "prop1":
-            inst = make_prop1_instance(t_seed, n_points=6 + t % 5, num_classes=2 + t % 2)
-            rep = check_prop1(inst)
-            ok, gate = rep.conclusion_passed, rep.gate_passed
-            detail = rep.to_dict()
-        elif name == "prop2":
-            inst = make_prop2_instance(t_seed, n_points=6 + t % 5, num_classes=2 + t % 2)
-            rep = check_prop2(inst)
-            ok, gate = rep.conclusion_passed, rep.gate_passed
-            detail = rep.to_dict()
-        elif name == "orderings":
-            inst = random_instance(
-                t_seed,
-                n_domains=3 + t % 3,
-                n_train=2,
-                n_points=6 + t % 4,
-                num_classes=2 + t % 2,
-                uniform_priors=True,
-            )
-            rep = check_orderings(inst)
-            ok = rep.all_hold
-            gate = all(e["status"] != "assumption-unmet" for e in rep.entries)
-            detail = rep.to_dict()
-        elif name == "partition":
-            n1 = 2 + t % 2
-            inst = random_instance(
-                t_seed, n_domains=2 * n1, n_train=n1, n_points=6 + t % 4, uniform_priors=True
-            )
-            rep = check_partition_expectation(inst.points, inst.joint, inst.label_family, n1)
-            ok, gate = rep.holds, True
-            detail = rep.to_dict()
-        else:
-            raise ValueError(f"unknown suite {name!r}")
-        if not gate:
+        rep = _TRIALS[name](t, t_seed)
+        if not rep.gate_passed:
             gated_out += 1
-            continue
-        if ok:
+        elif rep.holds:
             passed += 1
         else:
             failed += 1
             if counterexample is None:
-                counterexample = {"trial": t, "seed": t_seed, "detail": detail}
+                counterexample = {"trial": t, "seed": t_seed, "detail": asdict(rep)}
     return SuiteReport(name, trials, gated_out, passed, failed, counterexample)
-
-
-SUITES = ("prop1", "prop2", "orderings", "partition")

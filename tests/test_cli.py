@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dgdx import expt
 from dgdx.cli import main
@@ -214,12 +215,41 @@ class TestVerifyCommand:
         inst = random_instance(7, uniform_priors=False)
         path = tmp_path / "inst.json"
         path.write_text(json.dumps(inst.to_dict()))
-        res = runner.invoke(main, ["verify", "--suite", "orderings", "--trials", "1",
+        res = runner.invoke(main, ["verify", "--suite", "orderings",
                                    "--instance", str(path), "--out", str(tmp_path)])
         assert res.exit_code == 0, res.output
         report = json.loads((tmp_path / "verify.json").read_text())
         d_rows = [e for e in report["entries"] if e["name"] == "d1_le_d2"]
         assert d_rows and d_rows[0]["status"] == "assumption-unmet"
+
+    def test_trials_required_without_an_instance(self, runner, tmp_path):
+        res = runner.invoke(main, ["verify", "--suite", "prop1", "--out", str(tmp_path)])
+        assert res.exit_code == 2
+        assert "--trials is required without --instance" in res.output
+        assert not (tmp_path / "verify.json").exists()
+
+    @pytest.mark.parametrize("args, code, message", [
+        (["--suite", "orderings"], 0, None),
+        (["--suite", "all"], 0, None),
+        ([], 0, None),
+        (["--trials", "5"], 2, "--trials conflicts with --instance"),
+        (["--suite", "orderings", "--trials", "1"], 2, "--trials conflicts with --instance"),
+        (["--suite", "prop1"], 2, "--suite prop1 conflicts with --instance"),
+        (["--suite", "partition"], 2, "--suite partition conflicts with --instance"),
+    ])
+    def test_instance_options(self, runner, tmp_path, args, code, message):
+        from dgdx.propositions import random_instance
+
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(random_instance(7).to_dict()))
+        out = tmp_path / "out"
+        res = runner.invoke(main, ["verify", *args, "--instance", str(path), "--out", str(out)])
+        assert res.exit_code == code, res.output
+        if message is None:
+            assert "entries" in json.loads((out / "verify.json").read_text())
+        else:
+            assert message in res.output
+            assert not out.exists()
 
 
 def _instance_with(**fields):
@@ -232,6 +262,16 @@ def _family_of_dim(dim):
     from dgdx.propositions import random_instance
 
     return random_instance(7, dim=dim).domain_family.to_dict()
+
+
+def _family_with_bias(name, value):
+    family = _instance_with()[name]
+    family["probes"][0]["bias"][0] = value
+    return family
+
+
+_BEYOND_FLOAT = 10**400  # a JSON integer literal that no float can hold
+_NESTED = "[" * 100_000  # deeper than the JSON decoder's recursion limit
 
 
 @pytest.mark.parametrize("obj, field", [
@@ -254,14 +294,91 @@ def _family_of_dim(dim):
     (_instance_with(head_index=999), "head_index"),
     (_instance_with(head_index=-1), "head_index"),
     (_instance_with(head_index=1.5), "head_index"),
+    (_instance_with(points=[[_BEYOND_FLOAT, 0.0]] * 8), "points"),
+    (_instance_with(joint=[[[_BEYOND_FLOAT]]]), "joint"),
+    (_instance_with(label_family=_family_with_bias("label_family", _BEYOND_FLOAT)),
+     "label_family"),
+    (_instance_with(domain_family=_family_with_bias("domain_family", -_BEYOND_FLOAT)),
+     "domain_family"),
+    (_instance_with(train_idx=[_BEYOND_FLOAT]), "train_idx"),
+    (_instance_with(head_index=_BEYOND_FLOAT), "head_index"),
+    pytest.param(_NESTED, "inst.json", id="nested-arrays"),
 ])
 def test_malformed_instance_exits_two_naming_the_field(runner, tmp_path, obj, field):
     path = tmp_path / "inst.json"
-    path.write_text(json.dumps(obj))
-    res = runner.invoke(main, ["verify", "--trials", "1", "--instance", str(path),
-                               "--out", str(tmp_path)])
+    path.write_text(obj if isinstance(obj, str) else json.dumps(obj))
+    res = runner.invoke(main, ["verify", "--instance", str(path), "--out", str(tmp_path)])
     assert res.exit_code == 2, res.output
+    assert "Traceback" not in res.output
     assert field in res.output
+
+
+# integers of any size, with those beyond the float range drawn as often
+_JSON_INTEGERS = st.integers() | st.integers(min_value=2**1024) | st.integers(max_value=-2**1024)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | _JSON_INTEGERS | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=4),
+    max_leaves=12,
+)
+
+
+def _leaf_paths(obj, path=()):
+    if isinstance(obj, (list, dict)):
+        for key, value in (obj.items() if isinstance(obj, dict) else enumerate(obj)):
+            yield from _leaf_paths(value, path + (key,))
+    else:
+        yield path
+
+
+# A finite parameter near the float limit overflows the probe scores; the
+# command line shows numpy's RuntimeWarning and goes on, so here it is shown
+# in the warning summary instead of being raised as the suite's default does.
+@pytest.mark.filterwarnings("default::RuntimeWarning")
+@given(data=st.data())
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_instance_with_any_part_replaced_exits_cleanly(runner, tmp_path, data):
+    # one field of a valid instance, or one value inside it, becomes any
+    # JSON value (integers unbounded)
+    obj = _instance_with()
+    field = data.draw(st.sampled_from(sorted(obj)))
+    *parents, last = (field,) + data.draw(st.sampled_from([()] + list(_leaf_paths(obj[field]))))
+    target = obj
+    for key in parents:
+        target = target[key]
+    target[last] = data.draw(_JSON_VALUES)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(obj))
+    res = runner.invoke(main, ["verify", "--instance", str(path), "--out", str(tmp_path)])
+    assert res.exit_code in (0, 2), res.output
+    assert isinstance(res.exception, (SystemExit, type(None)))
+    assert "Traceback" not in res.output
+
+
+def _head_with(**fields):
+    return dict(LinearProbe(np.zeros((2, 2)), np.zeros(2)).to_dict(), **fields)
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(json.dumps(_head_with(bias=[_BEYOND_FLOAT, 0.0])), id="bias-beyond-float"),
+    pytest.param(json.dumps(_head_with(weights=[[0.0, -_BEYOND_FLOAT], [0.0, 0.0]])),
+                 id="weight-beyond-float"),
+    pytest.param(json.dumps(_head_with(num_outputs=None)), id="num-outputs-null"),
+    pytest.param(json.dumps(_head_with(num_outputs=float("inf"))), id="num-outputs-inf"),
+    pytest.param(json.dumps([1, 2]), id="not-an-object"),
+    pytest.param(_NESTED, id="nested-arrays"),
+])
+def test_malformed_head_exits_two_naming_the_file(runner, tmp_path, text):
+    dump, _ = _scenario_files(tmp_path, spc=20)
+    head = tmp_path / "bad_head.json"
+    head.write_text(text)
+    res = runner.invoke(main, ["diagnose", "--dump", str(dump), "--head", str(head),
+                               "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+    assert "bad_head.json" in res.output
 
 
 class TestPcaCommand:

@@ -42,12 +42,6 @@ class TestFitProbe:
         assert zero_one_error(probe, z, t) == 0.0
         assert rec.converged
 
-    def test_single_target_constant_prediction(self):
-        z = np.random.default_rng(1).normal(size=(12, 3))
-        t = np.ones(12, dtype=int)
-        probe, _ = fit_probe(z, t, 3, allow_single_target=True)
-        assert zero_one_error(probe, z, t) == 0.0
-
     def test_single_target_requires_opt_in(self):
         z = np.zeros((4, 2))
         with pytest.raises(ValueError, match="distinct targets"):

@@ -1,3 +1,7 @@
+import dataclasses
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +10,7 @@ from dgdx.core import LinearProbe
 from dgdx.probe import FiniteProbeFamily
 from dgdx.propositions import (
     PartitionInstance,
+    PropositionReport,
     _best_domain,
     _best_label,
     _random_family,
@@ -19,6 +24,7 @@ from dgdx.propositions import (
     make_prop2_instance,
     random_instance,
     run_suite,
+    SUITES,
 )
 
 from support import constant_probe
@@ -152,7 +158,7 @@ class TestOrderings:
     def test_all_hold_with_uniform_priors(self, seed):
         inst = random_instance(seed, uniform_priors=True)
         rep = check_orderings(inst)
-        assert rep.all_hold
+        assert rep.holds
         assert all(e["status"] == "holds" for e in rep.entries)
 
     def test_nonuniform_priors_gate_d_inequality(self):
@@ -282,9 +288,87 @@ class TestSuites:
         with pytest.raises(ValueError, match="positive"):
             run_suite("prop1", trials=0)
 
+    def test_unknown_suite_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown suite 'prop3'"):
+            run_suite("prop3", trials=1)
+
+    def test_first_failure_is_the_counterexample(self, monkeypatch):
+        # the suite table looks its checks up at call time, so a replaced
+        # module global is what every trial runs
+        from dgdx import propositions
+
+        def failing(inst):
+            t = len(inst.points)
+            return PropositionReport("prop1", t != 7, "ok", False, ({"points": t},))
+
+        monkeypatch.setattr(propositions, "check_prop1", failing)
+        rep = run_suite("prop1", trials=5, seed=2)
+        # n_points is 6 + t % 5, so trial 1 gates out and the rest fail
+        assert (rep.gated_out, rep.passed, rep.failed) == (1, 0, 4)
+        assert json.loads(json.dumps(rep.counterexample)) == {
+            "trial": 0, "seed": (2 << 20), "detail": {
+                "proposition": "prop1", "gate_passed": True, "gate_reason": "ok",
+                "conclusion_passed": False, "violations": [{"points": 6}]}}
+
     def test_instance_json_round_trip(self):
         inst = random_instance(17)
         back = PartitionInstance.from_dict(inst.to_dict())
         assert np.array_equal(back.joint, inst.joint)
         assert back.train_idx == inst.train_idx
         assert len(back.label_family) == len(inst.label_family)
+
+
+# Every report kind, hashed as ``json.dumps(asdict(report), sort_keys=True)``
+# over 200 trial seeds.  The two propositions run on their own constructors,
+# on each other's, on identical domains without a zero-error classifier and
+# on a prop2 instance whose last domain moves one class, so every gate
+# reason appears.  The orderings run with uniform and non-uniform priors and
+# with a forced head, so both assumption-unmet entries appear.  Then the
+# partition expectation, the instances' own JSON and each suite's report.
+_PINNED_REPORTS_SHA256 = {
+    "prop1": "ffb4f16f3ee62ecfe2428ed4b830c64e6a26a7a9994b5dd004ef8f17d6e4f205",
+    "prop2": "1a4c471de95059439ef6d116a40289e1a40498e8847d25a706e391eb5ff8384e",
+    "orderings": "0c19c2c09efc2d04c1249b4cf0464225e689aa34fb690d302565af3908dcd98b",
+    "partition": "8ead583778a8ebc271cec2912bcbd56670f63c6b7fe2acf12039a89ecd9b8189",
+    "instance": "323118e9db2a89a5b540481b3db82b243ba01b9d81ac9de6a4d5f5ddb6500ef8",
+    "suites": "b1144d409d2cd9227586fc036ba51e877f41325292dad1a53a2afc080425f526",
+}
+
+
+def _report_bytes(report):
+    return json.dumps(dataclasses.asdict(report), sort_keys=True).encode()
+
+
+def _pinned_report_digests():
+    h = {name: hashlib.sha256() for name in (
+        "prop1", "prop2", "orderings", "partition", "instance", "suites")}
+    for t in range(200):
+        shape = {"n_points": 6 + t % 5, "num_classes": 2 + t % 2}
+        p1, p2 = make_prop1_instance(t, **shape), make_prop2_instance(t, **shape)
+        uniform = random_instance(t, n_domains=3 + t % 3, num_classes=2 + t % 2)
+        skewed = random_instance(t, n_domains=3 + t % 3, num_classes=2 + t % 2,
+                                 uniform_priors=False)
+        n1 = 1 + t % 3
+        balanced = random_instance(t, n_domains=2 * n1, n_train=n1, n_points=6 + t % 4)
+        same = PartitionInstance(uniform.points, np.repeat(uniform.joint[:1], 3, axis=0),
+                                 (0,), uniform.label_family)
+        moved = p2.joint.copy()
+        moved[-1, :, 0] = moved[-1, ::-1, 0]
+        moved = PartitionInstance(p2.points, moved, p2.train_idx, p2.label_family)
+        forced = dataclasses.replace(uniform, head_index=t % len(uniform.label_family))
+        for inst in (p1, p2, same, moved):
+            h["prop1"].update(_report_bytes(check_prop1(inst)))
+            h["prop2"].update(_report_bytes(check_prop2(inst)))
+        for inst in (uniform, skewed, forced):
+            h["orderings"].update(_report_bytes(check_orderings(inst)))
+        h["partition"].update(_report_bytes(check_partition_expectation(
+            balanced.points, balanced.joint, balanced.label_family, n1)))
+        for inst in (p1, p2, uniform, skewed):
+            h["instance"].update(json.dumps(inst.to_dict(), sort_keys=True).encode())
+    for name in SUITES:
+        h["suites"].update(_report_bytes(run_suite(name, trials=20, seed=5)))
+    return {name: d.hexdigest() for name, d in h.items()}
+
+
+def test_reports_are_pinned():
+    assert _pinned_report_digests() == _PINNED_REPORTS_SHA256
