@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -540,6 +541,38 @@ class TestStepStart:
         for got, want in zip(model.checkpoints, checkpoints, strict=True):
             for k in expt.PARAM_KEYS:
                 assert got[k].tobytes() == want[k].tobytes(), k
+
+
+# ``train``'s checkpoints and objective trace on SMALL_SPEC, hashed per
+# configuration; at learning rate 4 the line search backtracks in each.
+_PIN_TRAININGS = {
+    "erm": dict(algorithm="erm"),
+    "frozen": dict(algorithm="erm", freeze_features=True),
+    "group-dro": dict(algorithm="group-dro", beta=2.0),
+    "coral": dict(algorithm="coral", beta=1.0),
+    "cond-invariance": dict(algorithm="cond-invariance", beta=1.0),
+}
+_PINNED_TRAINING_SHA256 = {
+    "erm": "d025fc91e57970498cb2d5d117d6a37b75307693188fbe485873308b1a9436ff",
+    "frozen": "b2768160cb52154b9fa2f2e3d3c7f59f069f05e782b93353952ae5b58f0f80dc",
+    "group-dro": "b634a313624ab970bd9e3dace21c93bd92a234772d1d7b87df682fc9acc43294",
+    "coral": "86554e73705cdd1495f85f1792bd909c89c1b7552f4d88860711fe35116848e6",
+    "cond-invariance": "f5df4a1668d084ace10d2fb890744361026d6aca9ea659cd911470f937e21656",
+}
+
+
+def test_training_outputs_are_pinned():
+    raw = expt.make_dataset(SMALL_SPEC)
+    digests = {}
+    for name, kw in _PIN_TRAININGS.items():
+        model = expt.train(raw, small_cfg(learning_rate=4.0, epochs=3, steps_per_epoch=20,
+                                          **kw))
+        h = hashlib.sha256(np.array(model.objective_trace).tobytes())
+        for checkpoint in model.checkpoints:
+            for k in expt.PARAM_KEYS:
+                h.update(checkpoint[k].tobytes())
+        digests[name] = h.hexdigest()
+    assert digests == _PINNED_TRAINING_SHA256
 
 
 class TestExportRepresentations:
