@@ -15,6 +15,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 import click
+import numpy as np
 
 from . import expt, propositions, scenarios
 from .core import (
@@ -96,6 +97,10 @@ def cmd_diagnose(dump_path, head_path, target, out, tol):
         click.echo(json.dumps(shift.to_dict(), sort_keys=True), err=True)
         _fail(EXIT_INPUT, f"label marginals differ across domains by {shift.max_deviation:.4f} > {tol}")
     try:
+        # finite parameters near the float limit can still overflow the scores
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.isfinite(head.scores(ds.z)).all():
+                _fail(EXIT_INPUT, f"{head_path}: the head's scores on the dump are not finite")
         diag = diagnose(ds, head, MetricConfig(target_role=target))
     except (DatasetError, ValueError) as exc:
         _fail(EXIT_INPUT, str(exc))

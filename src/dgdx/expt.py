@@ -203,13 +203,9 @@ class TrainedModel:
         return self.checkpoints[-1]
 
     def head_probe(self, checkpoint=None):
+        """The linear head of a checkpoint (default the final one) as a probe."""
         params = self.checkpoints[checkpoint] if checkpoint is not None else self.final
-        return head_probe(params)
-
-
-def head_probe(params):
-    """The model's linear head as a probe over the representation space."""
-    return LinearProbe(params["W3"].T, params["b3"])
+        return LinearProbe(params["W3"].T, params["b3"])
 
 
 def pretrained_invariant_model(spec, hidden_width=12, seed=0):
@@ -288,11 +284,8 @@ class Batch:
     ``objective_gradient`` overwrite on every call instead of allocating a
     fresh one: the forward activations, the penalty's per-class or per-group
     gathers, and the backpropagated ``(n, hidden)`` gradients.  An array is
-    allocated on first use and again only when its shape or dtype changes.
-    Whatever ``objective`` returns in its ``ObjectiveState`` aliases these
-    arrays, so it is valid only until the next ``objective`` call on the same
-    batch, and a batch serves one thread at a time.  With ``frozen`` set (see
-    ``frozen_batch``) the feature layers are not evaluated at all.
+    allocated on first use and again only when its shape or dtype changes,
+    and a batch serves one thread at a time.
     """
 
     x: np.ndarray
@@ -374,70 +367,47 @@ class ObjectiveState:
 def _penalty(h2, batch, cfg):
     """The configured representation penalty and the state its gradient
     needs: (0.0, None) when the algorithm has none or ``beta`` is 0."""
-    if cfg.algorithm == ALG_CORAL and cfg.beta > 0:
-        return _coral_penalty(h2, batch)
-    if cfg.algorithm == ALG_COND_INVARIANCE and cfg.beta > 0:
-        return _condinv_penalty(h2, batch)
+    if cfg.algorithm in _PENALTIES and cfg.beta > 0:
+        return _PENALTIES[cfg.algorithm][0](h2, batch)
     return 0.0, None
 
 
 def _coral_penalty(h2, batch):
     """Mean over training-domain pairs of the squared mean difference plus the
     squared Frobenius covariance difference of representations (entry-wise
-    means, so the scale is width independent).  Also returns the centred
-    representations per group and each pair's differences, for the gradient."""
-    groups = batch.groups
+    means, so the scale is width independent).  Also returns each group's
+    centred representations, mean and covariance, for the gradient."""
     d = h2.shape[1]
     stats = []
-    for g, idx in enumerate(groups):
+    for g, idx in enumerate(batch.groups):
         hc = _gather(batch, ("group", g), h2, idx)
         mu = hc.mean(axis=0)
         hc -= mu
-        cov = hc.T @ hc / idx.size
-        stats.append((mu, hc, cov))
+        stats.append((hc, mu, hc.T @ hc / idx.size))
     penalty = 0.0
-    diffs = []
-    for a in range(len(groups)):
-        for b in range(a + 1, len(groups)):
-            dmu = stats[a][0] - stats[b][0]
-            dcov = stats[a][2] - stats[b][2]
+    for a, (_, mu_a, cov_a) in enumerate(stats):
+        for _, mu_b, cov_b in stats[a + 1:]:
+            dmu, dcov = mu_a - mu_b, cov_a - cov_b
             penalty += (dmu @ dmu) / d + (dcov * dcov).sum() / (d * d)
-            diffs.append((a, b, dmu, dcov))
-    n_pairs = max(len(diffs), 1)
-    return penalty / n_pairs, (tuple(hc for _, hc, _ in stats), tuple(diffs))
+    return penalty / max(len(stats) * (len(stats) - 1) // 2, 1), tuple(stats)
 
 
-def _coral_grad(h2, batch, state):
-    """The CORAL penalty's gradient with respect to ``h2``, in the workspace.
+def _coral_grad(grad, batch, stats):
+    """Writes the CORAL penalty's gradient into the zeroed ``grad``.
 
-    The groups are disjoint, so each group's rows are accumulated in a
-    zeroed buffer of their own, in the order the pairs visit them, and then
-    copied to their rows: the same sums as adding into the rows directly."""
-    hcs, diffs = state
-    groups = batch.groups
-    d = h2.shape[1]
-    accs = [_buffer(batch, ("group grad", g), hc.shape, hc.dtype) for g, hc in enumerate(hcs)]
-    for acc in accs:
-        acc.fill(0.0)
-    for a, b, dmu, dcov in diffs:
-        idx_a, idx_b = groups[a], groups[b]
-        accs[a] += (2.0 / (d * idx_a.size)) * dmu
-        accs[b] -= (2.0 / (d * idx_b.size)) * dmu
-        accs[a] += _scaled_product(batch, a, 4.0 / (d * d * idx_a.size), hcs[a], dcov)
-        accs[b] -= _scaled_product(batch, b, 4.0 / (d * d * idx_b.size), hcs[b], dcov)
-    grad = _buffer(batch, "penalty grad", h2.shape, h2.dtype)
-    grad.fill(0.0)
-    for idx, acc in zip(groups, accs):
-        grad[idx] = acc
-    grad /= max(len(diffs), 1)
-    return grad
-
-
-def _scaled_product(batch, g, s, hc, dcov):
-    """``s * hc @ dcov`` (scaled first, as written) in group ``g``'s buffers."""
-    scaled = np.multiply(s, hc, out=_buffer(batch, ("group scaled", g), hc.shape, hc.dtype))
-    shape = (hc.shape[0], dcov.shape[1])
-    return np.matmul(scaled, dcov, out=_buffer(batch, ("group product", g), shape, hc.dtype))
+    Over the pairs it is in, group g's mean and covariance differences sum to
+    ``G * stat_g - sum_h stat_h`` for G groups, so its rows get
+    ``s (G mu_g - sum mu) + hc_g @ ((2 s / d) (G C_g - sum C))`` with
+    ``s = 2 / (pairs d n_g)``."""
+    n_groups, d = len(stats), grad.shape[1]
+    n_pairs = max(n_groups * (n_groups - 1) // 2, 1)
+    mu_sum = sum(mu for _, mu, _ in stats)
+    cov_sum = sum(cov for _, _, cov in stats)
+    for idx, (hc, mu, cov) in zip(batch.groups, stats):
+        s = 2.0 / (n_pairs * d * idx.size)
+        share = hc @ ((2.0 * s / d) * (n_groups * cov - cov_sum))
+        share += s * (n_groups * mu - mu_sum)
+        grad[idx] = share
 
 
 def _condinv_penalty(h2, batch):
@@ -457,21 +427,21 @@ def _condinv_penalty(h2, batch):
     return penalty * scale, tuple(ms)
 
 
-def _condinv_grad(h2, batch, ms):
-    """The cond-invariance penalty's gradient with respect to ``h2``, in the
-    workspace; each class's gather buffer holds its rows' share on the way."""
-    grad = _buffer(batch, "penalty grad", h2.shape, h2.dtype)
-    grad.fill(0.0)
+def _condinv_grad(grad, batch, ms):
+    """Writes the cond-invariance penalty's gradient into the zeroed ``grad``:
+    ``dc @ ((scale / n_c) m^T)`` on class c's rows, made in its gather buffer."""
+    scale = 2.0 * PENALTY_SCALE / max(len(batch.classes), 1)
     for c, ((idx, dc), m) in enumerate(zip(batch.classes, ms)):
-        share = _buffer(batch, ("class", c), (idx.size, h2.shape[1]), h2.dtype)
-        np.matmul(dc, 2.0 * m.T, out=share)
-        share /= idx.size
-        # the classes are disjoint, so this is ``grad[idx] += share`` on zeroed
-        # rows; adding 0.0 keeps its sums, which turn a -0.0 into 0.0
-        share += 0.0
-        grad[idx] = share
-    grad *= PENALTY_SCALE / max(len(batch.classes), 1)
-    return grad
+        share = _buffer(batch, ("class", c), (idx.size, grad.shape[1]), grad.dtype)
+        grad[idx] = np.matmul(dc, (scale / idx.size) * m.T, out=share)
+
+
+# each penalized algorithm's representation penalty and the function that
+# writes its gradient with respect to the last hidden layer
+_PENALTIES = {
+    ALG_CORAL: (_coral_penalty, _coral_grad),
+    ALG_COND_INVARIANCE: (_condinv_penalty, _condinv_grad),
+}
 
 
 def objective(params, batch, cfg):
@@ -481,10 +451,6 @@ def objective(params, batch, cfg):
     The objective is the cross-entropy term (softmax-weighted across domains
     for the worst-case variant), plus ``beta`` times the algorithm's
     representation penalty, plus L2 weight decay on the weight matrices.
-    The forward pass and the penalty write into ``batch``'s workspace, and
-    the returned state aliases it: it is valid only until the next
-    ``objective`` call on ``batch``.  On a ``frozen_batch`` only the head is
-    evaluated, on the cached last hidden layer.
     """
     frozen = batch.frozen
     if frozen is None:
@@ -492,8 +458,9 @@ def objective(params, batch, cfg):
         h1 = np.maximum(pre1, 0.0, out=_buffer(batch, "h1", pre1.shape, pre1.dtype))
         pre2 = _affine(batch, "pre2", h1, params["W2"], params["b2"])
         h2 = np.maximum(pre2, 0.0, out=_buffer(batch, "h2", pre2.shape, pre2.dtype))
+        penalty, penalty_state = _penalty(h2, batch, cfg)
     else:
-        pre1, h1, pre2, h2 = frozen.features
+        (pre1, h1, pre2, h2), penalty, penalty_state = frozen.features, frozen.penalty, None
     logits = _affine(batch, "logits", h2, params["W3"], params["b3"])
     logp = _buffer(batch, "logp", logits.shape, logits.dtype)
     np.subtract(logits, logits.max(axis=1, keepdims=True), out=logp)
@@ -513,11 +480,6 @@ def objective(params, batch, cfg):
     else:
         data_term = nll.mean()
 
-    if frozen is None:
-        penalty, penalty_state = _penalty(h2, batch, cfg)
-    else:
-        penalty, penalty_state = frozen.penalty, None
-
     obj = data_term + cfg.beta * penalty
     wd = cfg.weight_decay
     for key in ("W1", "W2", "W3"):
@@ -531,9 +493,7 @@ def objective_gradient(state, batch, cfg):
     through the cached forward pass (no forward pass is repeated).
 
     ``state`` must come from the latest ``objective`` call on ``batch``.  The
-    backpropagated activations go through the workspace; the returned
-    gradients are fresh arrays.  On a ``frozen_batch`` only ``W3`` and ``b3``
-    are returned.
+    returned gradients are fresh arrays.
     """
     params = state.params
     pre1, h1, pre2, h2, _ = state.forward
@@ -556,11 +516,10 @@ def objective_gradient(state, batch, cfg):
 
     # dh2, then dpre2 in the same array
     dpre2 = np.matmul(dlogits, params["W3"].T, out=_buffer(batch, "dpre2", h2.shape, h2.dtype))
-    if state.penalty is None:
-        dpre2 += cfg.beta * 0.0  # beta times a zero penalty gradient: turns -0.0 into 0.0
-    else:
-        penalty_grad = _coral_grad if cfg.algorithm == ALG_CORAL else _condinv_grad
-        dh2_pen = penalty_grad(h2, batch, state.penalty)
+    if state.penalty is not None:
+        dh2_pen = _buffer(batch, "penalty grad", h2.shape, h2.dtype)
+        dh2_pen.fill(0.0)
+        _PENALTIES[cfg.algorithm][1](dh2_pen, batch, state.penalty)
         dh2_pen *= cfg.beta
         dpre2 += dh2_pen
     dpre2 *= np.greater(pre2, 0, out=_buffer(batch, "mask", pre2.shape, np.bool_))

@@ -122,6 +122,13 @@ class FiniteProbeFamily:
     def dim(self):
         return self.weights.shape[2]
 
+    def scores(self, z):
+        """Every probe's scores at every point, ``(m, n, k)``."""
+        z = np.asarray(z, dtype=np.float64)
+        if z.shape[-1] != self.dim:
+            raise ValueError(f"family expects dim {self.dim}, got {z.shape[-1]}")
+        return np.matmul(z, self.weights.transpose(0, 2, 1)) + self.bias[:, None, :]
+
     def predict(self, z):
         """Every probe's output at every point, ``(m, n)``: bit for bit each
         probe's ``LinearProbe.predict``, ties going to the lowest output.
@@ -129,10 +136,7 @@ class FiniteProbeFamily:
         A running best over the outputs, replaced only by a strictly greater
         score, takes the place of ``argmax``: on these strided scores it is
         several times faster (for finite scores the two agree)."""
-        z = np.asarray(z, dtype=np.float64)
-        if z.shape[-1] != self.dim:
-            raise ValueError(f"family expects dim {self.dim}, got {z.shape[-1]}")
-        scores = np.matmul(z, self.weights.transpose(0, 2, 1)) + self.bias[:, None, :]
+        scores = self.scores(z)
         if self.num_outputs < 2:
             return scores.argmax(axis=2)
         best = scores[:, :, 0]

@@ -128,7 +128,14 @@ class PartitionInstance:
                 fields[name] = parse(obj.get(name))
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"field {name!r}: {exc}") from exc
-        return cls(**fields)
+        inst = cls(**fields)
+        # finite parameters near the float limit can still overflow the scores
+        with np.errstate(over="ignore", invalid="ignore"):
+            for name in ("label_family", "domain_family"):
+                family = fields[name]
+                if family is not None and not np.isfinite(family.scores(inst.points)).all():
+                    raise ValueError(f"field {name!r}: its scores on the points are not finite")
+        return inst
 
 
 def _is_index(i, n):

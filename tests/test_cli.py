@@ -270,6 +270,12 @@ def _family_with_bias(name, value):
     return family
 
 
+def _family_with_weights(name, row):
+    family = _instance_with()[name]
+    family["probes"][0]["weights"][0] = row
+    return family
+
+
 _BEYOND_FLOAT = 10**400  # a JSON integer literal that no float can hold
 _NESTED = "[" * 100_000  # deeper than the JSON decoder's recursion limit
 
@@ -302,6 +308,9 @@ _NESTED = "[" * 100_000  # deeper than the JSON decoder's recursion limit
      "domain_family"),
     (_instance_with(train_idx=[_BEYOND_FLOAT]), "train_idx"),
     (_instance_with(head_index=_BEYOND_FLOAT), "head_index"),
+    # finite, but the scores on the points overflow
+    (_instance_with(domain_family=_family_with_weights("domain_family", [8.36e307] * 2)),
+     "domain_family"),
     pytest.param(_NESTED, "inst.json", id="nested-arrays"),
 ])
 def test_malformed_instance_exits_two_naming_the_field(runner, tmp_path, obj, field):
@@ -331,10 +340,6 @@ def _leaf_paths(obj, path=()):
         yield path
 
 
-# A finite parameter near the float limit overflows the probe scores; the
-# command line shows numpy's RuntimeWarning and goes on, so here it is shown
-# in the warning summary instead of being raised as the suite's default does.
-@pytest.mark.filterwarnings("default::RuntimeWarning")
 @given(data=st.data())
 @settings(max_examples=80, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -364,6 +369,8 @@ def _head_with(**fields):
     pytest.param(json.dumps(_head_with(bias=[_BEYOND_FLOAT, 0.0])), id="bias-beyond-float"),
     pytest.param(json.dumps(_head_with(weights=[[0.0, -_BEYOND_FLOAT], [0.0, 0.0]])),
                  id="weight-beyond-float"),
+    pytest.param(json.dumps(_head_with(weights=[[8e307, 8e307], [-8e307, -8e307]])),
+                 id="scores-beyond-float"),
     pytest.param(json.dumps(_head_with(num_outputs=None)), id="num-outputs-null"),
     pytest.param(json.dumps(_head_with(num_outputs=float("inf"))), id="num-outputs-inf"),
     pytest.param(json.dumps([1, 2]), id="not-an-object"),

@@ -1,5 +1,6 @@
 import hashlib
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -66,17 +67,26 @@ class TestMakeDataset:
                 assert fit == 24 and hold == 6
 
 
+# the CORAL gradient sums over pairs of training domains in closed form,
+# which differs from one pair's terms only from 3 training domains on
+FD_CASES = [
+    pytest.param(alg, beta, n, id=f"{alg}-{beta}" + (f"-{n}-train" if n > 2 else ""))
+    for alg, beta, trains in (("erm", 0.0, (2,)), ("coral", 1.7, (2, 3, 4, 5)),
+                              ("cond-invariance", 0.9, (2, 3, 4, 5)), ("group-dro", 2.5, (2,)))
+    for n in trains
+]
+
+
 class TestObjectives:
-    @pytest.mark.parametrize(
-        "alg,beta",
-        [("erm", 0.0), ("coral", 1.7), ("cond-invariance", 0.9), ("group-dro", 2.5)],
-    )
-    def test_gradients_match_finite_differences(self, alg, beta):
-        raw = expt.make_dataset(SMALL_SPEC)
+    @pytest.mark.parametrize("alg,beta,n_train", FD_CASES)
+    def test_gradients_match_finite_differences(self, alg, beta, n_train):
+        spec = replace(SMALL_SPEC, num_domains=n_train + 2)
+        raw = expt.make_dataset(spec)
         x, labels, pos, n_groups = expt._fit_batch(raw)
+        assert n_groups == n_train
         cfg = small_cfg(algorithm=alg, beta=beta)
         rng = np.random.default_rng(17)
-        params = expt.init_params(SMALL_SPEC.input_dim, cfg.hidden_width, 3, seed=1)
+        params = expt.init_params(spec.input_dim, cfg.hidden_width, 3, seed=1)
         for _ in range(60):
             p = {k: v + rng.normal(0, 0.25, v.shape) for k, v in params.items()}
             pre1, _, pre2, _, _ = expt.forward(p, x)
@@ -118,9 +128,11 @@ def _softmax(logits):
 
 
 def _fused_objective_and_grad(params, x, labels, domain_pos, n_groups, num_classes, cfg):
-    """The objective and gradient in one pass, as written before the split
-    into ``objective`` and ``objective_gradient``: the reference they must
-    match bit for bit."""
+    """The objective and gradient in one plain pass, with no workspace and
+    no frozen path: the reference ``objective`` and ``objective_gradient``
+    must match bit for bit.  The penalty gradients are in closed form: over
+    its pairs, a CORAL group's mean and covariance differences sum to
+    ``G * stat_g - sum_h stat_h`` for G groups."""
     n = x.shape[0]
     pre1, h1, pre2, h2, logits = expt.forward(params, x)
     probs = _softmax(logits)
@@ -145,46 +157,44 @@ def _fused_objective_and_grad(params, x, labels, domain_pos, n_groups, num_class
         dlogits /= n
 
     d = h2.shape[1]
-    dh2_pen = np.zeros_like(h2)
+    dh2_pen = None
     penalty = 0.0
     if cfg.algorithm == "coral" and cfg.beta > 0:
-        stats = []
-        for idx in groups:
-            hc = h2[idx] - h2[idx].mean(axis=0)
-            stats.append((idx, h2[idx].mean(axis=0), hc, hc.T @ hc / idx.size))
-        pairs = [(a, b) for a in range(n_groups) for b in range(a + 1, n_groups)]
-        for a, b in pairs:
-            idx_a, mu_a, hc_a, cov_a = stats[a]
-            idx_b, mu_b, hc_b, cov_b = stats[b]
-            dmu, dcov = mu_a - mu_b, cov_a - cov_b
-            penalty += (dmu @ dmu) / d + (dcov * dcov).sum() / (d * d)
-            dh2_pen[idx_a] += (2.0 / (d * idx_a.size)) * dmu
-            dh2_pen[idx_b] -= (2.0 / (d * idx_b.size)) * dmu
-            dh2_pen[idx_a] += (4.0 / (d * d * idx_a.size)) * hc_a @ dcov
-            dh2_pen[idx_b] -= (4.0 / (d * d * idx_b.size)) * hc_b @ dcov
-        n_pairs = max(len(pairs), 1)
-        penalty, dh2_pen = penalty / n_pairs, dh2_pen / n_pairs
+        mus = [h2[idx].mean(axis=0) for idx in groups]
+        hcs = [h2[idx] - mu for idx, mu in zip(groups, mus)]
+        covs = [hc.T @ hc / idx.size for idx, hc in zip(groups, hcs)]
+        for a in range(n_groups):
+            for b in range(a + 1, n_groups):
+                dmu, dcov = mus[a] - mus[b], covs[a] - covs[b]
+                penalty += (dmu @ dmu) / d + (dcov * dcov).sum() / (d * d)
+        n_pairs = max(n_groups * (n_groups - 1) // 2, 1)
+        penalty /= n_pairs
+        dh2_pen = np.zeros_like(h2)
+        for idx, mu, hc, cov in zip(groups, mus, hcs, covs):
+            s = 2.0 / (n_pairs * d * idx.size)
+            dh2_pen[idx] = (s * (n_groups * mu - sum(mus))
+                            + hc @ ((2.0 * s / d) * (n_groups * cov - sum(covs))))
     elif cfg.algorithm == "cond-invariance" and cfg.beta > 0:
         onehot = np.eye(n_groups)[domain_pos]
-        used = 0
-        for y in range(num_classes):
-            idx = np.flatnonzero(labels == y)
-            if idx.size < 2:
-                continue
+        classes = [idx for idx in (np.flatnonzero(labels == y) for y in range(num_classes))
+                   if idx.size >= 2]
+        scale = expt.PENALTY_SCALE / max(len(classes), 1)
+        dh2_pen = np.zeros_like(h2)
+        for idx in classes:
             r, dy = h2[idx], onehot[idx]
             rc, dc = r - r.mean(axis=0), dy - dy.mean(axis=0)
             m = rc.T @ dc / idx.size
             penalty += (m * m).sum()
-            dh2_pen[idx] += dc @ (2.0 * m.T) / idx.size
-            used += 1
-        scale = expt.PENALTY_SCALE / max(used, 1)
-        penalty, dh2_pen = penalty * scale, dh2_pen * scale
+            dh2_pen[idx] = dc @ ((2.0 * scale / idx.size) * m.T)
+        penalty *= scale
 
     obj = data_term + cfg.beta * penalty
     wd = cfg.weight_decay
     for key in ("W1", "W2", "W3"):
         obj += 0.5 * wd * float((params[key] ** 2).sum())
-    dh2 = dlogits @ params["W3"].T + cfg.beta * dh2_pen
+    dh2 = dlogits @ params["W3"].T
+    if dh2_pen is not None:
+        dh2 = dh2 + cfg.beta * dh2_pen
     dpre2 = dh2 * (pre2 > 0)
     dh1 = dpre2 @ params["W2"].T
     dpre1 = dh1 * (pre1 > 0)
@@ -328,22 +338,6 @@ class TestWorkspace:
                                                            cfg)
             assert obj == ref_obj
             _assert_same_bits(grads, {k: ref_grads[k] for k in ("W3", "b3")})
-
-    def test_condinv_grad_adds_shares_into_zeroed_rows(self):
-        """A class's share that underflows to -0.0 lands as 0.0, as
-        ``grad[idx] += share`` on zeroed rows leaves it."""
-        labels = np.zeros(4, dtype=int)
-        batch = expt.make_batch(np.zeros((4, 2)), labels, np.array([0, 0, 1, 1]), 2, 1)
-        ms = (np.array([[-5e-324, 0.0]]),)  # centred codes are +-0.5: shares -0.0 and 0.0
-        h2 = np.ones((4, 1))
-        ref = np.zeros_like(h2)
-        for (idx, dc), m in zip(batch.classes, ms):
-            share = dc @ (2.0 * m.T) / idx.size
-            assert np.signbit(share).any() and not share.any()
-            ref[idx] += share
-        ref = ref * expt.PENALTY_SCALE
-        got = expt._condinv_grad(h2, batch, ms)
-        assert got.tobytes() == ref.tobytes()
 
 
 class TestTrain:
@@ -556,8 +550,8 @@ _PINNED_TRAINING_SHA256 = {
     "erm": "d025fc91e57970498cb2d5d117d6a37b75307693188fbe485873308b1a9436ff",
     "frozen": "b2768160cb52154b9fa2f2e3d3c7f59f069f05e782b93353952ae5b58f0f80dc",
     "group-dro": "b634a313624ab970bd9e3dace21c93bd92a234772d1d7b87df682fc9acc43294",
-    "coral": "86554e73705cdd1495f85f1792bd909c89c1b7552f4d88860711fe35116848e6",
-    "cond-invariance": "f5df4a1668d084ace10d2fb890744361026d6aca9ea659cd911470f937e21656",
+    "coral": "13e1369f72ea9b01bc274b929877a45477217b7b5c9eb0690f3f760ff12b8a71",
+    "cond-invariance": "6afd3f2af6183ff70617de8c8af72c6e6cd922b728ffda10d48f8629e181a32b",
 }
 
 
