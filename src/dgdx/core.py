@@ -353,16 +353,27 @@ def _parse_header(text, where):
     try:
         if int(obj["version"]) != _FORMAT_VERSION:
             raise DumpError(f"unsupported dump version {obj['version']}")
-        dim = int(obj["dim"])
-        num_classes = int(obj["num_classes"])
+        dim = _positive_int(obj, "dim", where)
+        num_classes = _positive_int(obj, "num_classes", where)
         domains = tuple(
             DomainMeta(int(d["id"]), str(d["name"]), str(d["role"])) for d in obj["domains"]
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, DumpError):
             raise
         raise DumpError(f"malformed header in {where}: {exc}") from exc
     return dim, num_classes, domains
+
+
+def _positive_int(header, name, where):
+    """Header field ``name``, which must be a JSON integer of at least 1."""
+    value = header[name]
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise DumpError(
+            f"malformed header in {where}: field {name!r} must be a positive integer, "
+            f"got {json.dumps(value)}"
+        )
+    return value
 
 
 def _record_dtype(dim):
@@ -421,9 +432,15 @@ def load_dump(path, format=FORMAT_BINARY):
             raise DumpError(f"{path}: truncated header")
         dim, num_classes, domains = _parse_header(_decode(blob[9 : 9 + hlen], 9, path), path)
         body = blob[9 + hlen :]
-        dtype = _record_dtype(dim)
+        try:
+            dtype = _record_dtype(dim)
+        except ValueError as exc:  # a record too long for a numpy dtype
+            raise DumpError(f"{path}: header field 'dim' is {dim}: {exc}") from exc
         if len(body) % dtype.itemsize != 0:
-            raise DumpError(f"{path}: record section is not a whole number of records")
+            raise DumpError(
+                f"{path}: record section is not a whole number of records ({len(body)} "
+                f"bytes, {dtype.itemsize} per record at the header field 'dim' {dim})"
+            )
         rec = np.frombuffer(body, dtype=dtype)
         ids = rec["domain"].astype(np.int64)
         splits = rec["split"].astype(np.uint8)
@@ -439,6 +456,14 @@ def load_dump(path, format=FORMAT_BINARY):
         body = lines[1:]
         if not any(body):
             raise DumpError(f"{path}: dataset has no samples")
+        # the first record's width checks the header's dim before it sizes a dtype
+        row, first = next((row, line) for row, line in enumerate(body, start=1) if line)
+        fields = first.count(",") + 1
+        if fields != 3 + dim:
+            raise DumpError(
+                f"{path}: dimension mismatch at row {row} (expected {3 + dim} fields, "
+                f"got {fields}): the header field 'dim' is {dim}"
+            )
         # a split flag wider than one character stays wider than one in U2, so it fails the check
         dtype = np.dtype(
             [("domain", "<i8"), ("split", "U2"), ("label", "<i8"), ("z", "<f4", (dim,))]
@@ -499,7 +524,15 @@ def _csv_fault(path, body, dim):
 
 def _build_checked(path, dim, num_classes, domains, ids, splits, labels, z, body=None):
     """Construct the dataset, turning a DatasetError into a DumpError.  Given
-    ``body``, a CSV record section, a faulty sample is named by its line."""
+    ``body``, a CSV record section, a faulty sample is named by its line.
+
+    A header claiming more classes than the dump has samples is refused
+    before anything is sized by the class count."""
+    if 0 < len(labels) < num_classes:
+        raise DumpError(
+            f"{path}: header field 'num_classes' is {num_classes}, "
+            f"more than the {len(labels)} samples"
+        )
     try:
         return RepresentationDataset(dim, num_classes, domains, ids, splits, labels, z)
     except DatasetError as exc:

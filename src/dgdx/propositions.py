@@ -16,8 +16,10 @@ and every implication can be verified numerically:
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +37,11 @@ class PartitionInstance:
     probe minimizing the training-domain error (lowest index on ties) unless
     ``head_index`` overrides it.  Domain classifiers need their own family
     because they have one output per domain rather than per class.
+
+    The instance holds read-only copies of ``points``, ``joint`` and the
+    families' parameters, so the exact losses it caches on first use
+    (``label_losses``, ``domain_predictions``) cannot go stale, and the
+    caller's arrays are left as they were.
     """
 
     points: np.ndarray  # (m, dim)
@@ -45,8 +52,15 @@ class PartitionInstance:
     head_index: int = None
 
     def __post_init__(self):
-        object.__setattr__(self, "points", np.asarray(self.points, dtype=np.float64))
-        object.__setattr__(self, "joint", np.asarray(self.joint, dtype=np.float64))
+        object.__setattr__(self, "points", _frozen(self.points, np.float64))
+        object.__setattr__(self, "joint", _frozen(self.joint, np.float64))
+        for name in ("label_family", "domain_family"):
+            family = getattr(self, name)
+            if family is not None:
+                # the caller's family, validated already, with read-only copies of its arrays
+                family = copy.copy(family)
+                family.weights, family.bias = _frozen(family.weights), _frozen(family.bias)
+                object.__setattr__(self, name, family)
         if self.points.ndim != 2 or self.points.shape[1] != self.label_family.dim:
             raise ValueError("points must have shape (num_points, label_family dim)")
         if self.joint.ndim != 3 or self.joint.shape[1] != self.points.shape[0]:
@@ -96,6 +110,19 @@ class PartitionInstance:
         """Per-domain point marginals, shape (K, m)."""
         return self.joint.sum(axis=2)
 
+    @cached_property
+    def label_losses(self):
+        """Each label-family probe's exact expected 0-1 loss in each domain,
+        ``(P, K)``; a subset's error is the mean of its columns."""
+        return _frozen(_label_losses(self, self.label_family.predict(self.points)))
+
+    @cached_property
+    def domain_predictions(self):
+        """Each domain-family probe's output at each point, ``(P, m)``."""
+        if self.domain_family is None:
+            raise ValueError("instance has no domain classifier family")
+        return _frozen(self.domain_family.predict(self.points))
+
     def to_dict(self):
         return {
             "points": self.points.tolist(),
@@ -142,25 +169,38 @@ def _is_index(i, n):
     return isinstance(i, (int, np.integer)) and not isinstance(i, bool) and 0 <= i < n
 
 
+def _frozen(values, dtype=None):
+    """A read-only copy of ``values``."""
+    out = np.array(values, dtype=dtype)
+    out.flags.writeable = False
+    return out
+
+
 # -- exact evaluation --------------------------------------------------------------
 
 
-def _mean_miss(preds, tables, correct):
-    """Mass each row of ``preds`` ``(P, m)`` misclassifies, averaged over the
+def _miss_mass(preds, tables, correct):
+    """Mass each row of ``preds`` ``(P, m)`` misclassifies in each of the
     ``K`` distributions ``tables`` ``(K, m, C)``, where column ``c`` of
-    distribution ``k`` is right for output ``correct[k, c]``.  Rows are summed
-    alike, so a probe's error is the same inside a search (``P > 1``) as alone."""
-    if len(tables) == 0:
-        raise ValueError("domain subset must be nonempty")
+    distribution ``k`` is right for output ``correct[k, c]``: ``(P, K)``.
+    Each sum sees its own row and distribution only, so a probe's loss is
+    the same inside a search (``P > 1``) as alone, whatever else is summed."""
     miss = preds[:, None, :, None] != correct[None, :, None, :]
-    return (tables * miss).sum(axis=(2, 3)).mean(axis=1)
+    return (tables * miss).sum(axis=(2, 3))
 
 
-def _label_errors(inst, domain_subset, preds):
-    """Equal-weight average over the subset of the exact expected 0-1 loss of
-    each row of predictions, ``(P,)``."""
-    tables = inst.joint[list(domain_subset)]
-    return _mean_miss(preds, tables, np.arange(inst.num_classes)[None, :])
+def _label_losses(inst, preds):
+    """Exact expected 0-1 loss of each row of predictions in each domain, ``(P, K)``."""
+    return _miss_mass(preds, inst.joint, np.arange(inst.num_classes)[None, :])
+
+
+def _subset_error(losses, domain_subset):
+    """Equal-weight average of the per-domain ``losses`` ``(P, K)`` over the
+    subset, ``(P,)``."""
+    subset = list(domain_subset)
+    if not subset:
+        raise ValueError("domain subset must be nonempty")
+    return losses[:, subset].mean(axis=1)
 
 
 def _domain_errors(inst, domain_subset, preds, conditional_class=None):
@@ -177,12 +217,14 @@ def _domain_errors(inst, domain_subset, preds, conditional_class=None):
                 "the conditional metric is undefined"
             )
         weights = inst.joint[subset, :, conditional_class] / pri[:, None]
-    return _mean_miss(preds, weights[:, :, None], np.arange(len(subset))[:, None])
+    losses = _miss_mass(preds, weights[:, :, None], np.arange(len(subset))[:, None])
+    return _subset_error(losses, range(len(subset)))
 
 
 def eval_F(inst, domain_subset, probe):
     """Equal-weight average over the subset of the exact expected 0-1 loss."""
-    return float(_label_errors(inst, domain_subset, probe.predict(inst.points)[None])[0])
+    losses = _label_losses(inst, probe.predict(inst.points)[None])
+    return float(_subset_error(losses, domain_subset)[0])
 
 
 def eval_G(inst, domain_subset, probe, conditional_class=None):
@@ -201,7 +243,7 @@ def _argmin(errs):
 
 
 def _best_label(inst, subset):
-    return _argmin(_label_errors(inst, subset, inst.label_family.predict(inst.points)))
+    return _argmin(_subset_error(inst.label_losses, subset))
 
 
 def _head(inst):
@@ -211,10 +253,7 @@ def _head(inst):
 
 
 def _best_domain(inst, subset, conditional_class=None):
-    if inst.domain_family is None:
-        raise ValueError("instance has no domain classifier family")
-    preds = inst.domain_family.predict(inst.points)
-    return _argmin(_domain_errors(inst, subset, preds, conditional_class))
+    return _argmin(_domain_errors(inst, subset, inst.domain_predictions, conditional_class))
 
 
 # -- proposition checks --------------------------------------------------------------
@@ -386,14 +425,16 @@ def check_partition_expectation(points, joint, label_family, n1, max_subsets=100
         train_idx=tuple(range(n1)),
         label_family=label_family,
     )
-    e0s, e1s = [], []
-    for s in itertools.combinations(range(k), n1):
-        sbar = tuple(i for i in range(k) if i not in s)
-        e0s.append(_best_label(base, s)[0])
-        e1s.append(_best_label(base, sbar)[0])
+    train = list(itertools.combinations(range(k), n1))
+    test = [tuple(i for i in range(k) if i not in s) for s in train]
+    # every split's subset errors at once, (P, splits, n1): each mean is
+    # _subset_error's, and the family minimum is the error _best_label finds
+    losses = base.label_losses
+    e0s = losses[:, train].mean(axis=2).min(axis=0)
+    e1s = losses[:, test].mean(axis=2).min(axis=0)
     mean_e0 = float(np.mean(e0s))
     mean_e1 = float(np.mean(e1s))
-    return PartitionExpectationReport(len(e0s), mean_e0, mean_e1, mean_e0 <= mean_e1 + 1e-9)
+    return PartitionExpectationReport(len(train), mean_e0, mean_e1, mean_e0 <= mean_e1 + 1e-9)
 
 
 # -- random instance constructors ------------------------------------------------------
@@ -433,8 +474,8 @@ def random_instance(
         else:
             pri = rng.dirichlet(np.ones(num_classes)) * 0.6 + 0.4 / num_classes
             pri = pri / pri.sum()
-        for y in range(num_classes):
-            joint[i, :, y] = pri[y] * rng.dirichlet(np.ones(n_points))
+        # one point distribution per class, drawn in class order
+        joint[i] = (pri[:, None] * rng.dirichlet(np.ones(n_points), size=num_classes)).T
     train_idx = tuple(sorted(rng.choice(n_domains, size=n_train, replace=False).tolist()))
     return PartitionInstance(points, joint, train_idx, label_family, domain_family)
 

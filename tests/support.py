@@ -1,5 +1,7 @@
 """Helpers that only the tests use."""
 
+import json
+
 import numpy as np
 
 from dgdx.core import LinearProbe
@@ -159,3 +161,63 @@ def best_linear01_error_2d(z, targets, weights=None):
             if m < best:
                 best = m
     return max(best, 0.0)
+
+
+# -- exact searches from scratch ---------------------------------------------------
+
+
+def reference_mean_miss(preds, tables, correct):
+    """Mass each row of ``preds`` ``(P, m)`` misclassifies, averaged over the
+    ``K`` distributions ``tables`` ``(K, m, C)``, where column ``c`` of
+    distribution ``k`` is right for output ``correct[k, c]``: the family
+    predicted again and only the subset's distributions summed, as the exact
+    searches did before a ``PartitionInstance`` cached its loss table."""
+    if len(tables) == 0:
+        raise ValueError("domain subset must be nonempty")
+    miss = preds[:, None, :, None] != correct[None, :, None, :]
+    return (tables * miss).sum(axis=(2, 3)).mean(axis=1)
+
+
+def _reference_argmin(errs):
+    idx = int(np.argmin(errs))
+    return float(errs[idx]), idx
+
+
+def reference_best_label(inst, subset):
+    """``(error, index)`` of the label-family minimum over ``subset``, from scratch."""
+    preds = inst.label_family.predict(inst.points)
+    tables = inst.joint[list(subset)]
+    correct = np.arange(inst.num_classes)[None, :]
+    return _reference_argmin(reference_mean_miss(preds, tables, correct))
+
+
+def reference_best_domain(inst, subset, conditional_class=None):
+    """``(error, index)`` of the domain-family minimum over the ordered
+    ``subset``, from scratch; domain ``subset[k]`` carries label ``k``."""
+    subset = list(subset)
+    if conditional_class is None:
+        weights = inst.joint.sum(axis=2)[subset]
+    else:
+        pri = inst.joint.sum(axis=1)[subset, conditional_class]
+        weights = inst.joint[subset, :, conditional_class] / pri[:, None]
+    preds = inst.domain_family.predict(inst.points)
+    correct = np.arange(len(subset))[:, None]
+    return _reference_argmin(reference_mean_miss(preds, weights[:, :, None], correct))
+
+
+# -- dump headers --------------------------------------------------------------------
+
+
+def rewrite_header(blob, edit):
+    """The dump ``blob`` (binary or CSV, told by its magic bytes) with its
+    JSON header parsed, passed to ``edit`` and written back."""
+    if blob[:4] == b"DGDX":
+        end = 9 + int.from_bytes(blob[5:9], "little")
+        header = json.loads(blob[9:end])
+        edit(header)
+        text = json.dumps(header).encode()
+        return blob[:5] + len(text).to_bytes(4, "little") + text + blob[end:]
+    first, rest = blob.split(b"\n", 1)
+    header = json.loads(first)
+    edit(header)
+    return json.dumps(header).encode() + b"\n" + rest

@@ -23,6 +23,7 @@ from dgdx.metrics import MetricConfig, csv_row
 from dgdx.scenarios import ScenarioSpec, generate
 
 from conftest import random_dataset
+from support import rewrite_header
 
 
 @pytest.fixture
@@ -122,6 +123,25 @@ class TestDiagnoseCommand:
         text = res.output + (res.stderr or "")
         assert "Traceback" not in text
         assert message in text
+
+
+@pytest.mark.parametrize("fmt", [FORMAT_BINARY, FORMAT_CSV])
+@pytest.mark.parametrize("field, value", [
+    ("dim", -1), ("dim", 2**40), ("dim", 1.5), ("dim", True), ("num_classes", 2**40),
+])
+def test_bad_header_size_exits_two_naming_the_field(runner, tmp_path, fmt, field, value):
+    dump = tmp_path / "reps"
+    save_dump(random_dataset(0, per_cell=8), dump, fmt)
+    dump.write_bytes(rewrite_header(dump.read_bytes(), lambda h: h.update({field: value})))
+    head = tmp_path / "head.json"
+    LinearProbe(np.zeros((2, 3)), np.zeros(2)).save(head)
+    res = runner.invoke(main, ["diagnose", "--dump", str(dump), "--head", str(head),
+                               "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    text = res.output + (res.stderr or "")
+    assert "Traceback" not in text
+    assert f"'{field}'" in text
 
 
 def _undecodable_dump(tmp_path, kind):

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -27,7 +28,7 @@ from dgdx.propositions import (
     SUITES,
 )
 
-from support import constant_probe
+from support import constant_probe, reference_best_domain, reference_best_label
 
 
 def _tiny_instance(seed=13, flip_mass=False):
@@ -274,6 +275,78 @@ class TestFamilySearch:
         assert idx < 2
         _, idx = _best_domain(tied, (0, 1, 2))
         assert idx < k
+
+
+def _ordered_subsets(k):
+    """Every nonempty subset of ``range(k)``, in every order."""
+    for size in range(1, k + 1):
+        yield from itertools.permutations(range(k), size)
+
+
+class TestLossTable:
+    @pytest.mark.parametrize("n_domains", [3, 4, 5])
+    @pytest.mark.parametrize("uniform", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_searches_equal_a_from_scratch_reference(self, seed, uniform, n_domains):
+        inst = random_instance(seed, n_domains=n_domains, n_points=6 + seed,
+                               num_classes=2 + seed, uniform_priors=uniform)
+        for subset in _ordered_subsets(n_domains):
+            assert _best_label(inst, subset) == reference_best_label(inst, subset)
+            for y in (None,) + tuple(range(inst.num_classes)):
+                expected = reference_best_domain(inst, subset, conditional_class=y)
+                assert _best_domain(inst, subset, conditional_class=y) == expected
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_partition_expectation_equals_a_split_by_split_reference(self, seed):
+        n1 = 2 + seed % 2
+        inst = random_instance(seed, n_domains=2 * n1, n_train=n1, n_points=6 + seed % 4)
+        e0s, e1s = [], []
+        for s in itertools.combinations(range(2 * n1), n1):
+            e0s.append(reference_best_label(inst, s)[0])
+            e1s.append(reference_best_label(inst, [i for i in range(2 * n1) if i not in s])[0])
+        rep = check_partition_expectation(inst.points, inst.joint, inst.label_family, n1)
+        assert (rep.mean_train_error, rep.mean_separability_error) == (
+            float(np.mean(e0s)), float(np.mean(e1s)))
+
+    def test_instance_arrays_are_read_only_copies(self):
+        inst = random_instance(4)
+        points, joint = inst.points.copy(), inst.joint.copy()
+        held = PartitionInstance(points, joint, inst.train_idx, inst.label_family,
+                                 inst.domain_family)
+        for arr in (held.points, held.joint, held.label_losses, held.domain_predictions,
+                    held.label_family.weights, held.domain_family.bias):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+        # the caller's arrays stay its own and writable
+        assert held.points is not points and held.joint is not joint
+        points[0] = 9.0
+        joint[0, 0, 0] = 9.0
+        assert not np.array_equal(held.points, points)
+        assert not np.array_equal(held.joint, joint)
+
+    def test_replaced_instance_builds_its_own_table(self):
+        inst = random_instance(8, n_domains=4)
+        inst.label_losses
+        moved = dataclasses.replace(inst, joint=inst.joint[::-1])
+        assert np.array_equal(moved.label_losses, inst.label_losses[:, ::-1])
+
+    def test_suite_evaluation_counts(self, monkeypatch):
+        # the benchmark's traced run counts eval_F and eval_G calls: each orderings
+        # trial calls eval_F for e2 and e3, each gated-in prop2 trial once for e3
+        from dgdx import propositions
+
+        calls = {"eval_F": 0, "eval_G": 0}
+        for name in calls:
+            original = getattr(propositions, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(propositions, name, counted)
+        for name in SUITES:
+            run_suite(name, trials=40, seed=0)
+        assert calls == {"eval_F": 3 * 40, "eval_G": 0}
 
 
 class TestSuites:
