@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -37,6 +39,7 @@ from dgdx.probe import (
     fit_probe,
     zero_one_error,
 )
+from dgdx.scenarios import KINDS, ScenarioSpec, generate
 
 from conftest import random_dataset
 from support import constant_probe
@@ -442,3 +445,72 @@ class TestCsvEmission:
         assert len(header) == len(row)
         assert header[:5] == ["beta_or_epoch", "e0", "e1", "e2", "e3"]
         assert row[0] == "7"
+
+
+# -- pinned diagnoses -------------------------------------------------------------
+
+
+def _pcg_dump():
+    """A 64-d, 2-class dump (2 training domains, 1 test) drawn with numpy
+    alone; every fit has 130 or more parameters, so each takes the CG path."""
+    rng = np.random.default_rng(64)
+    dim, per_cell = 64, 60
+    shift = rng.normal(0.0, 0.4, size=(3, 2, dim))
+    ids, splits, labels, zs = [], [], [], []
+    for d in range(3):
+        for y in range(2):
+            ids += [d] * per_cell
+            splits += [0] * (per_cell * 4 // 5) + [1] * (per_cell // 5)
+            labels += [y] * per_cell
+            zs.append(shift[d, y] + rng.normal(size=(per_cell, dim)))
+    domains = (DomainMeta(0, "a", ROLE_TRAIN), DomainMeta(1, "b", ROLE_TRAIN),
+               DomainMeta(2, "t", ROLE_TEST))
+    ds = RepresentationDataset(dim, 2, domains, ids, splits, labels,
+                               np.vstack(zs).astype(np.float32))
+    return ds, LinearProbe(rng.normal(size=(2, dim)), np.zeros(2))
+
+
+def _pinned_cases():
+    for kind in KINDS:
+        ds, exp = generate(ScenarioSpec(kind=kind, seed=0))
+        yield kind, ds, exp.head
+    yield ("pcg-64d",) + _pcg_dump()
+
+
+def _without_solver_bits(node):
+    """``node`` without the ``objective`` and ``grad_max`` entries, whose last
+    bits depend on the BLAS thread count."""
+    if isinstance(node, dict):
+        return {k: _without_solver_bits(v) for k, v in node.items()
+                if k not in ("objective", "grad_max")}
+    return node
+
+
+# each case's diagnosis.json fields, less the solver's last bits, hashed
+_PINNED_DIAGNOSIS_SHA256 = {
+    "underfit": "4479040816b05b76ec37c6df3461187515b8c1c93701c9221265a7af3b4f0f57",
+    "test-inseparable": "ef9385941127980c4723ddb2c2037bef35180be8e0e3ea00a54c869e0165697d",
+    "misaligned": "319bc981c0f71308cdb5625adad373b58bd908f5c32d958d8f442dfcd5e08b46",
+    "head-noninvariant": "057ea8ca44230708ef4f9f44f02a57fbf8ddc739caddb981af4deda4b320f687",
+    "success": "ecea3d9483d5f263c3bb75238935b62e9b518a79782e3c02c1f8a3db773d4988",
+    "inv-train-only-a": "0e752260e054d150eb750e36887691d4f7ee6b05d5490ba5e2ee8c48995589ee",
+    "inv-train-only-b": "8d8645640b13191850e0caeb9e2e4f331eb745c613e3ee98d918bdb711830e36",
+    "inv-train-only-c": "876f5765f62ced7a0dd158b0ba410b9bfc05c60e0c129cde88c1aa7e83ef6b16",
+    "inv-train-only-d": "359f8988e14aca157461de2babc96f5efcc9c610a81b398a9ef8c23d7b2adba8",
+    "inv-train-only-e": "5a11934d1b6a1317b96762b3b9eacac6595f89dcdea8f80b309951c583e08e1f",
+    "inv-all-a": "b32c89e016f3c77a3d792ad28482a5e18fa6db8ebe90ead291b939084d70e1b2",
+    "inv-all-b": "ff7ccb2afcf165b60c182dadce35763c50478f90cbf65f30941ceca6752c9839",
+    "inv-all-c": "67d9b8935224da0e6e02c9cb00839dc5534ad2ef4d23f477a3afa562b2e8f43f",
+    "inv-all-d": "e89fecd987005d440b4aac9af9b3d780e839e3deb7a00283adcc5e8ae7fccc5f",
+    "label-flipped": "5bd3fa9db1d8d1d33f9462876a182acf3174931fb282b8d1dd07eae4c196afea",
+    "pcg-64d": "060cf0319e72571135545cc2df8e6df0e0a4b641962f2a5ce1cb5523f3f6f91f",
+}
+
+
+def test_diagnoses_are_pinned():
+    digests = {}
+    for name, ds, head in _pinned_cases():
+        diag = diagnose(ds, head, MetricConfig(target_role=ROLE_TEST))
+        view = _without_solver_bits(diag.to_dict())
+        digests[name] = hashlib.sha256(json.dumps(view, sort_keys=True).encode()).hexdigest()
+    assert digests == _PINNED_DIAGNOSIS_SHA256
