@@ -240,21 +240,14 @@ def _training(run, target, samples_per_domain, seed, **fields):
 def cmd_train(target, out, **opts):
     """Train on the synthetic multi-domain dataset, export and diagnose."""
     out = _out_dir(out)
-
-    def run(raw, cfg, metric_cfg):
-        model = expt.train(raw, cfg)
-        ds = expt.export_representations(model, raw)
-        diag = diagnose(ds, model.head_probe(), metric_cfg)
-        return model, ds, diag, expt.model_error(model.final, raw)
-
-    model, ds, diag, train_error = _training(run, target, **opts)
+    model, ds, diag = _training(expt.train_and_diagnose, target, **opts)
     save_dump(ds, out / "representations.bin", FORMAT_BINARY)
     model.head_probe().save(out / "head.json")
     _write_json(out / "diagnosis.json", diag.to_dict())
     _write_csv(out / "diagnosis.csv", csv_header(("target",)), [csv_row(diag, (target,))])
     _write_json(out / "training.json", {
         "objective_trace": list(model.objective_trace),
-        "train_holdout_error": train_error,
+        "train_holdout_error": diag.e0_prime,
     })
     click.echo(str(out / "diagnosis.json"))
 
@@ -275,11 +268,9 @@ def cmd_sweep(algorithm, betas, target, out, **opts):
     out = _out_dir(out)
 
     def run(raw, base, metric_cfg):
-        return expt.sweep_beta(raw, algorithm, grid, base, metric_cfg)
+        return expt.sweep_beta(raw, grid, base, metric_cfg)
 
-    # sweep_beta sets the algorithm and beta of each point; the base must be
-    # valid on its own, and group-dro rejects beta 0
-    rows = _training(run, target, algorithm=expt.ALG_ERM, beta=0.0, **opts)
+    rows = _training(run, target, algorithm=algorithm, beta=grid[0], **opts)
     _write_csv(
         out / "sweep.csv",
         csv_header(("beta_or_epoch",)),
@@ -288,7 +279,7 @@ def cmd_sweep(algorithm, betas, target, out, **opts):
     _write_json(out / "sweep.json", {
         "algorithm": algorithm,
         "rows": [
-            {"beta": r.beta, "train_holdout_error": r.train_holdout_error,
+            {"beta": r.beta, "train_holdout_error": r.diagnosis.e0_prime,
              "diagnosis": r.diagnosis.to_dict()}
             for r in rows
         ],
@@ -310,8 +301,8 @@ def cmd_trajectory(target, out, **opts):
         [csv_row(d, (str(i + 1),)) for i, d in enumerate(result.diagnoses)],
     )
     _write_json(out / "correlations.json", {
-        "e3_prime_series": list(result.e3_series),
-        "d1_prime_series": list(result.d1_series),
+        "e3_prime_series": [d.e3_prime for d in result.diagnoses],
+        "d1_prime_series": [d.d1_prime for d in result.diagnoses],
         "pearson_e3_d1": result.e3_d1_correlation,
     })
     click.echo(str(out / "trajectory.csv"))

@@ -351,12 +351,15 @@ def _parse_header(text, where):
     except json.JSONDecodeError as exc:
         raise DumpError(f"malformed header in {where}: {exc}") from exc
     try:
-        if int(obj["version"]) != _FORMAT_VERSION:
-            raise DumpError(f"unsupported dump version {obj['version']}")
-        dim = _positive_int(obj, "dim", where)
-        num_classes = _positive_int(obj, "num_classes", where)
+        version = _json_int(obj["version"], "'version'", where)
+        if version != _FORMAT_VERSION:
+            raise DumpError(f"unsupported dump version {version}")
+        dim = _json_int(obj["dim"], "'dim'", where, positive=True)
+        num_classes = _json_int(obj["num_classes"], "'num_classes'", where, positive=True)
         domains = tuple(
-            DomainMeta(int(d["id"]), str(d["name"]), str(d["role"])) for d in obj["domains"]
+            DomainMeta(_json_int(d["id"], f"'id' of 'domains' entry {i + 1}", where), str(d["name"]),
+                       str(d["role"]))
+            for i, d in enumerate(obj["domains"])
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, DumpError):
@@ -365,13 +368,12 @@ def _parse_header(text, where):
     return dim, num_classes, domains
 
 
-def _positive_int(header, name, where):
-    """Header field ``name``, which must be a JSON integer of at least 1."""
-    value = header[name]
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+def _json_int(value, field, where, positive=False):
+    """Header ``field``'s ``value``, a JSON integer (at least 1 if ``positive``)."""
+    if isinstance(value, bool) or not isinstance(value, int) or (positive and value < 1):
+        kind = "a positive integer" if positive else "an integer"
         raise DumpError(
-            f"malformed header in {where}: field {name!r} must be a positive integer, "
-            f"got {json.dumps(value)}"
+            f"malformed header in {where}: field {field} must be {kind}, got {json.dumps(value)}"
         )
     return value
 
@@ -382,9 +384,16 @@ def _record_dtype(dim):
 
 def save_dump(ds, path, format=FORMAT_BINARY):
     """Write a dataset dump. Binary dumps round-trip bit exactly; CSV dumps
-    carry 9 significant digits, which is lossless for float32 values."""
+    carry 9 significant digits, which is lossless for float32 values.  A
+    binary record's u32 fields refuse a domain id or label outside
+    ``[0, 2**32)`` with a DumpError naming the first, before any write."""
     header = json.dumps(_header_dict(ds), separators=(",", ":"))
     if format == FORMAT_BINARY:
+        for name, values in (("domain id", ds.domain_ids), ("label", ds.labels)):
+            bad = np.flatnonzero((values < 0) | (values > np.iinfo(np.uint32).max))
+            if bad.size:
+                raise DumpError(f"{name} {values[bad[0]]} at row {bad[0] + 1} does not fit a "
+                                "binary dump's u32 field; the CSV format holds it")
         rec = np.empty(ds.num_samples, dtype=_record_dtype(ds.dim))
         rec["domain"] = ds.domain_ids
         rec["split"] = ds.splits

@@ -36,7 +36,7 @@ from .core import (
     SPLIT_FIT,
     SPLIT_HOLDOUT,
 )
-from .metrics import ConstantSeriesError, MetricConfig, diagnose, pearson
+from .metrics import ConstantSeriesError, diagnose, pearson
 
 ALG_ERM = "erm"
 ALG_CORAL = "coral"
@@ -57,6 +57,9 @@ SIGNAL_SCALE = 0.8
 # invariant color subspace, of dimension color_dim - (training domains - 1)
 # x classes = 50 - 6 (see the module docstring)
 PENALTY_SCALE = 30.0
+
+# L2 weight decay on the weight matrices, in every objective
+WEIGHT_DECAY = 0.01
 
 PARAM_KEYS = ("W1", "b1", "W2", "b2", "W3", "b3")
 FEATURE_KEYS = ("W1", "b1", "W2", "b2")
@@ -157,7 +160,6 @@ class TrainConfig:
     epochs: int = 10
     steps_per_epoch: int = 50
     learning_rate: float = 0.05
-    weight_decay: float = 0.01
     hidden_width: int = 32
     seed: int = 0
     freeze_features: bool = False
@@ -186,7 +188,6 @@ CRITERION_FIXTURE_CONFIG = TrainConfig(
     epochs=10,
     steps_per_epoch=500,
     learning_rate=0.2,
-    weight_decay=0.01,
     hidden_width=12,
     seed=0,
 )
@@ -195,7 +196,6 @@ CRITERION_FIXTURE_CONFIG = TrainConfig(
 @dataclass(frozen=True)
 class TrainedModel:
     checkpoints: tuple  # one param dict per epoch
-    config: TrainConfig
     objective_trace: tuple
 
     @property
@@ -208,8 +208,9 @@ class TrainedModel:
         return LinearProbe(params["W3"].T, params["b3"])
 
 
-def pretrained_invariant_model(spec, hidden_width=12, seed=0):
-    """A stand-in for an externally pretrained extractor to freeze.
+def pretrained_invariant_params(spec, hidden_width=12, seed=0):
+    """The parameters of a stand-in for an externally pretrained extractor
+    to freeze.
 
     The first layer projects onto the class-signal block only (random
     nonnegative-friendly combinations with zero color weights), so its
@@ -223,7 +224,7 @@ def pretrained_invariant_model(spec, hidden_width=12, seed=0):
     w1 = np.zeros((spec.input_dim, h))
     w1[: spec.signal_dim, :] = rng.normal(0.0, np.sqrt(2.0 / spec.signal_dim),
                                           size=(spec.signal_dim, h))
-    params = {
+    return {
         "W1": w1,
         "b1": np.full(h, 0.1),
         "W2": rng.normal(0.0, np.sqrt(2.0 / h), size=(h, h)),
@@ -231,8 +232,6 @@ def pretrained_invariant_model(spec, hidden_width=12, seed=0):
         "W3": np.zeros((h, spec.num_classes)),
         "b3": np.zeros(spec.num_classes),
     }
-    cfg = TrainConfig(hidden_width=h, seed=seed, freeze_features=True)
-    return TrainedModel((params,), cfg, (float("nan"),))
 
 
 def init_params(input_dim, hidden_width, num_classes, seed):
@@ -481,9 +480,8 @@ def objective(params, batch, cfg):
         data_term = nll.mean()
 
     obj = data_term + cfg.beta * penalty
-    wd = cfg.weight_decay
     for key in ("W1", "W2", "W3"):
-        obj += 0.5 * wd * float((params[key] ** 2).sum())
+        obj += 0.5 * WEIGHT_DECAY * float((params[key] ** 2).sum())
     return obj, ObjectiveState(params, (pre1, h1, pre2, h2, logits), (e, esum), q,
                                penalty_state)
 
@@ -509,7 +507,7 @@ def objective_gradient(state, batch, cfg):
     else:
         dlogits /= n
 
-    wd = cfg.weight_decay
+    wd = WEIGHT_DECAY
     grads = {"W3": h2.T @ dlogits + wd * params["W3"], "b3": dlogits.sum(axis=0)}
     if batch.frozen is not None:
         return grads
@@ -550,7 +548,7 @@ def _fit_batch(raw):
     return raw.x[idx], raw.labels[idx], pos, len(train_ids)
 
 
-def train(raw, cfg, init_model=None):
+def train(raw, cfg, start=None):
     """Full-batch line-searched gradient descent; one checkpoint per epoch.
 
     The backtracking (Armijo) line search evaluates only the objective at
@@ -565,18 +563,19 @@ def train(raw, cfg, init_model=None):
     that never backtracks takes ``cfg.learning_rate`` on every step.  The
     batch, with its constants and the workspace every evaluation writes
     into, is built once per call.
-    With ``freeze_features`` only the head moves (features stay at their
-    initialization, or at ``init_model``'s final checkpoint when given,
-    which is how a pretrained frozen extractor is expressed); the last
-    hidden layer is then computed once (``frozen_batch``), and trials and
-    gradients evaluate only the head.  Deterministic per seed.  Raises
+    Training starts from the parameter dict ``start`` when given, else from
+    ``init_params``.  With ``freeze_features`` only the head moves (features
+    stay at their start, which is how a pretrained frozen extractor is
+    expressed; see ``pretrained_invariant_params``); the last hidden layer is
+    then computed once (``frozen_batch``), and trials and gradients evaluate
+    only the head.  Deterministic per seed.  Raises
     DivergenceError, naming the epoch, if the objective stops being finite;
     the overflow on the way there raises no numpy warning.
     """
     x, labels, pos, n_groups = _fit_batch(raw)
     batch = make_batch(x, labels, pos, n_groups, raw.spec.num_classes)
-    if init_model is not None:
-        params = {k: v.copy() for k, v in init_model.final.items()}
+    if start is not None:
+        params = {k: v.copy() for k, v in start.items()}
     else:
         params = init_params(raw.spec.input_dim, cfg.hidden_width, raw.spec.num_classes, cfg.seed)
     if params["W1"].shape[0] != raw.spec.input_dim:
@@ -593,13 +592,13 @@ def train(raw, cfg, init_model=None):
             raise DivergenceError("objective non-finite at epoch 1 (before any update)")
         grads = objective_gradient(state, batch, cfg)
         checkpoints, trace = [], []
-        start = cfg.learning_rate
+        first_trial = cfg.learning_rate
         for epoch in range(cfg.epochs):
             for _ in range(cfg.steps_per_epoch):
                 gnorm2 = sum(float((grads[k] ** 2).sum()) for k in moving)
                 if gnorm2 == 0.0:
                     break
-                step = start
+                step = first_trial
                 accepted = False
                 for trial in range(40):
                     cand = dict(params)
@@ -616,15 +615,14 @@ def train(raw, cfg, init_model=None):
                     step *= 0.5
                 if not accepted:
                     break  # no descent step at float resolution; plateau reached
-                start = min(cfg.learning_rate, 2.0 * step) if trial == 0 else step
+                first_trial = min(cfg.learning_rate, 2.0 * step) if trial == 0 else step
             checkpoints.append({k: v.copy() for k, v in params.items()})
             trace.append(float(obj))
-    return TrainedModel(tuple(checkpoints), cfg, tuple(trace))
+    return TrainedModel(tuple(checkpoints), tuple(trace))
 
 
-def export_representations(params_or_model, raw):
+def export_representations(params, raw):
     """Dump-format dataset of last-hidden-layer outputs for every sample."""
-    params = params_or_model.final if isinstance(params_or_model, TrainedModel) else params_or_model
     reps = representations(params, raw.x)
     return RepresentationDataset(
         dim=reps.shape[1],
@@ -637,70 +635,57 @@ def export_representations(params_or_model, raw):
     )
 
 
-def model_error(params, raw, roles=(ROLE_TRAIN,), split=SPLIT_HOLDOUT):
-    """Domain-equal 0-1 error of the full model on the selected samples."""
-    errs = []
-    for dm in raw.domains:
-        if dm.role not in roles:
-            continue
-        m = (raw.splits == split) & (raw.domain_ids == dm.id)
-        logits = forward(params, raw.x[m])[4]
-        errs.append(float((logits.argmax(axis=1) != raw.labels[m]).mean()))
-    return float(np.mean(errs))
-
-
 # -- sweeps and trajectories -----------------------------------------------------------
+
+
+def train_and_diagnose(raw, cfg, metric_cfg):
+    """Train under ``cfg``, export the final checkpoint's representations and
+    diagnose them against its head: ``(model, dataset, diagnosis)``.  The
+    steps are module globals looked up at call time, so wrappers see them."""
+    model = train(raw, cfg)
+    ds = export_representations(model.final, raw)
+    return model, ds, diagnose(ds, model.head_probe(), metric_cfg)
 
 
 @dataclass(frozen=True)
 class SweepRow:
     beta: float
     diagnosis: object
-    train_holdout_error: float
 
 
-def sweep_beta(raw, algorithm, betas, base_cfg=None, metric_cfg=None):
-    """One full training plus diagnosis per regularization strength."""
+def sweep_beta(raw, betas, base_cfg, metric_cfg):
+    """One ``train_and_diagnose`` per regularization strength, each with
+    ``base_cfg``'s algorithm and other settings."""
     if len(betas) == 0:
         raise ValueError("beta grid must be nonempty")
-    base_cfg = base_cfg or TrainConfig()
-    metric_cfg = metric_cfg or MetricConfig(target_role=ROLE_VALID)
     rows = []
     for beta in betas:
-        cfg = replace(base_cfg, algorithm=algorithm, beta=float(beta))
-        model = train(raw, cfg)
-        ds = export_representations(model, raw)
-        diag = diagnose(ds, model.head_probe(), metric_cfg)
-        rows.append(SweepRow(float(beta), diag, model_error(model.final, raw)))
+        _, _, diag = train_and_diagnose(raw, replace(base_cfg, beta=float(beta)), metric_cfg)
+        rows.append(SweepRow(float(beta), diag))
     return rows
 
 
 @dataclass(frozen=True)
 class TrajectoryResult:
     diagnoses: tuple
-    e3_series: tuple
-    d1_series: tuple
     e3_d1_correlation: float = None  # None when undefined (constant series)
 
 
-def trajectory(raw, cfg, metric_cfg=None):
-    """Diagnose every per-epoch checkpoint and correlate test error with
-    union distinguishability along the way."""
+def trajectory(raw, cfg, metric_cfg):
+    """Diagnose every per-epoch checkpoint and correlate test error (e3')
+    with union distinguishability (d1') along the way."""
     if cfg.epochs < 2:
         raise ValueError("trajectory needs at least 2 epochs")
-    metric_cfg = metric_cfg or MetricConfig(target_role=ROLE_VALID)
     model = train(raw, cfg)
     diags = []
     for i in range(len(model.checkpoints)):
         ds = export_representations(model.checkpoints[i], raw)
         diags.append(diagnose(ds, model.head_probe(i), metric_cfg))
-    e3s = tuple(d.e3_prime for d in diags)
-    d1s = tuple(d.d1_prime for d in diags)
     try:
-        corr = pearson(e3s, d1s)
+        corr = pearson([d.e3_prime for d in diags], [d.d1_prime for d in diags])
     except ConstantSeriesError:
         corr = None
-    return TrajectoryResult(tuple(diags), e3s, d1s, corr)
+    return TrajectoryResult(tuple(diags), corr)
 
 
 # -- PCA ---------------------------------------------------------------------------------

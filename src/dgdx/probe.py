@@ -70,7 +70,6 @@ class FitRecord:
     grad_max: float
     converged: bool
     n_points: int
-    mode: str = "fit"
     start: LinearProbe = field(default=None, compare=False, repr=False)
 
     def to_dict(self):
@@ -80,7 +79,7 @@ class FitRecord:
             "grad_max": self.grad_max,
             "converged": self.converged,
             "n_points": self.n_points,
-            "mode": self.mode,
+            "mode": "fit",
         }
 
 

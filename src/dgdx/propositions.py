@@ -28,7 +28,7 @@ from .probe import FiniteProbeFamily
 _EXACT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PartitionInstance:
     """A finite domain family with exact distributions over a shared support.
 
@@ -41,7 +41,8 @@ class PartitionInstance:
     The instance holds read-only copies of ``points``, ``joint`` and the
     families' parameters, so the exact losses it caches on first use
     (``label_losses``, ``domain_predictions``) cannot go stale, and the
-    caller's arrays are left as they were.
+    caller's arrays are left as they were.  Instances compare and hash by
+    identity.
     """
 
     points: np.ndarray  # (m, dim)
@@ -439,6 +440,10 @@ def check_partition_expectation(points, joint, label_family, n1, max_subsets=100
 
 # -- random instance constructors ------------------------------------------------------
 
+_FAMILY_SIZE = 20  # probes per family of a random_instance
+# the precondition-satisfying instances' probes per family, domains and point dim
+_PREMISE_FAMILY_SIZE, _PREMISE_DOMAINS, _PREMISE_DIM = 12, 3, 2
+
 
 def _random_family(rng, num_outputs, dim, size):
     # the constants, then random probes, each drawing its weights and then its bias
@@ -450,23 +455,15 @@ def _random_family(rng, num_outputs, dim, size):
     return FiniteProbeFamily(weights, bias)
 
 
-def random_instance(
-    seed,
-    n_domains=4,
-    n_train=2,
-    n_points=8,
-    dim=2,
-    num_classes=2,
-    family_size=20,
-    uniform_priors=True,
-):
+def random_instance(seed, n_domains=4, n_train=2, n_points=8, dim=2, num_classes=2,
+                    uniform_priors=True):
     """A generic random instance: random support, random probability tables,
     random probe families.  Uniform priors give each class exactly 1/C mass
     in every domain."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, 101)))
     points = rng.normal(0.0, 1.0, size=(n_points, dim))
-    label_family = _random_family(rng, num_classes, dim, family_size)
-    domain_family = _random_family(rng, n_domains, dim, family_size)
+    label_family = _random_family(rng, num_classes, dim, _FAMILY_SIZE)
+    domain_family = _random_family(rng, n_domains, dim, _FAMILY_SIZE)
     joint = np.zeros((n_domains, n_points, num_classes))
     for i in range(n_domains):
         if uniform_priors:
@@ -480,49 +477,49 @@ def random_instance(
     return PartitionInstance(points, joint, train_idx, label_family, domain_family)
 
 
-def _labelled_points(rng, n_points, dim, num_classes, family_size):
+def _labelled_points(rng, n_points, num_classes):
     """Points, a random family and the labels a random member gives them,
     redrawn (at most 64 times) until two classes appear."""
     for _ in range(64):
-        points = rng.normal(0.0, 1.0, size=(n_points, dim))
-        family = _random_family(rng, num_classes, dim, family_size)
+        points = rng.normal(0.0, 1.0, size=(n_points, _PREMISE_DIM))
+        family = _random_family(rng, num_classes, _PREMISE_DIM, _PREMISE_FAMILY_SIZE)
         labels = family[int(rng.integers(len(family)))].predict(points)
         if np.unique(labels).size >= 2:
             break
     return points, family, labels
 
 
-def make_prop1_instance(seed, n_domains=3, n_points=8, dim=2, num_classes=2, family_size=12):
+def make_prop1_instance(seed, n_points=8, num_classes=2):
     """Precondition-satisfying instance: one shared point marginal for every
     domain and labels assigned by a family probe (so a common zero-error
     classifier exists by construction)."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, 102)))
-    points, family, labels = _labelled_points(rng, n_points, dim, num_classes, family_size)
+    points, family, labels = _labelled_points(rng, n_points, num_classes)
     joint_one = np.zeros((n_points, num_classes))
     joint_one[np.arange(n_points), labels] = rng.dirichlet(np.ones(n_points))
-    joint = np.repeat(joint_one[None, :, :], n_domains, axis=0)
+    joint = np.repeat(joint_one[None, :, :], _PREMISE_DOMAINS, axis=0)
     return PartitionInstance(points, joint, (0,), family, None)
 
 
-def make_prop2_instance(seed, n_domains=3, n_train=2, n_points=8, dim=2, num_classes=2,
-                        family_size=12):
+def make_prop2_instance(seed, n_points=8, num_classes=2):
     """Precondition-satisfying instance: class-conditional point distributions
     shared across domains (class priors may differ), labels realizable with
-    zero error by a family probe."""
+    zero error by a family probe.  All domains but the last are training
+    domains."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, 103)))
-    points, family, labels = _labelled_points(rng, n_points, dim, num_classes, family_size)
+    points, family, labels = _labelled_points(rng, n_points, num_classes)
     present = np.unique(labels)
     cond = np.zeros((num_classes, n_points))
     for y in present:
         mask = labels == y
         cond[y, mask] = rng.dirichlet(np.ones(int(mask.sum())))
-    joint = np.zeros((n_domains, n_points, num_classes))
-    for i in range(n_domains):
+    joint = np.zeros((_PREMISE_DOMAINS, n_points, num_classes))
+    for i in range(_PREMISE_DOMAINS):
         pri = rng.dirichlet(np.ones(present.size)) * 0.6 + 0.4 / present.size
         pri = pri / pri.sum()
         for j, y in enumerate(present):
             joint[i, :, y] = pri[j] * cond[y]
-    return PartitionInstance(points, joint, tuple(range(n_train)), family, None)
+    return PartitionInstance(points, joint, tuple(range(_PREMISE_DOMAINS - 1)), family, None)
 
 
 # -- randomized suites -----------------------------------------------------------------

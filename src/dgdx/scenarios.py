@@ -209,7 +209,8 @@ def _head_noninvariant(n1):
 _Y_HEAD = ((0.0, 1.0), 0.0)
 _X_HEAD = ((1.0, 0.0), 0.0)
 _SPLIT = _fixed(_x_split())
-_INV_TRAIN = "d0_prime<= d1_prime>= "
+# the invariance predicates every inv-train-only kind shares
+_INV_PREDS = "d0_prime<= d1_prime>= "
 
 _LAYOUTS = {
     # Fig. 1 kinds: training domain j sits at x = j
@@ -222,13 +223,13 @@ _LAYOUTS = {
     KIND_SUCCESS: (_y_split, _beside(_y_split), _Y_HEAD, "e0<= e1<= e2<= e3<= d0_prime>= d2<="),
     # training domains coincide (invariant among themselves); distinct test
     # offsets keep the union distinguishable
-    "inv-train-only-a": (_fixed(_merged()), _above(_merged), _X_HEAD, _INV_TRAIN + "e0>="),
-    "inv-train-only-b": (_SPLIT, _above(_merged), _X_HEAD, _INV_TRAIN + "e0<= e1>="),
-    "inv-train-only-c": (_SPLIT, _above(_x_flip), _X_HEAD, _INV_TRAIN + "e0<= e1<= e2>="),
+    "inv-train-only-a": (_fixed(_merged()), _above(_merged), _X_HEAD, _INV_PREDS + "e0>="),
+    "inv-train-only-b": (_SPLIT, _above(_merged), _X_HEAD, _INV_PREDS + "e0<= e1>="),
+    "inv-train-only-c": (_SPLIT, _above(_x_flip), _X_HEAD, _INV_PREDS + "e0<= e1<= e2>="),
     "inv-train-only-d": (
-        _SPLIT, _above(_x_split), ((1.0, 0.5), 0.0), _INV_TRAIN + "e0<= e1<= e2<= e3>="
+        _SPLIT, _above(_x_split), ((1.0, 0.5), 0.0), _INV_PREDS + "e0<= e1<= e2<= e3>="
     ),
-    "inv-train-only-e": (_SPLIT, _above(_x_split), _X_HEAD, _INV_TRAIN + "e0<= e1<= e2<= e3<="),
+    "inv-train-only-e": (_SPLIT, _above(_x_split), _X_HEAD, _INV_PREDS + "e0<= e1<= e2<= e3<="),
     # every domain has the same marginal over the plane; only the
     # class-conditional structure varies
     "inv-all-a": (_fixed(_merged()), _fixed(_merged()), _X_HEAD, "d1_prime<= e0>="),

@@ -6,6 +6,7 @@ Run with ``pytest tests/test_acceptance.py -v -s``.
 import math
 import time
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -117,8 +118,7 @@ def test_criterion_5_gradient_checks():
     worst = {}
     for alg, beta in (("erm", 0.0), ("coral", 1.3), ("cond-invariance", 0.7),
                       ("group-dro", 2.0)):
-        cfg = expt.TrainConfig(algorithm=alg, beta=beta, hidden_width=8,
-                               weight_decay=0.01)
+        cfg = expt.TrainConfig(algorithm=alg, beta=beta, hidden_width=8)
         rng = np.random.default_rng(zlib.crc32(alg.encode()))
         wrel = 0.0
         for point in range(20):
@@ -159,24 +159,20 @@ def test_criterion_6_qualitative_pattern():
     mc = MetricConfig(target_role=ROLE_VALID)
 
     erm_cfg = expt.CRITERION_FIXTURE_CONFIG
-    model = expt.train(raw, erm_cfg)
-    train_err = expt.model_error(model.final, raw)
-    erm_diag = diagnose(expt.export_representations(model, raw), model.head_probe(), mc)
+    _, _, erm_diag = expt.train_and_diagnose(raw, erm_cfg, mc)
+    train_err = erm_diag.e0_prime
     erm_ok = (train_err <= 0.1 and erm_diag.e3_prime >= 0.5
               and erm_diag.d0_prime <= 0.1 and erm_diag.d1_prime >= 0.3)
 
     base = expt.CRITERION_FIXTURE_CONFIG
-    rows = expt.sweep_beta(raw, expt.ALG_COND_INVARIANCE, expt.BETA_GRID, base, mc)
+    rows = expt.sweep_beta(raw, expt.BETA_GRID, replace(base, algorithm=expt.ALG_COND_INVARIANCE),
+                           mc)
     best = min(rows, key=lambda r: r.diagnosis.e3_prime)
-    gap = best.diagnosis.e3_prime - best.train_holdout_error
+    gap = best.diagnosis.e3_prime - best.diagnosis.e0_prime
     best_ok = gap <= 0.1 and best.diagnosis.d1_prime <= 0.1
 
-    from dataclasses import replace
-
     collapse_cfg = replace(base, algorithm=expt.ALG_COND_INVARIANCE, beta=1e6)
-    collapse = expt.train(raw, collapse_cfg)
-    cdiag = diagnose(expt.export_representations(collapse, raw),
-                     collapse.head_probe(), mc)
+    _, _, cdiag = expt.train_and_diagnose(raw, collapse_cfg, mc)
     collapse_ok = cdiag.e0_prime >= 0.3
 
     elapsed = time.time() - t0
@@ -196,12 +192,10 @@ def test_criterion_7_frozen_feature_protocol():
     closes onto the misalignment lower bound."""
     t0 = time.time()
     raw = expt.make_dataset(expt.CRITERION_FIXTURE_SPEC)
-    pretrained = expt.pretrained_invariant_model(expt.CRITERION_FIXTURE_SPEC,
-                                                 hidden_width=12, seed=0)
-    from dataclasses import replace
-
+    pretrained = expt.pretrained_invariant_params(expt.CRITERION_FIXTURE_SPEC,
+                                                  hidden_width=12, seed=0)
     cfg = replace(expt.CRITERION_FIXTURE_CONFIG, freeze_features=True)
-    model = expt.train(raw, cfg, init_model=pretrained)
+    model = expt.train(raw, cfg, start=pretrained)
     mc = MetricConfig(target_role=ROLE_VALID)
     diags = []
     for i in range(len(model.checkpoints)):

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import dgdx
 from dgdx import expt
 from dgdx.cli import main
 from dgdx.core import (
@@ -408,6 +413,40 @@ def test_malformed_head_exits_two_naming_the_file(runner, tmp_path, text):
     assert "bad_head.json" in res.output
 
 
+@pytest.mark.parametrize("fmt", [FORMAT_BINARY, FORMAT_CSV])
+@pytest.mark.parametrize("field, value", [
+    ("version", 1.5), ("version", True), ("version", "1"), ("version", float("inf")),
+    ("id", 0.5), ("id", "0"), ("id", False), ("id", float("-inf")),
+])
+def test_non_integer_header_field_exits_two_naming_it(runner, tmp_path, fmt, field, value):
+    dump = tmp_path / "dump"
+    save_dump(random_dataset(0), dump, fmt)
+
+    def edit(header):
+        (header["domains"][0] if field == "id" else header)[field] = value
+
+    dump.write_bytes(rewrite_header(dump.read_bytes(), edit))
+    head = tmp_path / "head.json"
+    LinearProbe(np.zeros((2, 3)), np.zeros(2)).save(head)
+    res = runner.invoke(main, ["diagnose", "--dump", str(dump), "--head", str(head),
+                               "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+    assert f"field '{field}'" in res.output
+
+
+def test_importing_the_cli_loads_no_scipy():
+    src = str(Path(dgdx.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, dgdx.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 class TestPcaCommand:
     def test_2d_dump_full_variance(self, runner, tmp_path):
         dump, _ = _scenario_files(tmp_path, kind="success", spc=40)
@@ -460,11 +499,10 @@ class TestTrainSweepTrajectory:
                                    "--out", str(tmp_path)])
         assert res.exit_code == 0, res.output
         raw = expt.make_dataset(expt.SyntheticColoredSpec(seed=1, samples_per_domain=90))
-        base = expt.TrainConfig(epochs=2, steps_per_epoch=5, learning_rate=0.1,
-                                hidden_width=8, seed=1)
-        rows = expt.sweep_beta(raw, "group-dro", [0.5, 2.0], base,
-                               MetricConfig(target_role=ROLE_VALID))
-        expected = [{"beta": r.beta, "train_holdout_error": r.train_holdout_error,
+        base = expt.TrainConfig(algorithm="group-dro", beta=0.5, epochs=2, steps_per_epoch=5,
+                                learning_rate=0.1, hidden_width=8, seed=1)
+        rows = expt.sweep_beta(raw, [0.5, 2.0], base, MetricConfig(target_role=ROLE_VALID))
+        expected = [{"beta": r.beta, "train_holdout_error": r.diagnosis.e0_prime,
                      "diagnosis": r.diagnosis.to_dict()} for r in rows]
         report = json.loads((tmp_path / "sweep.json").read_text())
         assert report["rows"] == json.loads(json.dumps(expected))

@@ -201,6 +201,43 @@ class TestCsvDumpDamage:
         assert isinstance(ds, RepresentationDataset)
 
 
+class TestBinaryRecordRange:
+    """A binary record's domain and label fields are unsigned 32-bit, so
+    ``save_dump`` refuses what they cannot hold; CSV holds it."""
+
+    @pytest.mark.parametrize("bad_id", [-1, 2**32 + 1])
+    def test_out_of_range_domain_id_is_refused_naming_it(self, tmp_path, bad_id):
+        ds = random_dataset(0)  # domains 0 and 1 train, 2 test
+        ids = np.where(ds.domain_ids == 2, bad_id, ds.domain_ids)
+        domains = ds.domains[:2] + (DomainMeta(bad_id, "t", "test"),)
+        odd = RepresentationDataset(ds.dim, ds.num_classes, domains, ids, ds.splits,
+                                    ds.labels, ds.z)
+        save_dump(odd, tmp_path / "d.csv", FORMAT_CSV)
+        loaded = load_dump(tmp_path / "d.csv", FORMAT_CSV)
+        assert loaded.equals(odd)
+        row = int(np.flatnonzero(ids == bad_id)[0]) + 1
+        with pytest.raises(DumpError, match=f"domain id {bad_id} at row {row} does not fit"):
+            save_dump(loaded, tmp_path / "d.bin", FORMAT_BINARY)
+        assert not (tmp_path / "d.bin").exists()
+
+    def test_label_beyond_u32_is_refused_naming_it(self, tmp_path):
+        ds = random_dataset(0)
+        labels = np.where(ds.labels == 1, 2**32, ds.labels)
+        odd = RepresentationDataset(ds.dim, 2**32 + 1, ds.domains, ds.domain_ids, ds.splits,
+                                    labels, ds.z)
+        with pytest.raises(DumpError, match=f"label {2**32} at row 9 does not fit"):
+            save_dump(odd, tmp_path / "d.bin", FORMAT_BINARY)
+
+    def test_largest_id_round_trips(self, tmp_path):
+        ds = random_dataset(0)
+        ids = np.where(ds.domain_ids == 2, 2**32 - 1, ds.domain_ids)
+        domains = ds.domains[:2] + (DomainMeta(2**32 - 1, "t", "test"),)
+        edge = RepresentationDataset(ds.dim, ds.num_classes, domains, ids, ds.splits,
+                                     ds.labels, ds.z)
+        save_dump(edge, tmp_path / "d.bin", FORMAT_BINARY)
+        assert load_dump(tmp_path / "d.bin", FORMAT_BINARY).equals(edge)
+
+
 class TestHeaderSizes:
     @pytest.mark.parametrize("fmt", [FORMAT_BINARY, FORMAT_CSV])
     @pytest.mark.parametrize(

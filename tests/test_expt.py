@@ -48,8 +48,8 @@ class TestMakeDataset:
 
     def test_balanced_classes_pass_label_shift_at_zero_tol(self):
         raw = expt.make_dataset(SMALL_SPEC)
-        model = expt.init_params(SMALL_SPEC.input_dim, 6, 3, 0)
-        ds = expt.export_representations(model, raw)
+        params = expt.init_params(SMALL_SPEC.input_dim, 6, 3, 0)
+        ds = expt.export_representations(params, raw)
         assert validate_no_label_shift(ds, tol=0.0).passed
 
     def test_different_seeds_different_colors(self):
@@ -189,7 +189,7 @@ def _fused_objective_and_grad(params, x, labels, domain_pos, n_groups, num_class
         penalty *= scale
 
     obj = data_term + cfg.beta * penalty
-    wd = cfg.weight_decay
+    wd = expt.WEIGHT_DECAY
     for key in ("W1", "W2", "W3"):
         obj += 0.5 * wd * float((params[key] ** 2).sum())
     dh2 = dlogits @ params["W3"].T
@@ -586,7 +586,7 @@ class TestExportRepresentations:
     def test_round_trip_dump_preserves_diagnosis(self, tmp_path):
         raw = expt.make_dataset(SMALL_SPEC)
         model = expt.train(raw, small_cfg())
-        ds = expt.export_representations(model, raw)
+        ds = expt.export_representations(model.final, raw)
         path = tmp_path / "reps.bin"
         save_dump(ds, path, FORMAT_BINARY)
         ds2 = load_dump(path, FORMAT_BINARY)
@@ -601,21 +601,21 @@ class TestExportRepresentations:
 class TestSweepAndTrajectory:
     def test_single_beta_erm_sweep(self):
         raw = expt.make_dataset(SMALL_SPEC)
-        rows = expt.sweep_beta(raw, "erm", [0.0], small_cfg(),
-                               MetricConfig(target_role=ROLE_VALID))
+        rows = expt.sweep_beta(raw, [0.0], small_cfg(), MetricConfig(target_role=ROLE_VALID))
         assert len(rows) == 1
         assert rows[0].beta == 0.0
 
     def test_empty_grid_rejected(self):
         raw = expt.make_dataset(SMALL_SPEC)
         with pytest.raises(ValueError, match="nonempty"):
-            expt.sweep_beta(raw, "erm", [], small_cfg())
+            expt.sweep_beta(raw, [], small_cfg(), MetricConfig(target_role=ROLE_VALID))
 
     def test_sweep_deterministic(self):
         raw = expt.make_dataset(SMALL_SPEC)
         mc = MetricConfig(target_role=ROLE_VALID)
-        r1 = expt.sweep_beta(raw, "cond-invariance", [0.5, 2.0], small_cfg(), mc)
-        r2 = expt.sweep_beta(raw, "cond-invariance", [0.5, 2.0], small_cfg(), mc)
+        base = small_cfg(algorithm="cond-invariance")
+        r1 = expt.sweep_beta(raw, [0.5, 2.0], base, mc)
+        r2 = expt.sweep_beta(raw, [0.5, 2.0], base, mc)
         for a, b in zip(r1, r2):
             assert a.diagnosis == b.diagnosis
 

@@ -443,5 +443,14 @@ def _pinned_report_digests():
     return {name: d.hexdigest() for name, d in h.items()}
 
 
+def test_instances_compare_and_hash_by_identity():
+    a, b = random_instance(1), random_instance(1)
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+    c = dataclasses.replace(a, head_index=3)
+    assert c.head_index == 3 and c.train_idx == a.train_idx
+    assert np.array_equal(c.joint, a.joint) and c != a
+
+
 def test_reports_are_pinned():
     assert _pinned_report_digests() == _PINNED_REPORTS_SHA256
