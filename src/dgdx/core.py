@@ -357,8 +357,8 @@ def _parse_header(text, where):
         dim = _json_int(obj["dim"], "'dim'", where, positive=True)
         num_classes = _json_int(obj["num_classes"], "'num_classes'", where, positive=True)
         domains = tuple(
-            DomainMeta(_json_int(d["id"], f"'id' of 'domains' entry {i + 1}", where), str(d["name"]),
-                       str(d["role"]))
+            DomainMeta(_json_int(d["id"], f"'id' of 'domains' entry {i + 1}", where),
+                       str(d["name"]), str(d["role"]))
             for i, d in enumerate(obj["domains"])
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -568,9 +568,9 @@ def train(raw, cfg, start=None):
     stay at their start, which is how a pretrained frozen extractor is
     expressed; see ``pretrained_invariant_params``); the last hidden layer is
     then computed once (``frozen_batch``), and trials and gradients evaluate
-    only the head.  Deterministic per seed.  Raises
-    DivergenceError, naming the epoch, if the objective stops being finite;
-    the overflow on the way there raises no numpy warning.
+    only the head.  Deterministic per seed.  Raises DivergenceError, naming
+    the epoch, if the objective stops being finite; the overflow on the way
+    there raises no numpy warning.
     """
     x, labels, pos, n_groups = _fit_batch(raw)
     batch = make_batch(x, labels, pos, n_groups, raw.spec.num_classes)

@@ -164,14 +164,13 @@ def test_criterion_6_qualitative_pattern():
     erm_ok = (train_err <= 0.1 and erm_diag.e3_prime >= 0.5
               and erm_diag.d0_prime <= 0.1 and erm_diag.d1_prime >= 0.3)
 
-    base = expt.CRITERION_FIXTURE_CONFIG
-    rows = expt.sweep_beta(raw, expt.BETA_GRID, replace(base, algorithm=expt.ALG_COND_INVARIANCE),
-                           mc)
+    base = replace(expt.CRITERION_FIXTURE_CONFIG, algorithm=expt.ALG_COND_INVARIANCE)
+    rows = expt.sweep_beta(raw, expt.BETA_GRID, base, mc)
     best = min(rows, key=lambda r: r.diagnosis.e3_prime)
     gap = best.diagnosis.e3_prime - best.diagnosis.e0_prime
     best_ok = gap <= 0.1 and best.diagnosis.d1_prime <= 0.1
 
-    collapse_cfg = replace(base, algorithm=expt.ALG_COND_INVARIANCE, beta=1e6)
+    collapse_cfg = replace(base, beta=1e6)
     _, _, cdiag = expt.train_and_diagnose(raw, collapse_cfg, mc)
     collapse_ok = cdiag.e0_prime >= 0.3
 
