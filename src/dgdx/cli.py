@@ -37,6 +37,9 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
+# feature values scored at once by diagnose's check of the head, so it copies no whole dump
+_HEAD_CHECK_VALUES = 1 << 18
+
 
 def _fail(code, message):
     click.echo(f"error: {message}", err=True)
@@ -98,9 +101,11 @@ def cmd_diagnose(dump_path, head_path, target, out, tol):
         _fail(EXIT_INPUT, f"label marginals differ across domains by {shift.max_deviation:.4f} > {tol}")
     try:
         # finite parameters near the float limit can still overflow the scores
+        block = max(1, _HEAD_CHECK_VALUES // ds.dim)
         with np.errstate(over="ignore", invalid="ignore"):
-            if not np.isfinite(head.scores(ds.z)).all():
-                _fail(EXIT_INPUT, f"{head_path}: the head's scores on the dump are not finite")
+            for s in range(0, ds.num_samples, block):
+                if not np.isfinite(head.scores(ds.z[s : s + block])).all():
+                    _fail(EXIT_INPUT, f"{head_path}: the head's scores on the dump are not finite")
         diag = diagnose(ds, head, MetricConfig(target_role=target))
     except (DatasetError, ValueError) as exc:
         _fail(EXIT_INPUT, str(exc))
@@ -204,12 +209,14 @@ _ALG = click.Choice(list(expt.ALGORITHMS))
 def _training_options(command):
     """Add the options shared by the commands that train on the synthetic dataset."""
     for option in reversed((
-        click.option("--epochs", default=10, show_default=True),
-        click.option("--steps-per-epoch", default=500, show_default=True),
+        click.option("--epochs", default=expt.TrainConfig.epochs, show_default=True),
+        click.option("--steps-per-epoch", default=expt.TrainConfig.steps_per_epoch,
+                     show_default=True),
         click.option("--samples-per-domain", default=1200, show_default=True),
         click.option("--seed", required=True, type=int),
-        click.option("--learning-rate", default=0.2, show_default=True),
-        click.option("--hidden-width", default=12, show_default=True),
+        click.option("--learning-rate", default=expt.TrainConfig.learning_rate,
+                     show_default=True),
+        click.option("--hidden-width", default=expt.TrainConfig.hidden_width, show_default=True),
         click.option("--target", type=click.Choice([ROLE_TEST, ROLE_VALID]), default=ROLE_VALID),
         click.option("--out", default=".", help="output directory"),
     )):
@@ -233,8 +240,8 @@ def _training(run, target, samples_per_domain, seed, **fields):
 
 
 @main.command("train")
-@click.option("--algorithm", type=_ALG, default=expt.ALG_ERM, show_default=True)
-@click.option("--beta", default=0.0, show_default=True)
+@click.option("--algorithm", type=_ALG, default=expt.TrainConfig.algorithm, show_default=True)
+@click.option("--beta", default=expt.TrainConfig.beta, show_default=True)
 @click.option("--freeze-features", is_flag=True)
 @_training_options
 def cmd_train(target, out, **opts):
@@ -288,8 +295,8 @@ def cmd_sweep(algorithm, betas, target, out, **opts):
 
 
 @main.command("trajectory")
-@click.option("--algorithm", type=_ALG, default=expt.ALG_ERM, show_default=True)
-@click.option("--beta", default=0.0, show_default=True)
+@click.option("--algorithm", type=_ALG, default=expt.TrainConfig.algorithm, show_default=True)
+@click.option("--beta", default=expt.TrainConfig.beta, show_default=True)
 @_training_options
 def cmd_trajectory(target, out, **opts):
     """Diagnose every per-epoch checkpoint of one training run."""

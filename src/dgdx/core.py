@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -29,6 +30,8 @@ _MAGIC = b"DGDX"
 _FORMAT_VERSION = 1
 # values formatted at once when writing a CSV dump, so memory does not grow with its rows
 _CSV_BLOCK_VALUES = 1 << 16
+# bytes of records read at once from a binary dump, so the load holds no second copy of it
+_LOAD_CHUNK_BYTES = 1 << 20
 
 FORMAT_CSV = "csv"
 FORMAT_BINARY = "binary"
@@ -120,9 +123,8 @@ class RepresentationDataset:
                 f"(label {int(self.labels[i])}, num_classes {self.num_classes})",
                 i,
             )
-        bad = np.flatnonzero(~np.isfinite(self.z).all(axis=1))
-        if bad.size:
-            i = int(bad[0])
+        if not all_finite(self.z):
+            i = int(np.flatnonzero(~np.isfinite(self.z).all(axis=1))[0])
             value = self.z[i][~np.isfinite(self.z[i])][0]
             raise DatasetError(f"non-finite feature value {value} at row {{row}}", i)
         if not np.isin(self.splits, [SPLIT_FIT, SPLIT_HOLDOUT]).all():
@@ -166,6 +168,12 @@ class RepresentationDataset:
             and np.array_equal(self.labels, other.labels)
             and np.array_equal(self.z, other.z)
         )
+
+
+def all_finite(a):
+    """True if every value of ``a`` is finite.  Its minimum and maximum carry
+    any NaN or infinity, so no mask of ``a``'s size is built."""
+    return bool(np.isfinite(a.min(initial=0.0)) and np.isfinite(a.max(initial=0.0)))
 
 
 # -- linear probes -------------------------------------------------------------
@@ -426,36 +434,15 @@ def save_dump(ds, path, format=FORMAT_BINARY):
 
 
 def load_dump(path, format=FORMAT_BINARY):
-    """Read a dataset dump written by :func:`save_dump`. Row order is preserved."""
+    """Read a dataset dump written by :func:`save_dump`. Row order is preserved.
+
+    A binary dump's records are streamed: they are read ``_LOAD_CHUNK_BYTES``
+    at a time straight into the dataset's arrays, so the load holds the
+    dataset and one chunk, never a second copy of the file.
+    """
     if format == FORMAT_BINARY:
         with open(path, "rb") as fh:
-            blob = fh.read()
-        if blob[:4] != _MAGIC:
-            raise DumpError(f"{path}: bad magic bytes (not a binary dump)")
-        if len(blob) < 9:
-            raise DumpError(f"{path}: truncated dump")
-        if blob[4] != _FORMAT_VERSION:
-            raise DumpError(f"{path}: unsupported dump version {blob[4]}")
-        hlen = int(np.frombuffer(blob[5:9], dtype="<u4")[0])
-        if len(blob) < 9 + hlen:
-            raise DumpError(f"{path}: truncated header")
-        dim, num_classes, domains = _parse_header(_decode(blob[9 : 9 + hlen], 9, path), path)
-        body = blob[9 + hlen :]
-        try:
-            dtype = _record_dtype(dim)
-        except ValueError as exc:  # a record too long for a numpy dtype
-            raise DumpError(f"{path}: header field 'dim' is {dim}: {exc}") from exc
-        if len(body) % dtype.itemsize != 0:
-            raise DumpError(
-                f"{path}: record section is not a whole number of records ({len(body)} "
-                f"bytes, {dtype.itemsize} per record at the header field 'dim' {dim})"
-            )
-        rec = np.frombuffer(body, dtype=dtype)
-        ids = rec["domain"].astype(np.int64)
-        splits = rec["split"].astype(np.uint8)
-        labels = rec["label"].astype(np.int64)
-        z = rec["z"].astype(np.float32)
-        return _build_checked(path, dim, num_classes, domains, ids, splits, labels, z)
+            return _load_binary(fh, path)
     if format == FORMAT_CSV:
         with open(path, "rb") as fh:
             lines = _decode(fh.read(), 0, path).splitlines()
@@ -488,6 +475,47 @@ def load_dump(path, format=FORMAT_BINARY):
             path, dim, num_classes, domains, rec["domain"], splits, rec["label"], rec["z"], body
         )
     raise DumpError(f"unknown dump format {format!r}")
+
+
+def _load_binary(fh, path):
+    """The dataset in the open binary dump ``fh``; see :func:`load_dump`."""
+    size = os.fstat(fh.fileno()).st_size
+    head = fh.read(9)
+    if head[:4] != _MAGIC:
+        raise DumpError(f"{path}: bad magic bytes (not a binary dump)")
+    if len(head) < 9:
+        raise DumpError(f"{path}: truncated dump")
+    if head[4] != _FORMAT_VERSION:
+        raise DumpError(f"{path}: unsupported dump version {head[4]}")
+    hlen = int.from_bytes(head[5:9], "little")
+    if size < 9 + hlen:
+        raise DumpError(f"{path}: truncated header")
+    dim, num_classes, domains = _parse_header(_decode(fh.read(hlen), 9, path), path)
+    body = size - 9 - hlen
+    try:
+        dtype = _record_dtype(dim)
+    except ValueError as exc:  # a record too long for a numpy dtype
+        raise DumpError(f"{path}: header field 'dim' is {dim}: {exc}") from exc
+    if body % dtype.itemsize != 0:
+        raise DumpError(
+            f"{path}: record section is not a whole number of records ({body} "
+            f"bytes, {dtype.itemsize} per record at the header field 'dim' {dim})"
+        )
+    n = body // dtype.itemsize
+    ids, splits = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.uint8)
+    labels, z = np.empty(n, dtype=np.int64), np.empty((n, dim), dtype=np.float32)
+    chunk = np.empty(max(1, _LOAD_CHUNK_BYTES // dtype.itemsize), dtype=dtype)
+    for s in range(0, n, len(chunk)):
+        rec = chunk[: n - s]
+        got = fh.readinto(rec.view(np.uint8))
+        if got != rec.nbytes:  # the file was cut after its size was taken
+            raise DumpError(
+                f"{path}: record section reads short: {s * dtype.itemsize + got} of {body} bytes"
+            )
+        rows = slice(s, s + len(rec))
+        ids[rows], splits[rows] = rec["domain"], rec["split"]
+        labels[rows], z[rows] = rec["label"], rec["z"]
+    return _build_checked(path, dim, num_classes, domains, ids, splits, labels, z)
 
 
 def _decode(data, offset, path):

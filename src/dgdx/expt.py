@@ -158,9 +158,9 @@ class TrainConfig:
     algorithm: str = ALG_ERM
     beta: float = 0.0
     epochs: int = 10
-    steps_per_epoch: int = 50
-    learning_rate: float = 0.05
-    hidden_width: int = 32
+    steps_per_epoch: int = 500
+    learning_rate: float = 0.2
+    hidden_width: int = 12
     seed: int = 0
     freeze_features: bool = False
 
@@ -183,14 +183,7 @@ class TrainConfig:
 # minimization saturates via the color shortcut, stays invariant across
 # training domains, and fails on the held-out domain
 CRITERION_FIXTURE_SPEC = SyntheticColoredSpec(seed=0)
-CRITERION_FIXTURE_CONFIG = TrainConfig(
-    algorithm=ALG_ERM,
-    epochs=10,
-    steps_per_epoch=500,
-    learning_rate=0.2,
-    hidden_width=12,
-    seed=0,
-)
+CRITERION_FIXTURE_CONFIG = TrainConfig()
 
 
 @dataclass(frozen=True)
@@ -208,7 +201,7 @@ class TrainedModel:
         return LinearProbe(params["W3"].T, params["b3"])
 
 
-def pretrained_invariant_params(spec, hidden_width=12, seed=0):
+def pretrained_invariant_params(spec):
     """The parameters of a stand-in for an externally pretrained extractor
     to freeze.
 
@@ -217,10 +210,10 @@ def pretrained_invariant_params(spec, hidden_width=12, seed=0):
     representations are class-conditionally domain-invariant by
     construction.  Used by the frozen-feature protocol, where training may
     then move only the head and the separability metrics become constant
-    lower-bound references.
+    lower-bound references.  Its hidden width is the criterion fixture's.
     """
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 13)))
-    h = hidden_width
+    rng = np.random.default_rng(np.random.SeedSequence((0, 13)))
+    h = CRITERION_FIXTURE_CONFIG.hidden_width
     w1 = np.zeros((spec.input_dim, h))
     w1[: spec.signal_dim, :] = rng.normal(0.0, np.sqrt(2.0 / spec.signal_dim),
                                           size=(spec.signal_dim, h))

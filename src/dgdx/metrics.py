@@ -126,15 +126,17 @@ def _union_ids(train, target, cfg):
 
 
 def _rows(ds, domain_ids, split, targets, label=None):
-    """Per-domain blocks ``(z, targets, weights)`` of one split's samples,
-    only those of class ``label`` when it is given.
+    """One split's samples of ``domain_ids``, only those of class ``label``
+    when it is given, as ``(z, targets, weights, ends)``.
 
-    ``targets`` are the labels (``"label"``) or each domain's position in
-    ``domain_ids`` (``"domain"``); a block's weights sum to
-    ``1 / len(domain_ids)``, so every domain weighs the same.
+    The domains' blocks are stacked in order into one float64 array, filled
+    block by block, so no other float64 copy of the rows is made; ``ends``
+    holds each block's end row.  ``targets`` are the labels (``"label"``)
+    or each domain's position in ``domain_ids`` (``"domain"``); a block's
+    weights sum to ``1 / len(domain_ids)``, so every domain weighs the same.
     """
-    blocks = []
-    for k, did in enumerate(domain_ids):
+    cells = []
+    for did in domain_ids:
         idx = ds.cell_rows[did, split]
         if label is not None:
             idx = idx[ds.labels[idx] == label]
@@ -143,22 +145,31 @@ def _rows(ds, domain_ids, split, targets, label=None):
                 f"domain {did} has no split={split} samples for class {label}; "
                 "the class-conditional metric is undefined"
             )
-        t = ds.labels[idx] if targets == "label" else np.full(idx.size, k, dtype=np.int64)
-        w = np.full(idx.size, 1.0 / (len(domain_ids) * idx.size))
-        blocks.append((ds.z[idx].astype(np.float64), t, w))
-    return blocks
+        cells.append(idx)
+    ends = np.cumsum([idx.size for idx in cells])
+    z = np.empty((ends[-1], ds.dim))
+    t = np.empty(ends[-1], dtype=np.int64)
+    w = np.empty(ends[-1])
+    for k, (idx, end) in enumerate(zip(cells, ends)):
+        block = slice(end - idx.size, end)
+        z[block] = ds.z[idx]
+        t[block] = ds.labels[idx] if targets == "label" else k
+        w[block] = 1.0 / (len(domain_ids) * idx.size)
+    return z, t, w, ends
 
 
-def _score(probe, blocks, targets):
-    """The probe's 0-1 error on the blocks, every domain weighted equally.
+def _score(probe, rows, targets):
+    """The probe's 0-1 error on ``rows`` (see ``_rows``), every domain
+    weighted equally.
 
     Label targets (e0'-e3') average the per-domain errors; domain targets
     (d0'-d2') take one weighted error over all blocks.  The two differ in
     the last bits, so each metric's way is part of its reported value.
     """
+    z, t, w, ends = rows
     if targets == "label":
-        return float(np.mean([zero_one_error(probe, z, t) for z, t, _ in blocks]))
-    z, t, w = map(np.concatenate, zip(*blocks))
+        blocks = zip(np.split(z, ends[:-1]), np.split(t, ends[:-1]))
+        return float(np.mean([zero_one_error(probe, zb, tb) for zb, tb in blocks]))
     return zero_one_error(probe, z, t, weights=w)
 
 
@@ -179,7 +190,7 @@ def _select(ds, cfg, domain_ids, targets, label=None, scored_ids=None):
     """
     num_outputs = ds.num_classes if targets == "label" else len(domain_ids)
     split = SPLIT_HOLDOUT if cfg.exact_mode else SPLIT_FIT
-    z, t, w = map(np.concatenate, zip(*_rows(ds, domain_ids, split, targets, label)))
+    z, t, w, _ = _rows(ds, domain_ids, split, targets, label)
     if cfg.exact_mode:
         family = cfg.oracle_family_provider(num_outputs, z)
         err, idx = exact_best_error(family, z, t, weights=w)
@@ -189,7 +200,8 @@ def _select(ds, cfg, domain_ids, targets, label=None, scored_ids=None):
         probe, record = fit_probe(z, t, num_outputs, cfg.probe_cfg, sample_weight=w)
         meta = dict(record.to_dict(), kept="zero_one")
         start = record.start
-    # gathered after the fit, so these rows are not held at the fit's peak memory
+    # dropped before the holdout rows are gathered, so the two are never held together
+    del z, t, w
     held = _rows(ds, scored_ids or domain_ids, SPLIT_HOLDOUT, targets, label)
     value = _score(probe, held, targets)
     if start is not probe:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import LinearProbe
+from .core import LinearProbe, all_finite
 
 # bounds of the 0-1 stage of fit_probe (see _descend_zero_one)
 _ZO_MAX_ROUNDS = 8
@@ -519,7 +519,7 @@ def fit_probe(z, targets, num_outputs, cfg=None, sample_weight=None):
     n, d = z.shape
     if n == 0:
         raise ValueError("cannot fit a probe on an empty point list")
-    if not np.isfinite(z).all():
+    if not all_finite(z):
         raise ValueError("non-finite input features")
     if ((targets < 0) | (targets >= num_outputs)).any():
         raise ValueError("targets out of range for num_outputs")

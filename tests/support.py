@@ -1,6 +1,7 @@
 """Helpers that only the tests use."""
 
 import json
+import tracemalloc
 
 import numpy as np
 
@@ -221,3 +222,19 @@ def rewrite_header(blob, edit):
     header = json.loads(first)
     edit(header)
     return json.dumps(header).encode() + b"\n" + rest
+
+
+# -- memory ----------------------------------------------------------------------------
+
+
+def traced_peak(fn, *args, **kwargs):
+    """``(fn(*args, **kwargs), peak)``: the call's result and the most memory,
+    in bytes, that Python objects and numpy arrays allocated during the call
+    held at once, as tracemalloc counts it.  Deterministic for a given call."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+

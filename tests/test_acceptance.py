@@ -191,8 +191,7 @@ def test_criterion_7_frozen_feature_protocol():
     closes onto the misalignment lower bound."""
     t0 = time.time()
     raw = expt.make_dataset(expt.CRITERION_FIXTURE_SPEC)
-    pretrained = expt.pretrained_invariant_params(expt.CRITERION_FIXTURE_SPEC,
-                                                  hidden_width=12, seed=0)
+    pretrained = expt.pretrained_invariant_params(expt.CRITERION_FIXTURE_SPEC)
     cfg = replace(expt.CRITERION_FIXTURE_CONFIG, freeze_features=True)
     model = expt.train(raw, cfg, start=pretrained)
     mc = MetricConfig(target_role=ROLE_VALID)

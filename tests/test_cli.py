@@ -10,11 +10,12 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import dgdx
-from dgdx import expt
+from dgdx import cli, expt
 from dgdx.cli import main
 from dgdx.core import (
     FORMAT_BINARY,
     FORMAT_CSV,
+    ROLE_TEST,
     ROLE_TRAIN,
     ROLE_VALID,
     DomainMeta,
@@ -28,7 +29,7 @@ from dgdx.metrics import MetricConfig, csv_row
 from dgdx.scenarios import ScenarioSpec, generate
 
 from conftest import random_dataset
-from support import rewrite_header
+from support import rewrite_header, traced_peak
 
 
 @pytest.fixture
@@ -107,6 +108,50 @@ class TestDiagnoseCommand:
                                    "--out", str(tmp_path / "o")])
         assert res.exit_code == 2
         assert "non-finite feature value inf at row 3" in res.output + (res.stderr or "")
+
+    def test_head_scores_are_checked_past_the_first_block(self, runner, tmp_path, monkeypatch):
+        ds = random_dataset(0, per_cell=8)
+        z = ds.z.copy()
+        z[:, 0] = 0.5
+        z[-2, 0] = 2.0  # 2e308 overflows; every other row scores 5e307
+        dump, head = tmp_path / "d.bin", tmp_path / "head.json"
+        save_dump(RepresentationDataset(ds.dim, ds.num_classes, ds.domains, ds.domain_ids,
+                                        ds.splits, ds.labels, z), dump)
+        LinearProbe([[1e308, 0.0, 0.0], [0.0, 0.0, 0.0]], np.zeros(2)).save(head)
+        monkeypatch.setattr(cli, "_HEAD_CHECK_VALUES", 5 * ds.dim)  # blocks of 5 rows
+        res = runner.invoke(main, ["diagnose", "--dump", str(dump), "--head", str(head),
+                                   "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2
+        assert "the head's scores on the dump are not finite" in res.output
+
+    def test_peak_memory_is_the_dataset_and_one_fit_copy(self, runner, tmp_path):
+        # a ~5 MiB dump: 2 training domains and a test domain, 2 classes, 128 dims
+        rng = np.random.default_rng(0)
+        cells = [(d, c) for d in range(3) for c in range(2)]
+        per_cell, dim = 1667, 128
+        ids = np.repeat([d for d, _ in cells], per_cell)
+        labels = np.repeat([c for _, c in cells], per_cell)
+        splits = np.tile(np.arange(per_cell) % 5 == 4, len(cells)).astype(np.uint8)
+        z = rng.normal(size=(ids.size, dim)) + 0.3 * labels[:, None] + 0.1 * ids[:, None]
+        domains = (DomainMeta(0, "a", ROLE_TRAIN), DomainMeta(1, "b", ROLE_TRAIN),
+                   DomainMeta(2, "t", ROLE_TEST))
+        ds = RepresentationDataset(dim, 2, domains, ids, splits, labels, z.astype(np.float32))
+        # a first, small run imports what the diagnosis imports on first use
+        small, small_head = _scenario_files(tmp_path)
+        runner.invoke(main, ["diagnose", "--dump", str(small), "--head", str(small_head),
+                             "--out", str(tmp_path)])
+        dump, head = tmp_path / "d.bin", tmp_path / "wide_head.json"
+        save_dump(ds, dump)
+        LinearProbe(np.outer([0.0, 1.0], np.ones(dim)), np.zeros(2)).save(head)
+        args = ["diagnose", "--dump", str(dump), "--head", str(head), "--out", str(tmp_path)]
+        res, peak = traced_peak(runner.invoke, main, args)
+        assert res.exit_code == 0, res.output
+        own = sum(a.nbytes for a in (ds.domain_ids, ds.splits, ds.labels, ds.z))
+        # the largest fit (e2', d1') takes every domain's fit rows, as float64
+        fit_rows = int((splits == 0).sum()) * dim * 8
+        # beyond one copy of them: their targets and weights, one domain's float32 gather, and
+        # the solver's bounded temporaries (about 2 MiB for the 0-1 line search)
+        assert peak <= own + 1.25 * fit_rows + (2 << 20)
 
     @pytest.mark.parametrize("roles, target, message", [
         ((ROLE_TRAIN, ROLE_TRAIN, ROLE_VALID), "test", "no domains with role 'test'"),

@@ -22,7 +22,7 @@ from dgdx.core import (
 from dgdx.metrics import MetricConfig, e0_prime
 
 from conftest import random_dataset
-from support import rewrite_header
+from support import rewrite_header, traced_peak
 
 
 def _two_domain_csv(tmp_path, rows, dim=2, num_classes=2):
@@ -116,6 +116,97 @@ class TestLoadDump:
         save_dump(ds, pc, FORMAT_CSV)
         assert sniff_format(pb) == FORMAT_BINARY
         assert sniff_format(pc) == FORMAT_CSV
+
+
+def _striped_dataset(n, dim, seed=0):
+    """``n`` rows cycling through two training domains and a test domain,
+    the fit and holdout splits and two classes (every cell is filled from
+    12 rows on)."""
+    rows = np.arange(n)
+    z = np.random.default_rng(seed).normal(size=(n, dim)).astype(np.float32)
+    domains = (DomainMeta(0, "a", "train"), DomainMeta(1, "b", "train"),
+               DomainMeta(2, "t", "test"))
+    return RepresentationDataset(dim, 2, domains, rows % 3, (rows // 3) % 2, (rows // 6) % 2, z)
+
+
+class TestBinaryStreaming:
+    """The binary loader reads records a chunk at a time into the dataset's arrays."""
+
+    N = 40
+
+    @pytest.fixture
+    def dump(self, tmp_path):
+        path = tmp_path / "d.bin"
+        save_dump(_striped_dataset(self.N, 3), path, FORMAT_BINARY)
+        return path
+
+    @staticmethod
+    def _chunk_records(monkeypatch, records):
+        monkeypatch.setattr(core, "_LOAD_CHUNK_BYTES", records * _record_dtype(3).itemsize)
+
+    # one record per chunk, the whole dump in one chunk, one chunk plus one record
+    @pytest.mark.parametrize("records", [1, N, N - 1, 7])
+    def test_round_trip_bytes_identical(self, dump, monkeypatch, tmp_path, records):
+        self._chunk_records(monkeypatch, records)
+        again = tmp_path / "again.bin"
+        save_dump(load_dump(dump, FORMAT_BINARY), again, FORMAT_BINARY)
+        assert again.read_bytes() == dump.read_bytes()
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_default_chunk_boundary_round_trips(self, tmp_path, extra):
+        n = core._LOAD_CHUNK_BYTES // _record_dtype(1).itemsize + extra
+        ds = _striped_dataset(n, 1)
+        p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
+        save_dump(ds, p1, FORMAT_BINARY)
+        back = load_dump(p1, FORMAT_BINARY)
+        save_dump(back, p2, FORMAT_BINARY)
+        assert back.equals(ds) and p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("z", np.float32(np.nan), "non-finite feature value nan at row 33$"),
+            ("domain", 9, "unknown domain id 9 at row 33$"),
+            ("label", 4, r"label out of range at row 33 \(label 4, num_classes 2\)$"),
+        ],
+    )
+    def test_fault_past_the_first_chunk_names_its_row(self, dump, monkeypatch, field, value,
+                                                      message):
+        self._chunk_records(monkeypatch, 7)
+        blob = bytearray(dump.read_bytes())
+        dtype = _record_dtype(3)
+        rec = np.frombuffer(blob, dtype=dtype, offset=len(blob) - self.N * dtype.itemsize)
+        if field == "z":
+            rec["z"][32, 1] = value
+        else:
+            rec[field][32] = value
+        dump.write_bytes(bytes(blob))
+        with pytest.raises(DumpError, match=message):
+            load_dump(dump, FORMAT_BINARY)
+
+    def test_records_cut_after_the_size_check(self, tmp_path, monkeypatch):
+        # more records than the file object buffers with the header, so the cut shows
+        path = tmp_path / "d.bin"
+        save_dump(_striped_dataset(2_000, 3), path, FORMAT_BINARY)
+        body = 2_000 * _record_dtype(3).itemsize
+        parse = core._parse_header
+
+        def parse_then_cut(text, where):
+            with open(path, "r+b") as fh:
+                fh.truncate(path.stat().st_size - 30)
+            return parse(text, where)
+
+        monkeypatch.setattr(core, "_parse_header", parse_then_cut)
+        with pytest.raises(DumpError, match=f"reads short: {body - 30} of {body} bytes$"):
+            load_dump(path, FORMAT_BINARY)
+
+    def test_load_holds_the_dataset_and_one_chunk(self, tmp_path):
+        # a ~5 MiB dump; the whole file read at once held more than three times it
+        path = tmp_path / "d.bin"
+        save_dump(_striped_dataset(10_000, 128), path, FORMAT_BINARY)
+        ds, peak = traced_peak(load_dump, path, FORMAT_BINARY)
+        own = sum(a.nbytes for a in (ds.domain_ids, ds.splits, ds.labels, ds.z))
+        assert peak <= own + core._LOAD_CHUNK_BYTES + (1 << 20)
 
 
 class TestBinaryDumpDamage:

@@ -422,7 +422,7 @@ class TestExactFamilyMode:
         provider = _random_family_provider(seed)
         cfg = MetricConfig(oracle_family_provider=provider)
         train = _domains(ds, cfg, "train_sorted")
-        z, ys, w = map(np.concatenate, zip(*_rows(ds, train, SPLIT_HOLDOUT, "label")))
+        z, ys, w, _ = _rows(ds, train, SPLIT_HOLDOUT, "label")
         family = provider(ds.num_classes, z)
         _, idx = exact_best_error(family, z, ys, weights=w)
         head = family[idx]
