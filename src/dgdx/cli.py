@@ -62,7 +62,10 @@ def _write_csv(path, header, rows):
 
 def _out_dir(out):
     path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        _fail(EXIT_INPUT, f"cannot make output directory {out}: {exc.strerror}")
     return path
 
 
@@ -93,8 +96,11 @@ def cmd_diagnose(dump_path, head_path, target, out, tol):
         _fail(EXIT_INPUT, f"head file not found: {head_path}")
     try:
         head = LinearProbe.load(head_path)
-    except (ValueError, RecursionError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         _fail(EXIT_INPUT, f"{head_path}: {exc}")
+    if (head.dim, head.num_outputs) != (ds.dim, ds.num_classes):
+        _fail(EXIT_INPUT, f"{head_path}: the head has dim {head.dim} and {head.num_outputs} "
+                          f"outputs, but the dump has dim {ds.dim} and {ds.num_classes} classes")
     shift = validate_no_label_shift(ds, tol=tol)
     if not shift.passed:
         click.echo(json.dumps(shift.to_dict(), sort_keys=True), err=True)

@@ -704,8 +704,8 @@ def pca2d(ds):
         raise ValueError("pca2d needs dim >= 2")
     z = ds.z.astype(np.float64)
     center = z.mean(axis=0)
-    zc = z - center
-    cov = zc.T @ zc / (z.shape[0] - 1)
+    z -= center  # centred in place: one float64 copy of the rows
+    cov = z.T @ z / (z.shape[0] - 1)
     evals, evecs = np.linalg.eigh(cov)
     order = np.argsort(evals)[::-1]
     evals = evals[order]
@@ -720,6 +720,6 @@ def pca2d(ds):
             v = -v
         comps.append(v)
     components = np.stack(comps)
-    coords = zc @ components.T
+    coords = z @ components.T
     explained = (float(evals[0] / total), float(evals[1] / total))
     return Pca2dResult(coords, explained, components, center)

@@ -16,10 +16,7 @@ holdout samples.  A fit gives two probes, the logistic solution and the
 one its 0-1 descent reaches (see ``probe.fit_probe``), and the probe-based
 metrics keep the lower holdout error of the two: a minimum of two holdout
 errors, so ``e1'``, ``e2'`` and the ``d'`` values carry a small optimistic
-bias, of the same kind as the exact mode's.  An exact-family oracle mode
-replaces fitting with exact minimization over an explicit probe list,
-selecting on the holdout samples themselves; in that mode the ordering
-guarantees between metrics hold exactly.
+bias.
 """
 
 from __future__ import annotations
@@ -40,12 +37,7 @@ from .core import (
     SPLIT_HOLDOUT,
     DatasetError,
 )
-from .probe import (
-    ProbeFitConfig,
-    exact_best_error,
-    fit_probe,
-    zero_one_error,
-)
+from .probe import ProbeFitConfig, fit_probe, zero_one_error
 
 _COMPONENTS = E_COMPONENTS + D_COMPONENTS
 # the components, then the primed metrics: column "e0p" holds field e0_prime
@@ -59,21 +51,15 @@ class ConstantSeriesError(ValueError):
 
 @dataclass(frozen=True)
 class MetricConfig:
-    """How probes are found (``probe_cfg``, or exact search over the family
-    that ``oracle_family_provider`` returns) and which domains are the
+    """How probes are fitted (``probe_cfg``) and which domains are the
     targets: the test domains, or the validation domains as their proxy."""
 
     probe_cfg: ProbeFitConfig = field(default_factory=ProbeFitConfig)
     target_role: str = ROLE_TEST
-    oracle_family_provider: object = None  # callable(num_outputs, z) -> FiniteProbeFamily
 
     def __post_init__(self):
         if self.target_role not in (ROLE_TEST, ROLE_VALID):
             raise ValueError("target_role must be 'test' or 'valid'")
-
-    @property
-    def exact_mode(self):
-        return self.oracle_family_provider is not None
 
 
 # components below minus this are flagged negative; smaller ones are rounding
@@ -89,7 +75,7 @@ def _domains(ds, cfg, which):
     ``"train"``: the training domains in header order (e0'); ``"target"``:
     the target domains in header order (e1', e3'); ``"train_sorted"``: the
     training domains by id (d0'); ``"joint"``: all training domains by id,
-    then the target domains (e2', in either mode); ``"union"``: see
+    then the target domains (e2'); ``"union"``: see
     ``_union_ids`` (d1', d2').
     """
     train = ds.domain_ids_with_role(ROLE_TRAIN)
@@ -174,38 +160,27 @@ def _score(probe, rows, targets):
 
 
 def _select(ds, cfg, domain_ids, targets, label=None, scored_ids=None):
-    """Pick the error-minimizing probe over ``domain_ids``, by fitting or by
-    exact family search, and return ``(holdout error, meta)``; the error is
-    taken on ``scored_ids`` (default: ``domain_ids``).
+    """Fit the error-minimizing probe over ``domain_ids`` and return
+    ``(holdout error, meta)``; the error is taken on ``scored_ids``
+    (default: ``domain_ids``).
 
-    Fitted mode trains on fit samples.  The fit's 0-1 stage can overfit a
+    The probe trains on fit samples.  The fit's 0-1 stage can overfit a
     small fit split, so the logistic solution it started from is scored as
     well and the lower holdout error is kept (ties keep the 0-1 stage's
     probe).  Both probes upper-bound the same infimum, but the minimum of
     their two holdout errors is biased low, slightly, since the choice sees
-    the samples it is scored on.  Exact mode minimizes the
-    domain-equal-weighted 0-1 error directly on the holdout samples (the
-    same empirical distribution the metrics report on), which makes the
-    infimum exact.
+    the samples it is scored on.
     """
     num_outputs = ds.num_classes if targets == "label" else len(domain_ids)
-    split = SPLIT_HOLDOUT if cfg.exact_mode else SPLIT_FIT
-    z, t, w, _ = _rows(ds, domain_ids, split, targets, label)
-    if cfg.exact_mode:
-        family = cfg.oracle_family_provider(num_outputs, z)
-        err, idx = exact_best_error(family, z, t, weights=w)
-        meta = {"mode": "exact", "family_size": len(family), "index": idx, "error": err}
-        probe = start = family[idx]
-    else:
-        probe, record = fit_probe(z, t, num_outputs, cfg.probe_cfg, sample_weight=w)
-        meta = dict(record.to_dict(), kept="zero_one")
-        start = record.start
+    z, t, w, _ = _rows(ds, domain_ids, SPLIT_FIT, targets, label)
+    probe, record = fit_probe(z, t, num_outputs, cfg.probe_cfg, sample_weight=w)
+    meta = dict(record.to_dict(), kept="zero_one")
     # dropped before the holdout rows are gathered, so the two are never held together
     del z, t, w
     held = _rows(ds, scored_ids or domain_ids, SPLIT_HOLDOUT, targets, label)
     value = _score(probe, held, targets)
-    if start is not probe:
-        start_value = _score(start, held, targets)
+    if record.start is not probe:
+        start_value = _score(record.start, held, targets)
         if start_value < value:
             value, meta["kept"] = start_value, "logistic"
     return value, meta
@@ -396,25 +371,15 @@ def diagnose(ds, head, cfg=None):
 
 def all_probes_converged(diag):
     """True if every fitted probe behind a diagnosis met its gradient tolerance."""
-
-    def walk(node):
-        if isinstance(node, dict):
-            if "converged" in node:
-                yield bool(node["converged"])
-            else:
-                for v in node.values():
-                    yield from walk(v)
-        elif isinstance(node, (list, tuple)):
-            for v in node:
-                yield from walk(v)
-
-    return all(walk(diag.probe_meta)) if diag.probe_meta else True
+    meta = diag.probe_meta
+    probes = [meta[k] for k in ("e1", "e2", "d0", "d1")] + list(meta["d2"].values())
+    return all(p["converged"] for p in probes)
 
 
 # -- tabular emission --------------------------------------------------------------
 
 
-def csv_header(context_keys=("beta_or_epoch",)):
+def csv_header(context_keys):
     return list(context_keys) + list(CSV_METRIC_COLUMNS)
 
 

@@ -20,12 +20,15 @@ import copy
 import itertools
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from math import comb
 
 import numpy as np
 
 from .probe import FiniteProbeFamily
 
 _EXACT_TOL = 1e-12
+# the most balanced splits check_partition_expectation enumerates
+_MAX_SUBSETS = 10_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -405,32 +408,26 @@ class PartitionExpectationReport:
     gate_passed = True  # not a field: every balanced split counts
 
 
-def check_partition_expectation(points, joint, label_family, n1, max_subsets=10000):
-    """Average both metrics over every balanced train/test split of the family.
+def check_partition_expectation(inst):
+    """Average both metrics over every balanced train/test split of the
+    instance's domains, each side holding ``len(inst.train_idx)`` domains.
 
     The head for each split is the family minimizer of the training error, so
     the averaged training error can never exceed the averaged best target
     separability error when splits are balanced.
     """
-    joint = np.asarray(joint, dtype=np.float64)
-    k = joint.shape[0]
+    k, n1 = inst.num_domains, len(inst.train_idx)
     if k != 2 * n1:
-        raise ValueError("the domain count must equal 2 * n1 (balanced splits)")
-    from math import comb
-
-    if comb(k, n1) > max_subsets:
-        raise ValueError(f"subset count {comb(k, n1)} exceeds the enumeration guard {max_subsets}")
-    base = PartitionInstance(
-        points=points,
-        joint=joint,
-        train_idx=tuple(range(n1)),
-        label_family=label_family,
-    )
+        raise ValueError("the domain count must be twice the training domain count "
+                         "(balanced splits)")
+    if comb(k, n1) > _MAX_SUBSETS:
+        raise ValueError(
+            f"subset count {comb(k, n1)} exceeds the enumeration guard {_MAX_SUBSETS}")
     train = list(itertools.combinations(range(k), n1))
     test = [tuple(i for i in range(k) if i not in s) for s in train]
     # every split's subset errors at once, (P, splits, n1): each mean is
     # _subset_error's, and the family minimum is the error _best_label finds
-    losses = base.label_losses
+    losses = inst.label_losses
     e0s = losses[:, train].mean(axis=2).min(axis=0)
     e1s = losses[:, test].mean(axis=2).min(axis=0)
     mean_e0 = float(np.mean(e0s))
@@ -535,12 +532,6 @@ class SuiteReport:
     counterexample: dict = None
 
 
-def _partition_trial(t, t_seed):
-    n1 = 2 + t % 2
-    inst = random_instance(t_seed, n_domains=2 * n1, n_train=n1, n_points=6 + t % 4)
-    return check_partition_expectation(inst.points, inst.joint, inst.label_family, n1)
-
-
 # suite -> trial t's report from its seed; the lambdas look the checks and
 # constructors up as module globals at call time, so wrappers put over those
 # globals see every call
@@ -551,7 +542,8 @@ _TRIALS = {
         make_prop2_instance(t_seed, n_points=6 + t % 5, num_classes=2 + t % 2)),
     "orderings": lambda t, t_seed: check_orderings(random_instance(
         t_seed, n_domains=3 + t % 3, n_points=6 + t % 4, num_classes=2 + t % 2)),
-    "partition": _partition_trial,
+    "partition": lambda t, t_seed: check_partition_expectation(random_instance(
+        t_seed, n_domains=2 * (2 + t % 2), n_train=2 + t % 2, n_points=6 + t % 4)),
 }
 SUITES = tuple(_TRIALS)
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import dgdx
 from dgdx import cli, expt
@@ -409,6 +410,10 @@ _JSON_VALUES = st.recursive(
 )
 
 
+_NUMERIC_ARRAYS = arrays(np.float64, array_shapes(min_dims=1, max_dims=2, max_side=3),
+                         elements=st.floats(-4.0, 4.0)).map(np.ndarray.tolist)
+
+
 def _leaf_paths(obj, path=()):
     if isinstance(obj, (list, dict)):
         for key, value in (obj.items() if isinstance(obj, dict) else enumerate(obj)):
@@ -442,18 +447,28 @@ def _head_with(**fields):
     return dict(LinearProbe(np.zeros((2, 2)), np.zeros(2)).to_dict(), **fields)
 
 
-@pytest.mark.parametrize("text", [
-    pytest.param(json.dumps(_head_with(bias=[_BEYOND_FLOAT, 0.0])), id="bias-beyond-float"),
+@pytest.mark.parametrize("text, message", [
+    pytest.param(json.dumps(_head_with(bias=[_BEYOND_FLOAT, 0.0])), "bad_head.json",
+                 id="bias-beyond-float"),
     pytest.param(json.dumps(_head_with(weights=[[0.0, -_BEYOND_FLOAT], [0.0, 0.0]])),
-                 id="weight-beyond-float"),
+                 "bad_head.json", id="weight-beyond-float"),
     pytest.param(json.dumps(_head_with(weights=[[8e307, 8e307], [-8e307, -8e307]])),
-                 id="scores-beyond-float"),
-    pytest.param(json.dumps(_head_with(num_outputs=None)), id="num-outputs-null"),
-    pytest.param(json.dumps(_head_with(num_outputs=float("inf"))), id="num-outputs-inf"),
-    pytest.param(json.dumps([1, 2]), id="not-an-object"),
-    pytest.param(_NESTED, id="nested-arrays"),
+                 "bad_head.json", id="scores-beyond-float"),
+    pytest.param(json.dumps(_head_with(num_outputs=None)), "bad_head.json",
+                 id="num-outputs-null"),
+    pytest.param(json.dumps(_head_with(num_outputs=float("inf"))), "bad_head.json",
+                 id="num-outputs-inf"),
+    pytest.param(json.dumps([1, 2]), "bad_head.json", id="not-an-object"),
+    pytest.param(_NESTED, "bad_head.json", id="nested-arrays"),
+    # the scenario dump has dim 2 and 2 classes
+    pytest.param(json.dumps(LinearProbe(np.zeros((2, 3)), np.zeros(2)).to_dict()),
+                 "bad_head.json: the head has dim 3 and 2 outputs, but the dump has dim 2 "
+                 "and 2 classes", id="wider-than-the-dump"),
+    pytest.param(json.dumps(LinearProbe(np.zeros((3, 2)), np.zeros(3)).to_dict()),
+                 "bad_head.json: the head has dim 2 and 3 outputs, but the dump has dim 2 "
+                 "and 2 classes", id="more-outputs-than-classes"),
 ])
-def test_malformed_head_exits_two_naming_the_file(runner, tmp_path, text):
+def test_malformed_head_exits_two_naming_the_file(runner, tmp_path, text, message):
     dump, _ = _scenario_files(tmp_path, spc=20)
     head = tmp_path / "bad_head.json"
     head.write_text(text)
@@ -462,7 +477,68 @@ def test_malformed_head_exits_two_naming_the_file(runner, tmp_path, text):
     assert res.exit_code == 2, res.output
     assert isinstance(res.exception, SystemExit)
     assert "Traceback" not in res.output
-    assert "bad_head.json" in res.output
+    assert message in res.output
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_head_with_any_part_replaced_exits_cleanly(runner, tmp_path, data):
+    # one field of a valid head (half the time), or one value inside it,
+    # becomes any JSON value (integers unbounded), often a numeric array of
+    # another shape
+    dump = tmp_path / "scn.bin"
+    if not dump.exists():
+        _scenario_files(tmp_path, spc=20)
+    obj = _head_with()
+    field = data.draw(st.sampled_from(sorted(obj)))
+    inside = st.sampled_from([()] + list(_leaf_paths(obj[field])))
+    *parents, last = (field,) + data.draw(st.just(()) | inside)
+    target = obj
+    for key in parents:
+        target = target[key]
+    target[last] = data.draw(_JSON_VALUES | _NUMERIC_ARRAYS)
+    head = tmp_path / "fuzzed_head.json"
+    head.write_text(json.dumps(obj))
+    res = runner.invoke(main, ["diagnose", "--dump", str(dump), "--head", str(head),
+                               "--out", str(tmp_path / "o")])
+    assert res.exit_code in (0, 2, 3), res.output
+    assert isinstance(res.exception, (SystemExit, type(None)))
+    assert "Traceback" not in res.output
+    if res.exit_code == 2:
+        assert "fuzzed_head.json" in res.output
+
+
+def test_head_path_that_is_a_directory_exits_two(runner, tmp_path):
+    dump, _ = _scenario_files(tmp_path, spc=20)
+    head = tmp_path / "head_dir"
+    head.mkdir()
+    res = runner.invoke(main, ["diagnose", "--dump", str(dump), "--head", str(head),
+                               "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+    assert "head_dir" in res.output
+
+
+@pytest.mark.parametrize("command", [
+    pytest.param(["diagnose", "--dump", "DUMP", "--head", "HEAD"], id="diagnose"),
+    pytest.param(["verify", "--suite", "prop1", "--trials", "1"], id="verify"),
+    pytest.param(["scenario", "--kind", "success", "--seed", "0", "--samples-per-cell", "20"],
+                 id="scenario"),
+    pytest.param(["pca", "--dump", "DUMP"], id="pca"),
+])
+def test_out_path_that_is_a_file_exits_two_naming_it(runner, tmp_path, command):
+    dump, head = _scenario_files(tmp_path, spc=20)
+    taken = tmp_path / "taken.txt"
+    taken.write_text("not a directory\n")
+    args = [{"DUMP": str(dump), "HEAD": str(head)}.get(a, a) for a in command]
+    res = runner.invoke(main, args + ["--out", str(taken)])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+    assert f"cannot make output directory {taken}" in res.output
+    assert taken.read_text() == "not a directory\n"
 
 
 def test_importing_the_cli_loads_no_scipy():

@@ -18,7 +18,7 @@ from dgdx.core import (
 )
 from dgdx.metrics import MetricConfig, diagnose
 
-from support import pack_params, unpack_params
+from support import pack_params, traced_peak, unpack_params
 
 
 SMALL_SPEC = expt.SyntheticColoredSpec(
@@ -687,6 +687,15 @@ class TestPca2d:
         for i in range(2):
             v = a.components[i]
             assert v[np.argmax(np.abs(v))] > 0
+
+    def test_peak_memory_is_one_float64_copy_of_the_rows(self):
+        from conftest import random_dataset
+
+        ds = random_dataset(5, dim=32, per_cell=1000)
+        res, peak = traced_peak(expt.pca2d, ds)
+        rows = ds.num_samples * ds.dim * 8
+        # beyond the centred copy: the coordinates and small (dim, dim) and (dim,) arrays
+        assert peak <= rows + res.coords.nbytes + (256 << 10)
 
     def test_zero_variance_rejected(self):
         from dgdx.core import DomainMeta, RepresentationDataset

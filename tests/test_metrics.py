@@ -1,6 +1,8 @@
+import copy
 import hashlib
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,9 +35,13 @@ from dgdx.metrics import (
     e2_prime,
     e3_prime,
     pearson,
+    _domains,
+    _rows,
+    _score,
 )
 from dgdx.probe import (
     FiniteProbeFamily,
+    exact_best_error,
     fit_probe,
     zero_one_error,
 )
@@ -359,21 +365,29 @@ class TestDiagnose:
                   "d0_prime", "d1_prime", "d2_prime"):
             assert getattr(a, f) == pytest.approx(getattr(b, f), abs=1e-3)
 
-    @pytest.mark.parametrize("exact", [False, True])
-    def test_probe_meta_layout(self, exact):
+    def test_probe_meta_layout(self):
         ds = random_dataset(8, n_train=3, n_test=2, num_classes=3, per_cell=10)
         head = LinearProbe(np.random.default_rng(1).normal(size=(3, 3)), np.zeros(3))
-        cfg = MetricConfig(oracle_family_provider=_random_family_provider(0) if exact else None)
-        meta = diagnose(ds, head, cfg).probe_meta
+        meta = diagnose(ds, head).probe_meta
         assert set(meta) == {"e1", "e2", "d0", "d1", "d2"}
         assert set(meta["d2"]) == {"class0", "class1", "class2"}
-        if exact:
-            keys = {"mode", "family_size", "index", "error"}
-        else:
-            keys = {"iterations", "objective", "grad_max", "converged", "n_points", "mode", "kept"}
+        keys = {"iterations", "objective", "grad_max", "converged", "n_points", "mode", "kept"}
         for probe_meta in [meta[k] for k in ("e1", "e2", "d0", "d1")] + list(meta["d2"].values()):
             assert set(probe_meta) == keys
-            assert probe_meta["mode"] == ("exact" if exact else "fit")
+            assert probe_meta["mode"] == "fit"
+
+    def test_all_probes_converged_reads_every_probe(self):
+        ds = random_dataset(8, n_train=3, n_test=2, num_classes=3, per_cell=10)
+        head = LinearProbe(np.random.default_rng(1).normal(size=(3, 3)), np.zeros(3))
+        diag = diagnose(ds, head)
+        assert all_probes_converged(diag) is True
+        for path in (("e1",), ("e2",), ("d0",), ("d1",), ("d2", "class0"), ("d2", "class2")):
+            meta = copy.deepcopy(diag.probe_meta)
+            probe_meta = meta
+            for key in path:
+                probe_meta = probe_meta[key]
+            probe_meta["converged"] = False
+            assert all_probes_converged(replace(diag, probe_meta=meta)) is False
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=15, deadline=None)
@@ -397,44 +411,61 @@ def _random_family_provider(seed, extra_probes=24):
     return provider
 
 
+def _exact_error(ds, family_of, which, targets, label=None, scored=None):
+    """The holdout error, on ``scored``'s domains (default ``which``'s), of the
+    member of ``family_of(num_outputs, z)`` with the least error on the
+    holdout rows of ``which``'s domains; the rows, weights and scores are the
+    metric engine's own, so the paper's orderings must hold exactly."""
+    cfg = MetricConfig()
+    ids = _domains(ds, cfg, which)
+    z, t, w, _ = _rows(ds, ids, SPLIT_HOLDOUT, targets, label)
+    family = family_of(ds.num_classes if targets == "label" else len(ids), z)
+    _, idx = exact_best_error(family, z, t, weights=w)
+    held = _rows(ds, _domains(ds, cfg, scored or which), SPLIT_HOLDOUT, targets, label)
+    return _score(family[idx], held, targets)
+
+
 class TestExactFamilyMode:
+    """Exact search over a finite family, on the rows each metric reads."""
+
     def _balanced_dataset(self, seed):
         # equal class counts in every (domain, split) cell
         return random_dataset(seed, n_train=2, n_test=2, dim=2, num_classes=2, per_cell=8)
 
+    def _d_primes(self, ds, family_of):
+        chance = {w: 1.0 / len(_domains(ds, MetricConfig(), w)) for w in ("train_sorted", "union")}
+        d0 = 1.0 - _exact_error(ds, family_of, "train_sorted", "domain") - chance["train_sorted"]
+        d1 = 1.0 - _exact_error(ds, family_of, "union", "domain") - chance["union"]
+        d2 = np.mean([1.0 - _exact_error(ds, family_of, "union", "domain", label=y)
+                      - chance["union"] for y in range(ds.num_classes)])
+        return d0, d1, d2
+
     @pytest.mark.parametrize("seed", range(8))
     def test_orderings_hold_exactly(self, seed):
         ds = self._balanced_dataset(seed)
-        cfg = MetricConfig(oracle_family_provider=_random_family_provider(seed))
-        e1 = e1_prime(ds, cfg)
-        e2 = e2_prime(ds, cfg)
+        family_of = _random_family_provider(seed)
+        e1 = _exact_error(ds, family_of, "target", "label")
+        e2 = _exact_error(ds, family_of, "joint", "label", scored="target")
         assert e1 <= e2 + 1e-12
-        d1 = d1_prime(ds, cfg)
-        d2 = d2_prime(ds, cfg)
+        _, d1, d2 = self._d_primes(ds, family_of)
         assert d1 <= d2 + 1e-12
 
     @pytest.mark.parametrize("seed", range(6))
     def test_e2_le_e3_for_train_optimal_head(self, seed):
-        from dgdx.metrics import _domains, _rows
-        from dgdx.probe import exact_best_error
-
         ds = self._balanced_dataset(seed)
-        provider = _random_family_provider(seed)
-        cfg = MetricConfig(oracle_family_provider=provider)
-        train = _domains(ds, cfg, "train_sorted")
+        family_of = _random_family_provider(seed)
+        train = _domains(ds, MetricConfig(), "train_sorted")
         z, ys, w, _ = _rows(ds, train, SPLIT_HOLDOUT, "label")
-        family = provider(ds.num_classes, z)
+        family = family_of(ds.num_classes, z)
         _, idx = exact_best_error(family, z, ys, weights=w)
-        head = family[idx]
-        assert e2_prime(ds, cfg) <= e3_prime(ds, head, cfg) + 1e-12
+        e2 = _exact_error(ds, family_of, "joint", "label", scored="target")
+        assert e2 <= e3_prime(ds, family[idx]) + 1e-12
 
     @pytest.mark.parametrize("seed", range(6))
     def test_d_metrics_nonnegative_with_constant_probes(self, seed):
         ds = self._balanced_dataset(seed)
-        cfg = MetricConfig(oracle_family_provider=_random_family_provider(seed))
-        assert d0_prime(ds, cfg) >= -1e-12
-        assert d1_prime(ds, cfg) >= -1e-12
-        assert d2_prime(ds, cfg) >= -1e-12
+        for value in self._d_primes(ds, _random_family_provider(seed)):
+            assert value >= -1e-12
 
 
 class TestCsvEmission:

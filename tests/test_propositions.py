@@ -184,33 +184,29 @@ class TestOrderings:
 
 class TestPartitionExpectation:
     def test_four_domains_enumerates_six_subsets(self):
-        inst = random_instance(3, n_domains=4, n_train=2)
-        rep = check_partition_expectation(inst.points, inst.joint, inst.label_family, 2)
+        rep = check_partition_expectation(random_instance(3, n_domains=4, n_train=2))
         assert rep.n_subsets == 6
         assert rep.holds
 
     def test_identical_domains_equal_expectations(self):
         inst = random_instance(4, n_domains=2, n_train=1)
-        joint = np.repeat(inst.joint[:1], 2, axis=0)
-        rep = check_partition_expectation(inst.points, joint, inst.label_family, 1)
+        same = dataclasses.replace(inst, joint=np.repeat(inst.joint[:1], 2, axis=0))
+        rep = check_partition_expectation(same)
         assert rep.mean_train_error == pytest.approx(rep.mean_separability_error, abs=1e-12)
 
     def test_six_domain_instance_holds(self):
-        inst = random_instance(21, n_domains=6, n_train=3)
-        rep = check_partition_expectation(inst.points, inst.joint, inst.label_family, 3)
+        rep = check_partition_expectation(random_instance(21, n_domains=6, n_train=3))
         assert rep.n_subsets == 20
         assert rep.holds
 
     def test_unbalanced_count_rejected(self):
-        inst = random_instance(5, n_domains=4, n_train=2)
-        with pytest.raises(ValueError, match="2 \\* n1"):
-            check_partition_expectation(inst.points, inst.joint, inst.label_family, 3)
+        with pytest.raises(ValueError, match="twice the training domain count"):
+            check_partition_expectation(random_instance(5, n_domains=4, n_train=3))
 
     def test_enumeration_guard(self):
-        inst = random_instance(6, n_domains=4, n_train=2)
+        # 16 domains split 8/8: C(16, 8) = 12,870 subsets, past the 10,000 guard
         with pytest.raises(ValueError, match="guard"):
-            check_partition_expectation(inst.points, inst.joint, inst.label_family, 2,
-                                        max_subsets=3)
+            check_partition_expectation(random_instance(6, n_domains=16, n_train=8))
 
 
 class TestEvalG:
@@ -304,7 +300,7 @@ class TestLossTable:
         for s in itertools.combinations(range(2 * n1), n1):
             e0s.append(reference_best_label(inst, s)[0])
             e1s.append(reference_best_label(inst, [i for i in range(2 * n1) if i not in s])[0])
-        rep = check_partition_expectation(inst.points, inst.joint, inst.label_family, n1)
+        rep = check_partition_expectation(inst)
         assert (rep.mean_train_error, rep.mean_separability_error) == (
             float(np.mean(e0s)), float(np.mean(e1s)))
 
@@ -434,8 +430,7 @@ def _pinned_report_digests():
             h["prop2"].update(_report_bytes(check_prop2(inst)))
         for inst in (uniform, skewed, forced):
             h["orderings"].update(_report_bytes(check_orderings(inst)))
-        h["partition"].update(_report_bytes(check_partition_expectation(
-            balanced.points, balanced.joint, balanced.label_family, n1)))
+        h["partition"].update(_report_bytes(check_partition_expectation(balanced)))
         for inst in (p1, p2, uniform, skewed):
             h["instance"].update(json.dumps(inst.to_dict(), sort_keys=True).encode())
     for name in SUITES:
