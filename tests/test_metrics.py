@@ -545,3 +545,65 @@ def test_diagnoses_are_pinned():
         view = _without_solver_bits(diag.to_dict())
         digests[name] = hashlib.sha256(json.dumps(view, sort_keys=True).encode()).hexdigest()
     assert digests == _PINNED_DIAGNOSIS_SHA256
+
+
+def _reheaded(seed, order, roles):
+    """``random_dataset``'s seven domains (ids 0-6, three classes) under a
+    header that lists them in ``order`` with ``roles``; the rows are unchanged."""
+    ds = random_dataset(seed, n_train=4, n_test=3, num_classes=3)
+    domains = tuple(DomainMeta(d, f"d{d}", role) for d, role in zip(order, roles))
+    return RepresentationDataset(ds.dim, ds.num_classes, domains, ds.domain_ids,
+                                 ds.splits, ds.labels, ds.z)
+
+
+_R, _T, _V = ROLE_TRAIN, ROLE_TEST, ROLE_VALID
+# headers out of id order with the roles mixed: (ids in header order, their roles, target role)
+_DOMAIN_ORDERS = {
+    "reversed": ((6, 5, 4, 3, 2, 1, 0), (_T, _T, _T, _R, _R, _R, _R), ROLE_TEST),
+    "interleaved": ((5, 2, 6, 0, 3, 4, 1), (_T, _R, _T, _R, _T, _R, _R), ROLE_TEST),
+    "valid": ((6, 2, 5, 0, 3, 4, 1), (_V, _R, _V, _R, _V, _R, _R), ROLE_VALID),
+}
+
+# each case's diagnosis.json fields, less the solver's last bits, hashed
+_PINNED_ORDER_SHA256 = {
+    "reversed-0": "5c39e71949089f2d45ac54a7a6cbd38a89477ff64054abec1329ec33ff8ba6c6",
+    "reversed-1": "0c8aea64276688ca11f5f4ad49ed12b9042ef8cc799ae61300cbc033e0186e39",
+    "reversed-2": "88d0102e15612ffa6ddf6810a70b945850be2074b57b66b111ce10ba3c4d59c3",
+    "reversed-3": "b15d349fbfa2dd6cd03fdc587d5a0a6c10d07930441a79ccfa9de854fd3b1fe8",
+    "reversed-4": "9d9f0bbc3c589517a0ca0335a5aa2b89f9b51d293091fc275137f7417af39266",
+    "reversed-5": "18596eefcdbf2c62ae4f70a015926088a4f2413e2a03189240caaac1b0d2d2f8",
+    "reversed-6": "1ab37b62cbcaee8381403b4fac880e5866058a3ef8dab6ce4244262e03dd9b48",
+    "reversed-7": "b9cf24557997f9be4d8872d06a2bb9e0e1ac806c5e2b4c20b1fec8de0d692a13",
+    "interleaved-0": "4d7454db64a49a152cdc8cec226194ffef6f692af8a28151e7f36d9f4b265d00",
+    "interleaved-1": "b4e60c046f67a212f4ed555747d6601472e93ca62a85e4e1dfd7b93581e796f5",
+    "interleaved-2": "b5ceffaa9e4615f5baeb48a4de76e155d77c4d542df4580d60275c88e866fda0",
+    "interleaved-3": "b89075c73eb09c66a4ea7286274336a2dccf77e10931457c54d6f4c4fa2a1a75",
+    "interleaved-4": "0f45fc11e5bb88713628b2bfcc29670d3356dc62ef30eeaf959686aca94bcbf4",
+    "interleaved-5": "032aea62d1dd1d549accd9b9dc47da0def36a056db008f846a7bd95f17110d99",
+    "interleaved-6": "7111408ade0b59c813d64ddcfc6da9c089d190ff0b8728c299aeeccf35f421f0",
+    "interleaved-7": "abfd6b549c7b5884a89c780ea76df2a1af5ff0d5ba582fd6e1b1a54a0f2af4da",
+    "valid-0": "58cb8123a230b829c9034c84bb983b41290b65608b4c27ed4004e1fe67048630",
+    "valid-1": "a23ea42e4c2d49aae55b896dff049d34e0439ebbb553b227e391b63bc52cb325",
+    "valid-2": "8a27025618816601292a645629a9a934055f2ed0a1cea0226e49d139b4e6113d",
+    "valid-3": "8940f60f9aff2d7c2b4951172ddb3abc7f89cef7a74485c0fb07f8a853e4cd84",
+    "valid-4": "f8ff8176be1976569cec3ffffd492287da946c6f896c919fff0a917f310d465f",
+    "valid-5": "34dd0c3cd18a147df97a920ad04e3c73aea20041a2d8dd869c5a8e8fdf8d0958",
+    "valid-6": "6241e0098f833f9b17a9864e9d563cd5549bf47b8278f053a320cb7a24f7b413",
+    "valid-7": "ff5d7c999b4f19755f2ca9a1778b74d030e105f5a1f0a2468f3fbe2b90e14114",
+}
+
+
+def test_domain_order_is_pinned():
+    # e0', e1' and e3' take the header's order, d0' and the union id order:
+    # a slip between the two changes the last bits, which ascending headers hide
+    # (e2''s joint fit order moves only the solver bits, which the view leaves out)
+    digests = {}
+    for name, (order, roles, target) in _DOMAIN_ORDERS.items():
+        for seed in range(8):
+            ds = _reheaded(seed, order, roles)
+            head = LinearProbe(np.random.default_rng(seed).normal(size=(3, 3)), np.zeros(3))
+            diag = diagnose(ds, head, MetricConfig(target_role=target))
+            view = _without_solver_bits(diag.to_dict())
+            digests[f"{name}-{seed}"] = hashlib.sha256(
+                json.dumps(view, sort_keys=True).encode()).hexdigest()
+    assert digests == _PINNED_ORDER_SHA256
