@@ -112,10 +112,10 @@ def cmd_diagnose(dump_path, head_path, target, out, tol):
             for s in range(0, ds.num_samples, block):
                 if not np.isfinite(head.scores(ds.z[s : s + block])).all():
                     _fail(EXIT_INPUT, f"{head_path}: the head's scores on the dump are not finite")
+        out = _out_dir(out)
         diag = diagnose(ds, head, MetricConfig(target_role=target))
     except (DatasetError, ValueError) as exc:
         _fail(EXIT_INPUT, str(exc))
-    out = _out_dir(out)
     _write_json(out / "diagnosis.json", diag.to_dict())
     _write_csv(out / "diagnosis.csv", csv_header(("target",)), [csv_row(diag, (target,))])
     if not all_probes_converged(diag):
@@ -327,16 +327,16 @@ def cmd_trajectory(target, out, **opts):
 def cmd_pca(dump_path, out):
     """Project a dump onto its top-2 principal axes (plot data emission)."""
     ds = _load_dump_checked(dump_path)
+    out = _out_dir(out)
     try:
         res = expt.pca2d(ds)
     except ValueError as exc:
         _fail(EXIT_INPUT, str(exc))
-    out = _out_dir(out)
-    rows = [
+    rows = (
         (int(ds.domain_ids[i]), int(ds.labels[i]), repr(float(res.coords[i, 0])),
          repr(float(res.coords[i, 1])))
         for i in range(ds.num_samples)
-    ]
+    )
     _write_csv(out / "pca.csv", ["domain_id", "label", "pc1", "pc2"], rows)
     _write_json(out / "variance.json", {"explained": list(res.explained)})
     click.echo(str(out / "pca.csv"))

@@ -69,39 +69,30 @@ _NEGATIVE_TOLERANCE = 1e-6
 # -- the metric engine -----------------------------------------------------------
 
 
-def _domains(ds, cfg, which):
-    """The domain ids a metric covers, in the order their samples stack.
+def _train_ids(ds):
+    """The training domain ids in header order."""
+    return ds.domain_ids_with_role(ROLE_TRAIN)
 
-    ``"train"``: the training domains in header order (e0'); ``"target"``:
-    the target domains in header order (e1', e3'); ``"train_sorted"``: the
-    training domains by id (d0'); ``"joint"``: all training domains by id,
-    then the target domains (e2'); ``"union"``: see
-    ``_union_ids`` (d1', d2').
-    """
-    train = ds.domain_ids_with_role(ROLE_TRAIN)
-    if which == "train":
-        return train
-    if which == "train_sorted":
-        return sorted(train)
+
+def _target_ids(ds, cfg):
+    """The target domain ids in header order: the test domains, or the
+    validation domains in validation-proxy mode."""
     target = ds.domain_ids_with_role(cfg.target_role)
     if not target:
         raise DatasetError(f"dataset has no domains with role {cfg.target_role!r}")
-    if which == "target":
-        return target
-    if which == "union":
-        return _union_ids(sorted(train), target, cfg)
-    return sorted(train) + target
+    return target
 
 
-def _union_ids(train, target, cfg):
-    """Domain set of the union distinguishability probes, d1' and d2'.
+def _union_ids(ds, cfg):
+    """Domain set of the union distinguishability probes, d1' and d2': the
+    training domains by id, then the target domains.
 
-    With a test target this is all training plus all test domains.  In
-    validation-proxy mode the last n2 training domains (by id) are dropped so
-    the domain count, and hence the chance baseline, matches the
+    In validation-proxy mode the last n2 training domains (by id) are dropped
+    so the domain count, and hence the chance baseline, matches the
     training-only metric d0'.  (e2' fits on all training domains in both
     modes.)
     """
+    train, target = sorted(_train_ids(ds)), _target_ids(ds, cfg)
     if cfg.target_role == ROLE_VALID:
         if len(target) >= len(train):
             raise DatasetError(
@@ -173,6 +164,11 @@ def _select(ds, cfg, domain_ids, targets, label=None, scored_ids=None):
     """
     num_outputs = ds.num_classes if targets == "label" else len(domain_ids)
     z, t, w, _ = _rows(ds, domain_ids, SPLIT_FIT, targets, label)
+    if (t == t[0]).all():
+        of_class = "" if label is None else f" of class {label}"
+        raise DatasetError(f"the split={SPLIT_FIT} (fit) samples{of_class} of domains "
+                           f"{domain_ids} hold fewer than 2 distinct {targets}s; "
+                           "no probe can be fitted")
     probe, record = fit_probe(z, t, num_outputs, cfg.probe_cfg, sample_weight=w)
     meta = dict(record.to_dict(), kept="zero_one")
     # dropped before the holdout rows are gathered, so the two are never held together
@@ -186,84 +182,79 @@ def _select(ds, cfg, domain_ids, targets, label=None, scored_ids=None):
     return value, meta
 
 
-def _head_error(ds, head, cfg, which):
+def _head_error(ds, head, domain_ids):
     if head.num_outputs != ds.num_classes:
         raise ValueError("head must have num_classes outputs")
-    return _score(head, _rows(ds, _domains(ds, cfg, which), SPLIT_HOLDOUT, "label"), "label")
+    return _score(head, _rows(ds, domain_ids, SPLIT_HOLDOUT, "label"), "label")
 
 
 # -- the seven primed metrics ----------------------------------------------------
+#
+# The five probe metrics return ``(value, meta)``, meta being the fit's record
+# (d2': one per class); the two head metrics return the value.  e0', e1' and
+# e3' stack their domains in header order, d0' and the union in id order: the
+# order moves the last bits.
 
 
-def e0_prime(ds, head, cfg=None):
+def e0_prime(ds, head):
     """Learned head's 0-1 error averaged over training domains (underfitting)."""
-    return _head_error(ds, head, cfg or MetricConfig(), "train")
+    return _head_error(ds, head, _train_ids(ds))
 
 
-def e1_prime(ds, cfg=None, return_meta=False):
+def e1_prime(ds, cfg):
     """Best shared probe's error on target domains (inseparability).
 
     One probe is shared across all target domains, matching the single
     minimizer inside the defining infimum.  Fitted probes report the lower
     holdout error of a fit's two stages (see ``_select``).
     """
-    cfg = cfg or MetricConfig()
-    value, meta = _select(ds, cfg, _domains(ds, cfg, "target"), "label")
-    return (value, meta) if return_meta else value
+    return _select(ds, cfg, _target_ids(ds, cfg), "label")
 
 
-def e2_prime(ds, cfg=None, return_meta=False):
+def e2_prime(ds, cfg):
     """Error on target domains of the probe fit jointly on training plus
     target domains, every domain weighted equally (misalignment).  Fitted
     probes report the lower holdout error of a fit's two stages (see
     ``_select``)."""
-    cfg = cfg or MetricConfig()
-    value, meta = _select(ds, cfg, _domains(ds, cfg, "joint"), "label",
-                          scored_ids=_domains(ds, cfg, "target"))
-    return (value, meta) if return_meta else value
+    target = _target_ids(ds, cfg)
+    return _select(ds, cfg, sorted(_train_ids(ds)) + target, "label", scored_ids=target)
 
 
-def e3_prime(ds, head, cfg=None):
+def e3_prime(ds, head, cfg):
     """Learned head's 0-1 error averaged over target domains (plain test error)."""
-    return _head_error(ds, head, cfg or MetricConfig(), "target")
+    return _head_error(ds, head, _target_ids(ds, cfg))
 
 
-def d0_prime(ds, cfg=None, return_meta=False):
+def d0_prime(ds, cfg):
     """Chance-adjusted accuracy of the best domain classifier on training domains.
 
     Fitted probes report the lower holdout error of a fit's two stages (see
     ``_select``), as do ``d1_prime`` and ``d2_prime``.
     """
-    cfg = cfg or MetricConfig()
-    train = _domains(ds, cfg, "train_sorted")
+    train = sorted(_train_ids(ds))
     err, meta = _select(ds, cfg, train, "domain")
-    value = 1.0 - err - 1.0 / len(train)
-    return (value, meta) if return_meta else value
+    return 1.0 - err - 1.0 / len(train), meta
 
 
-def d1_prime(ds, cfg=None, return_meta=False):
+def d1_prime(ds, cfg):
     """Chance-adjusted accuracy of the best domain classifier on the union of
     training and target domains (validation-proxy mode swaps target domains
     in for an equal number of training domains so baselines match)."""
-    cfg = cfg or MetricConfig()
-    union = _domains(ds, cfg, "union")
+    union = _union_ids(ds, cfg)
     err, meta = _select(ds, cfg, union, "domain")
-    value = 1.0 - err - 1.0 / len(union)
-    return (value, meta) if return_meta else value
+    return 1.0 - err - 1.0 / len(union), meta
 
 
-def d2_prime(ds, cfg=None, return_meta=False):
+def d2_prime(ds, cfg):
     """Class-conditional version of the union distinguishability: a separate
     domain classifier per class, averaged over classes with equal weight.
     A class missing from a cell of the union makes it undefined."""
-    cfg = cfg or MetricConfig()
-    union = _domains(ds, cfg, "union")
+    union = _union_ids(ds, cfg)
     values, metas = [], {}
     for y in range(ds.num_classes):
         err, metas[f"class{y}"] = _select(ds, cfg, union, "domain", label=y)
         values.append(1.0 - err - 1.0 / len(union))
-    value = float(np.mean(values))
-    return (value, metas) if return_meta else value
+    return float(np.mean(values)), metas
 
 
 # -- decomposition ----------------------------------------------------------------
@@ -357,13 +348,13 @@ def diagnose(ds, head, cfg=None):
     give identical output.
     """
     cfg = cfg or MetricConfig()
-    e0p = e0_prime(ds, head, cfg)
-    e1p, m1 = e1_prime(ds, cfg, return_meta=True)
-    e2p, m2 = e2_prime(ds, cfg, return_meta=True)
+    e0p = e0_prime(ds, head)
+    e1p, m1 = e1_prime(ds, cfg)
+    e2p, m2 = e2_prime(ds, cfg)
     e3p = e3_prime(ds, head, cfg)
-    d0p, md0 = d0_prime(ds, cfg, return_meta=True)
-    d1p, md1 = d1_prime(ds, cfg, return_meta=True)
-    d2p, md2 = d2_prime(ds, cfg, return_meta=True)
+    d0p, md0 = d0_prime(ds, cfg)
+    d1p, md1 = d1_prime(ds, cfg)
+    d2p, md2 = d2_prime(ds, cfg)
     diag = decompose(e0p, e1p, e2p, e3p, d0p, d1p, d2p)
     meta = {"e1": m1, "e2": m2, "d0": md0, "d1": md1, "d2": md2}
     return replace(diag, probe_meta=meta)
@@ -383,5 +374,5 @@ def csv_header(context_keys):
     return list(context_keys) + list(CSV_METRIC_COLUMNS)
 
 
-def csv_row(diag, context_values=()):
+def csv_row(diag, context_values):
     return list(context_values) + [repr(float(getattr(diag, f))) for f in _CSV_FIELDS]

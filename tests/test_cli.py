@@ -154,6 +154,25 @@ class TestDiagnoseCommand:
         # the solver's bounded temporaries (about 2 MiB for the 0-1 line search)
         assert peak <= own + 1.25 * fit_rows + (2 << 20)
 
+    @pytest.mark.parametrize("num_classes", [2, 1])
+    def test_fit_rows_of_one_class_exit_two_naming_the_domains(self, runner, tmp_path,
+                                                               num_classes):
+        # every label is 0, so the label-shift gate passes but no label probe can be fitted
+        ds = random_dataset(0, per_cell=8)
+        dump = tmp_path / "one_class.csv"
+        save_dump(RepresentationDataset(ds.dim, num_classes, ds.domains, ds.domain_ids,
+                                        ds.splits, np.zeros_like(ds.labels), ds.z),
+                  dump, FORMAT_CSV)
+        head = tmp_path / "head.json"
+        LinearProbe(np.zeros((num_classes, 3)), np.zeros(num_classes)).save(head)
+        res = runner.invoke(main, ["diagnose", "--dump", str(dump), "--head", str(head),
+                                   "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output
+        assert "split=0 (fit) samples of domains [2] hold fewer than 2 distinct labels" \
+            in res.output
+
     @pytest.mark.parametrize("roles, target, message", [
         ((ROLE_TRAIN, ROLE_TRAIN, ROLE_VALID), "test", "no domains with role 'test'"),
         ((ROLE_TRAIN, ROLE_TRAIN, ROLE_VALID, ROLE_VALID), "valid",
@@ -528,10 +547,14 @@ def test_head_path_that_is_a_directory_exits_two(runner, tmp_path):
                  id="scenario"),
     pytest.param(["pca", "--dump", "DUMP"], id="pca"),
 ])
-def test_out_path_that_is_a_file_exits_two_naming_it(runner, tmp_path, command):
+def test_out_path_that_is_a_file_exits_two_naming_it(runner, tmp_path, monkeypatch, command):
     dump, head = _scenario_files(tmp_path, spc=20)
     taken = tmp_path / "taken.txt"
     taken.write_text("not a directory\n")
+    # the output directory is checked before the diagnosis or the PCA runs
+    called = []
+    monkeypatch.setattr(cli, "diagnose", lambda *args: called.append("diagnose"))
+    monkeypatch.setattr(expt, "pca2d", lambda *args: called.append("pca2d"))
     args = [{"DUMP": str(dump), "HEAD": str(head)}.get(a, a) for a in command]
     res = runner.invoke(main, args + ["--out", str(taken)])
     assert res.exit_code == 2, res.output
@@ -539,6 +562,7 @@ def test_out_path_that_is_a_file_exits_two_naming_it(runner, tmp_path, command):
     assert "Traceback" not in res.output
     assert f"cannot make output directory {taken}" in res.output
     assert taken.read_text() == "not a directory\n"
+    assert called == []
 
 
 def test_importing_the_cli_loads_no_scipy():
@@ -561,6 +585,24 @@ class TestPcaCommand:
         assert sum(var["explained"]) == pytest.approx(1.0, abs=1e-9)
         header = (tmp_path / "pca.csv").read_text().splitlines()[0]
         assert header.strip() == "domain_id,label,pc1,pc2"
+
+    def test_peak_memory_is_the_dataset_and_one_float64_copy(self, runner, tmp_path):
+        # pca.csv is written row by row, so no per-row Python objects pile up
+        n, dim = 20_000, 8
+        rng = np.random.default_rng(0)
+        domains = (DomainMeta(0, "a", ROLE_TRAIN), DomainMeta(1, "b", ROLE_TRAIN),
+                   DomainMeta(2, "t", ROLE_TEST))
+        ds = RepresentationDataset(dim, 2, domains, np.arange(n) % 3, np.arange(n) % 5 == 4,
+                                   np.arange(n) // 3 % 2, rng.normal(size=(n, dim)))
+        dump = tmp_path / "d.bin"
+        save_dump(ds, dump)
+        args = ["pca", "--dump", str(dump), "--out", str(tmp_path)]
+        runner.invoke(main, args)  # a first run imports what the command imports on first use
+        res, peak = traced_peak(runner.invoke, main, args)
+        assert res.exit_code == 0, res.output
+        own = sum(a.nbytes for a in (ds.domain_ids, ds.splits, ds.labels, ds.z))
+        # the dump, pca2d's float64 copy of the rows and the coordinates, plus 1 MiB
+        assert peak <= own + n * dim * 8 + n * 2 * 8 + (1 << 20)
 
 
 class TestDeterminism:

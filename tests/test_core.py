@@ -19,7 +19,7 @@ from dgdx.core import (
     sniff_format,
     validate_no_label_shift,
 )
-from dgdx.metrics import MetricConfig, e0_prime
+from dgdx.metrics import e0_prime
 
 from conftest import random_dataset
 from support import rewrite_header, traced_peak
@@ -536,8 +536,7 @@ class TestSaveDump:
         save_dump(ds, path, FORMAT_CSV)
         ds2 = load_dump(path, FORMAT_CSV)
         head = LinearProbe(np.array([[0.3, -1.0, 0.2], [0.1, 0.9, -0.4]]), np.array([0.0, -0.5]))
-        cfg = MetricConfig()
-        assert abs(e0_prime(ds, head, cfg) - e0_prime(ds2, head, cfg)) < 1e-9
+        assert abs(e0_prime(ds, head) - e0_prime(ds2, head)) < 1e-9
         assert np.array_equal(ds.z, ds2.z)  # 9 significant digits are lossless for float32
 
 

@@ -19,6 +19,7 @@ from dgdx.core import (
     SPLIT_FIT,
     SPLIT_HOLDOUT,
 )
+from dgdx import metrics
 from dgdx.metrics import (
     ConstantSeriesError,
     MetricConfig,
@@ -35,9 +36,11 @@ from dgdx.metrics import (
     e2_prime,
     e3_prime,
     pearson,
-    _domains,
     _rows,
     _score,
+    _target_ids,
+    _train_ids,
+    _union_ids,
 )
 from dgdx.probe import (
     FiniteProbeFamily,
@@ -108,7 +111,7 @@ class TestGeneralizationMetrics:
     def test_e1_separable_targets(self):
         ds = build_dataset({(0, 0): (0, -1), (0, 1): (0, 1), (1, 0): (1, -1), (1, 1): (1, 1),
                             (2, 0): (5, -1), (2, 1): (5, 1)}, roles={2: ROLE_TEST})
-        assert e1_prime(ds) <= 0.01
+        assert e1_prime(ds, MetricConfig())[0] <= 0.01
 
     def test_e1_interleaved_targets_near_half(self):
         ds = build_dataset(
@@ -116,19 +119,20 @@ class TestGeneralizationMetrics:
              (2, 0): (5, 0), (2, 1): (5, 0), (3, 0): (6, 0), (3, 1): (6, 0)},
             roles={2: ROLE_TEST, 3: ROLE_TEST}, per_cell=200,
         )
-        assert e1_prime(ds) == pytest.approx(0.5, abs=0.06)
+        assert e1_prime(ds, MetricConfig())[0] == pytest.approx(0.5, abs=0.06)
 
     def test_e2_identical_domains_separable(self):
         cells = {(d, y): (0, 2 * y - 1) for d in range(3) for y in range(2)}
         ds = build_dataset(cells, roles={2: ROLE_TEST})
-        assert e2_prime(ds) <= 0.01
+        assert e2_prime(ds, MetricConfig())[0] <= 0.01
 
     def test_e2_equals_e1_when_test_matches_train(self):
         # two training domains drawn from the same distribution as the single
         # test domain: the joint fit and the target-only fit see the same task
         cells = {(d, y): (0, 2 * y - 1) for d in range(3) for y in range(2)}
         ds = build_dataset(cells, std=0.8, per_cell=160, roles={2: ROLE_TEST})
-        assert e2_prime(ds) == pytest.approx(e1_prime(ds), abs=0.02)
+        cfg = MetricConfig()
+        assert e2_prime(ds, cfg)[0] == pytest.approx(e1_prime(ds, cfg)[0], abs=0.02)
 
     def test_fitted_metric_keeps_the_stage_with_lower_holdout_error(self):
         # overlapping classes: the 0-1 stage moves the probe, and the metric
@@ -142,14 +146,14 @@ class TestGeneralizationMetrics:
         errs = [zero_one_error(p, ds.z[held].astype(np.float64), ds.labels[held])
                 for p in (probe, rec.start)]
         assert errs[0] != errs[1]
-        value, meta = e1_prime(ds, return_meta=True)
+        value, meta = e1_prime(ds, MetricConfig())
         assert value == min(errs)
         assert meta["kept"] == ("logistic" if errs[1] < errs[0] else "zero_one")
 
     def test_e3_constant_head(self):
         ds = build_dataset({(0, 0): (0, -1), (0, 1): (0, 1), (1, 0): (1, -1), (1, 1): (1, 1),
                             (2, 0): (2, -1), (2, 1): (2, 1)}, roles={2: ROLE_TEST})
-        assert e3_prime(ds, constant_probe(1, 2, 2)) == pytest.approx(0.5)
+        assert e3_prime(ds, constant_probe(1, 2, 2), MetricConfig()) == pytest.approx(0.5)
 
     def test_target_role_valid_selects_validation_domains(self):
         ds = build_dataset(
@@ -180,12 +184,12 @@ class TestInvarianceMetrics:
         splits = np.concatenate([splits, [0, 0, 1, 1]]).astype(np.uint8)
         labels = np.concatenate([labels, [0, 1, 0, 1]])
         ds = RepresentationDataset(2, 2, domains, ids, splits, labels, all_z)
-        assert abs(d0_prime(ds)) <= 0.05
+        assert abs(d0_prime(ds, MetricConfig())[0]) <= 0.05
 
     def test_d0_fully_separated(self):
         ds = build_dataset({(0, 0): (0, -1), (0, 1): (0, 1), (1, 0): (5, -1), (1, 1): (5, 1),
                             (2, 0): (9, -1), (2, 1): (9, 1)}, roles={2: ROLE_TEST})
-        assert d0_prime(ds) == pytest.approx(0.5, abs=0.01)
+        assert d0_prime(ds, MetricConfig())[0] == pytest.approx(0.5, abs=0.01)
 
     def test_d0_two_coincident_one_separated_is_third(self):
         cells = {(0, 0): (0, -1), (0, 1): (0, 1),
@@ -193,17 +197,17 @@ class TestInvarianceMetrics:
                  (2, 0): (5, -1), (2, 1): (5, 1),
                  (3, 0): (9, -1), (3, 1): (9, 1)}
         ds = build_dataset(cells, per_cell=200, roles={3: ROLE_TEST})
-        assert d0_prime(ds) == pytest.approx(1 / 3, abs=0.05)
+        assert d0_prime(ds, MetricConfig())[0] == pytest.approx(1 / 3, abs=0.05)
 
     def test_d1_identical_domains_near_zero(self):
         cells = {(d, y): (0, 2 * y - 1) for d in range(4) for y in range(2)}
         ds = build_dataset(cells, per_cell=200, roles={3: ROLE_TEST})
-        assert abs(d1_prime(ds)) <= 0.05
+        assert abs(d1_prime(ds, MetricConfig())[0]) <= 0.05
 
     def test_d1_all_separated(self):
         cells = {(d, y): (4 * d, 2 * y - 1) for d in range(4) for y in range(2)}
         ds = build_dataset(cells, roles={3: ROLE_TEST})
-        assert d1_prime(ds) == pytest.approx(0.75, abs=0.01)
+        assert d1_prime(ds, MetricConfig())[0] == pytest.approx(0.75, abs=0.01)
 
     def test_d1_proxy_mode_matches_d0_baseline(self):
         # 3 training domains (one of which gets dropped) plus 1 validation
@@ -211,7 +215,7 @@ class TestInvarianceMetrics:
         cells = {(d, y): (4 * d, 2 * y - 1) for d in range(4) for y in range(2)}
         ds = build_dataset(cells, roles={3: ROLE_VALID})
         cfg = MetricConfig(target_role=ROLE_VALID)
-        assert d1_prime(ds, cfg) == pytest.approx(2 / 3, abs=0.01)
+        assert d1_prime(ds, cfg)[0] == pytest.approx(2 / 3, abs=0.01)
 
     def test_d2_label_flipped_alignment(self):
         # unconditional marginals match everywhere, so d1' is near zero, but
@@ -220,8 +224,9 @@ class TestInvarianceMetrics:
                  (1, 0): (0, 0), (1, 1): (4, 0),
                  (2, 0): (4, 0), (2, 1): (0, 0)}
         ds = build_dataset(cells, per_cell=240, roles={2: ROLE_TEST})
-        assert abs(d1_prime(ds)) <= 0.05
-        assert d2_prime(ds) >= 0.3
+        cfg = MetricConfig()
+        assert abs(d1_prime(ds, cfg)[0]) <= 0.05
+        assert d2_prime(ds, cfg)[0] >= 0.3
 
     def test_d2_missing_cell_is_error(self):
         ds = random_dataset(3)
@@ -231,12 +236,12 @@ class TestInvarianceMetrics:
         broken = RepresentationDataset(ds.dim, ds.num_classes, ds.domains, ds.domain_ids,
                                        ds.splits, labels, ds.z)
         with pytest.raises(DatasetError, match="class-conditional"):
-            d2_prime(broken)
+            d2_prime(broken, MetricConfig())
 
     def test_d2_single_class_equals_d1(self):
         ds = random_dataset(4, num_classes=1)
         cfg = MetricConfig()
-        assert d2_prime(ds, cfg) == pytest.approx(d1_prime(ds, cfg), abs=1e-12)
+        assert d2_prime(ds, cfg)[0] == pytest.approx(d1_prime(ds, cfg)[0], abs=1e-12)
 
 
 class TestDecompose:
@@ -389,6 +394,29 @@ class TestDiagnose:
             probe_meta["converged"] = False
             assert all_probes_converged(replace(diag, probe_meta=meta)) is False
 
+    def test_calls_each_metric_global_once(self, monkeypatch):
+        # the benchmark times each metric by wrapping its module global
+        ds = random_dataset(8, n_train=3, n_test=2, num_classes=3, per_cell=10)
+        head = LinearProbe(np.random.default_rng(1).normal(size=(3, 3)), np.zeros(3))
+        expected = diagnose(ds, head)
+        names = ("e0_prime", "e1_prime", "e2_prime", "e3_prime", "d0_prime", "d1_prime",
+                 "d2_prime")
+        counts = dict.fromkeys(names, 0)
+
+        def count(name):
+            original = getattr(metrics, name)
+
+            def wrapper(*args):
+                counts[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(metrics, name, wrapper)
+
+        for name in names:
+            count(name)
+        assert diagnose(ds, head) == expected
+        assert counts == dict.fromkeys(names, 1)
+
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=15, deadline=None)
     def test_identities_property(self, seed):
@@ -411,17 +439,15 @@ def _random_family_provider(seed, extra_probes=24):
     return provider
 
 
-def _exact_error(ds, family_of, which, targets, label=None, scored=None):
-    """The holdout error, on ``scored``'s domains (default ``which``'s), of the
+def _exact_error(ds, family_of, ids, targets, label=None, scored=None):
+    """The holdout error, on the domains ``scored`` (default ``ids``), of the
     member of ``family_of(num_outputs, z)`` with the least error on the
-    holdout rows of ``which``'s domains; the rows, weights and scores are the
+    holdout rows of the domains ``ids``; the rows, weights and scores are the
     metric engine's own, so the paper's orderings must hold exactly."""
-    cfg = MetricConfig()
-    ids = _domains(ds, cfg, which)
     z, t, w, _ = _rows(ds, ids, SPLIT_HOLDOUT, targets, label)
     family = family_of(ds.num_classes if targets == "label" else len(ids), z)
     _, idx = exact_best_error(family, z, t, weights=w)
-    held = _rows(ds, _domains(ds, cfg, scored or which), SPLIT_HOLDOUT, targets, label)
+    held = _rows(ds, scored or ids, SPLIT_HOLDOUT, targets, label)
     return _score(family[idx], held, targets)
 
 
@@ -433,19 +459,20 @@ class TestExactFamilyMode:
         return random_dataset(seed, n_train=2, n_test=2, dim=2, num_classes=2, per_cell=8)
 
     def _d_primes(self, ds, family_of):
-        chance = {w: 1.0 / len(_domains(ds, MetricConfig(), w)) for w in ("train_sorted", "union")}
-        d0 = 1.0 - _exact_error(ds, family_of, "train_sorted", "domain") - chance["train_sorted"]
-        d1 = 1.0 - _exact_error(ds, family_of, "union", "domain") - chance["union"]
-        d2 = np.mean([1.0 - _exact_error(ds, family_of, "union", "domain", label=y)
-                      - chance["union"] for y in range(ds.num_classes)])
+        train, union = sorted(_train_ids(ds)), _union_ids(ds, MetricConfig())
+        d0 = 1.0 - _exact_error(ds, family_of, train, "domain") - 1.0 / len(train)
+        d1 = 1.0 - _exact_error(ds, family_of, union, "domain") - 1.0 / len(union)
+        d2 = np.mean([1.0 - _exact_error(ds, family_of, union, "domain", label=y)
+                      - 1.0 / len(union) for y in range(ds.num_classes)])
         return d0, d1, d2
 
     @pytest.mark.parametrize("seed", range(8))
     def test_orderings_hold_exactly(self, seed):
         ds = self._balanced_dataset(seed)
         family_of = _random_family_provider(seed)
-        e1 = _exact_error(ds, family_of, "target", "label")
-        e2 = _exact_error(ds, family_of, "joint", "label", scored="target")
+        target = _target_ids(ds, MetricConfig())
+        e1 = _exact_error(ds, family_of, target, "label")
+        e2 = _exact_error(ds, family_of, sorted(_train_ids(ds)) + target, "label", scored=target)
         assert e1 <= e2 + 1e-12
         _, d1, d2 = self._d_primes(ds, family_of)
         assert d1 <= d2 + 1e-12
@@ -454,12 +481,12 @@ class TestExactFamilyMode:
     def test_e2_le_e3_for_train_optimal_head(self, seed):
         ds = self._balanced_dataset(seed)
         family_of = _random_family_provider(seed)
-        train = _domains(ds, MetricConfig(), "train_sorted")
+        train, target = sorted(_train_ids(ds)), _target_ids(ds, MetricConfig())
         z, ys, w, _ = _rows(ds, train, SPLIT_HOLDOUT, "label")
         family = family_of(ds.num_classes, z)
         _, idx = exact_best_error(family, z, ys, weights=w)
-        e2 = _exact_error(ds, family_of, "joint", "label", scored="target")
-        assert e2 <= e3_prime(ds, family[idx]) + 1e-12
+        e2 = _exact_error(ds, family_of, train + target, "label", scored=target)
+        assert e2 <= e3_prime(ds, family[idx], MetricConfig()) + 1e-12
 
     @pytest.mark.parametrize("seed", range(6))
     def test_d_metrics_nonnegative_with_constant_probes(self, seed):
