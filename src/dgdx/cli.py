@@ -105,6 +105,7 @@ def cmd_diagnose(dump_path, head_path, target, out, tol):
     if not shift.passed:
         click.echo(json.dumps(shift.to_dict(), sort_keys=True), err=True)
         _fail(EXIT_INPUT, f"label marginals differ across domains by {shift.max_deviation:.4f} > {tol}")
+    out = _out_dir(out)
     try:
         # finite parameters near the float limit can still overflow the scores
         block = max(1, _HEAD_CHECK_VALUES // ds.dim)
@@ -112,7 +113,6 @@ def cmd_diagnose(dump_path, head_path, target, out, tol):
             for s in range(0, ds.num_samples, block):
                 if not np.isfinite(head.scores(ds.z[s : s + block])).all():
                     _fail(EXIT_INPUT, f"{head_path}: the head's scores on the dump are not finite")
-        out = _out_dir(out)
         diag = diagnose(ds, head, MetricConfig(target_role=target))
     except (DatasetError, ValueError) as exc:
         _fail(EXIT_INPUT, str(exc))

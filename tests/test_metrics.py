@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dgdx import metrics
 from dgdx.core import (
     DatasetError,
     DomainMeta,
@@ -19,7 +20,6 @@ from dgdx.core import (
     SPLIT_FIT,
     SPLIT_HOLDOUT,
 )
-from dgdx import metrics
 from dgdx.metrics import (
     ConstantSeriesError,
     MetricConfig,
