@@ -538,13 +538,17 @@ class TestStepStart:
 
 
 # ``train``'s checkpoints and objective trace on SMALL_SPEC, hashed per
-# configuration; at learning rate 4 the line search backtracks in each.
+# configuration; at learning rate 4 the line search backtracks in each.  The
+# frozen penalized cases pin the penalty on fixed features as well.
 _PIN_TRAININGS = {
     "erm": dict(algorithm="erm"),
     "frozen": dict(algorithm="erm", freeze_features=True),
     "group-dro": dict(algorithm="group-dro", beta=2.0),
     "coral": dict(algorithm="coral", beta=1.0),
     "cond-invariance": dict(algorithm="cond-invariance", beta=1.0),
+    "frozen-coral": dict(algorithm="coral", beta=1.0, freeze_features=True),
+    "frozen-cond-invariance": dict(algorithm="cond-invariance", beta=1.0, freeze_features=True),
+    "frozen-group-dro": dict(algorithm="group-dro", beta=2.0, freeze_features=True),
 }
 _PINNED_TRAINING_SHA256 = {
     "erm": "d025fc91e57970498cb2d5d117d6a37b75307693188fbe485873308b1a9436ff",
@@ -552,6 +556,9 @@ _PINNED_TRAINING_SHA256 = {
     "group-dro": "b634a313624ab970bd9e3dace21c93bd92a234772d1d7b87df682fc9acc43294",
     "coral": "13e1369f72ea9b01bc274b929877a45477217b7b5c9eb0690f3f760ff12b8a71",
     "cond-invariance": "6afd3f2af6183ff70617de8c8af72c6e6cd922b728ffda10d48f8629e181a32b",
+    "frozen-coral": "4d03fa49dad6e03c4d0edeb1efd4745db0bbabafd8fe8181d7601b9454a26810",
+    "frozen-cond-invariance": "a7ef42709f79d40c5340e7a082d3a9861a3b0371e4b3e6a600ffca6c7ca9f286",
+    "frozen-group-dro": "1770869fad150e5728e840f21539c2d6df7bea4525262646d3ed374f365375b8",
 }
 
 
