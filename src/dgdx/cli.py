@@ -125,7 +125,7 @@ def cmd_diagnose(dump_path, head_path, target, out, tol):
 
 @main.command("scenario")
 @click.option("--kind", required=True, type=str)
-@click.option("--seed", required=True, type=int)
+@click.option("--seed", required=True, type=click.IntRange(min=0))
 @click.option("--out", default=".", help="output directory")
 @click.option("--samples-per-cell", default=500, show_default=True)
 @click.option("--cluster-std", default=0.08, show_default=True)
@@ -165,7 +165,7 @@ def cmd_scenario(kind, seed, out, samples_per_cell, cluster_std, dim, fmt, verif
 @main.command("verify")
 @click.option("--suite", type=click.Choice(list(propositions.SUITES) + ["all"]), default="all")
 @click.option("--trials", type=int, help="random trials per suite; required without --instance")
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--out", default=".", help="output directory")
 @click.option("--instance", "instance_path", default=None,
               help="JSON instance file to check instead of random trials (orderings only)")
@@ -219,7 +219,7 @@ def _training_options(command):
         click.option("--steps-per-epoch", default=expt.TrainConfig.steps_per_epoch,
                      show_default=True),
         click.option("--samples-per-domain", default=1200, show_default=True),
-        click.option("--seed", required=True, type=int),
+        click.option("--seed", required=True, type=click.IntRange(min=0)),
         click.option("--learning-rate", default=expt.TrainConfig.learning_rate,
                      show_default=True),
         click.option("--hidden-width", default=expt.TrainConfig.hidden_width, show_default=True),

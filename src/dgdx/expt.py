@@ -169,6 +169,9 @@ class TrainConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; valid: {ALGORITHMS}")
         if not (np.isfinite(self.beta) and self.beta >= 0):
             raise ValueError(f"beta must be finite and nonnegative, got {self.beta}")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError(f"learning_rate must be finite and nonnegative, "
+                             f"got {self.learning_rate}")
         if self.algorithm == ALG_ERM and self.beta != 0:
             raise ValueError("erm takes beta = 0")
         if self.algorithm == ALG_GROUP_DRO and self.beta <= 0:
@@ -258,15 +261,6 @@ def representations(params, x):
 
 
 @dataclass(frozen=True)
-class FrozenFeatures:
-    """The feature layers' forward pass at fixed feature weights and the
-    representation penalty on it, computed once (see ``frozen_batch``)."""
-
-    features: tuple  # pre1, h1, pre2, h2
-    penalty: float
-
-
-@dataclass(frozen=True)
 class Batch:
     """The training batch, the constants every objective evaluation on it
     reuses, and the workspace those evaluations write into; built once per
@@ -285,7 +279,6 @@ class Batch:
     rows: np.ndarray  # np.arange(n), for picking each sample's label entry
     groups: tuple  # sample indices of each training domain
     classes: tuple  # (sample indices, centred one-hot domain codes) per class with >= 2 samples
-    frozen: FrozenFeatures = None
     work: dict = field(default_factory=dict, repr=False, compare=False)
 
 
@@ -302,20 +295,6 @@ def make_batch(x, labels, domain_pos, n_groups, num_classes):
         classes.append((idx, dy - dy.mean(axis=0)))
     groups = tuple(np.flatnonzero(domain_pos == g) for g in range(n_groups))
     return Batch(x, labels, np.arange(x.shape[0]), groups, tuple(classes))
-
-
-def frozen_batch(batch, params, cfg):
-    """``batch`` with the feature layers fixed at ``params``' feature weights.
-
-    Their forward pass and ``cfg``'s representation penalty are computed here
-    once; ``objective`` then evaluates only the head on them, and
-    ``objective_gradient`` returns only the head's gradients (``W3``,
-    ``b3``).  The values are those the full path computes, bit for bit.  The
-    result serves ``cfg`` alone and has a workspace of its own.
-    """
-    features = forward(params, batch.x)[:4]
-    penalty, _ = _penalty(features[3], batch, cfg)
-    return replace(batch, frozen=FrozenFeatures(features, penalty), work={})
 
 
 def _buffer(batch, name, shape, dtype):
@@ -444,15 +423,11 @@ def objective(params, batch, cfg):
     for the worst-case variant), plus ``beta`` times the algorithm's
     representation penalty, plus L2 weight decay on the weight matrices.
     """
-    frozen = batch.frozen
-    if frozen is None:
-        pre1 = _affine(batch, "pre1", batch.x, params["W1"], params["b1"])
-        h1 = np.maximum(pre1, 0.0, out=_buffer(batch, "h1", pre1.shape, pre1.dtype))
-        pre2 = _affine(batch, "pre2", h1, params["W2"], params["b2"])
-        h2 = np.maximum(pre2, 0.0, out=_buffer(batch, "h2", pre2.shape, pre2.dtype))
-        penalty, penalty_state = _penalty(h2, batch, cfg)
-    else:
-        (pre1, h1, pre2, h2), penalty, penalty_state = frozen.features, frozen.penalty, None
+    pre1 = _affine(batch, "pre1", batch.x, params["W1"], params["b1"])
+    h1 = np.maximum(pre1, 0.0, out=_buffer(batch, "h1", pre1.shape, pre1.dtype))
+    pre2 = _affine(batch, "pre2", h1, params["W2"], params["b2"])
+    h2 = np.maximum(pre2, 0.0, out=_buffer(batch, "h2", pre2.shape, pre2.dtype))
+    penalty, penalty_state = _penalty(h2, batch, cfg)
     logits = _affine(batch, "logits", h2, params["W3"], params["b3"])
     logp = _buffer(batch, "logp", logits.shape, logits.dtype)
     np.subtract(logits, logits.max(axis=1, keepdims=True), out=logp)
@@ -502,9 +477,6 @@ def objective_gradient(state, batch, cfg):
 
     wd = WEIGHT_DECAY
     grads = {"W3": h2.T @ dlogits + wd * params["W3"], "b3": dlogits.sum(axis=0)}
-    if batch.frozen is not None:
-        return grads
-
     # dh2, then dpre2 in the same array
     dpre2 = np.matmul(dlogits, params["W3"].T, out=_buffer(batch, "dpre2", h2.shape, h2.dtype))
     if state.penalty is not None:
@@ -559,11 +531,11 @@ def train(raw, cfg, start=None):
     Training starts from the parameter dict ``start`` when given, else from
     ``init_params``.  With ``freeze_features`` only the head moves (features
     stay at their start, which is how a pretrained frozen extractor is
-    expressed; see ``pretrained_invariant_params``); the last hidden layer is
-    then computed once (``frozen_batch``), and trials and gradients evaluate
-    only the head.  Deterministic per seed.  Raises DivergenceError, naming
-    the epoch, if the objective stops being finite; the overflow on the way
-    there raises no numpy warning.
+    expressed; see ``pretrained_invariant_params``); every trial still
+    evaluates the full objective, penalty included, and the feature
+    gradients go unused.  Deterministic per seed.  Raises DivergenceError,
+    naming the epoch, if the objective stops being finite; the overflow on
+    the way there raises no numpy warning.
     """
     x, labels, pos, n_groups = _fit_batch(raw)
     batch = make_batch(x, labels, pos, n_groups, raw.spec.num_classes)
@@ -575,8 +547,6 @@ def train(raw, cfg, start=None):
         raise ValueError("model input width does not match the dataset")
 
     moving = [k for k in PARAM_KEYS if not (cfg.freeze_features and k in FEATURE_KEYS)]
-    if cfg.freeze_features:
-        batch = frozen_batch(batch, params, cfg)
 
     # the finite checks below, not numpy's warnings, report an overflow
     with np.errstate(over="ignore", invalid="ignore"):

@@ -30,8 +30,10 @@ _ZO_STREAMS = 3
 # elements than the Gram: at d = 2,048 on 8,000 points, one BLAS thread, 31-row chunks took
 # 9.8 s against 0.9 s
 _CHUNK_ELEMENTS = 1 << 16
-# elements held by one call of the 0-1 line search, over all its temporary arrays; each
-# direction is searched on its own, so the batch size changes no result, only the call count
+# elements per 0-1 line-search call, counted as 8 n k per direction (n points, k outputs);
+# each direction is searched on its own, so the batch size changes no result, only the call
+# count.  tracemalloc read _descend_zero_one at 0.6-1.5 times that in float64 values: up to
+# 2.5 MiB for n k <= 32,768, then one direction a call (5.0 MiB at n k = 60,000, 21 at 500,000)
 _LINE_SEARCH_ELEMENTS = 1 << 18
 # probes predicted at once in exact_best_error
 _FAMILY_BATCH = 4096
@@ -455,7 +457,7 @@ def _zero_one_stream(theta, err, z, targets, weights, coords, basis, rng):
     """
     n = z.shape[0]
     k, dp1 = theta.shape
-    # directions per line-search call: it holds about eight (n, directions) arrays at once
+    # directions per line-search call, at least one (see _LINE_SEARCH_ELEMENTS)
     batch = max(1, _LINE_SEARCH_ELEMENTS // (8 * n * k))
     scores = _scores(theta, z)
     stalled = 0

@@ -4,6 +4,7 @@ import json
 import tracemalloc
 
 import numpy as np
+from hypothesis import strategies as st
 
 from dgdx.core import LinearProbe
 from dgdx.expt import PARAM_KEYS
@@ -222,6 +223,61 @@ def rewrite_header(blob, edit):
     header = json.loads(first)
     edit(header)
     return json.dumps(header).encode() + b"\n" + rest
+
+
+def replace_header_field(blob, field, value):
+    """``blob`` with header ``field`` set to ``value``; ``"id"`` is the first domain's id."""
+
+    def edit(header):
+        if field == "id":
+            header["domains"][0]["id"] = value
+        else:
+            header[field] = value
+
+    return rewrite_header(blob, edit)
+
+
+# any JSON integer, with the small ones, those past 32 bits and the negative ones each drawn often
+ANY_JSON_INTEGER = (
+    st.integers() | st.integers(-3, 64) | st.integers(min_value=2**31) | st.integers(max_value=-1)
+)
+
+
+def damage_binary(blob, data):
+    """The binary dump ``blob`` cut short or with one byte flipped, drawn from
+    hypothesis ``data``."""
+    header_end = 9 + int.from_bytes(blob[5:9], "little")
+    # offsets come from the 9 fixed bytes, from those and the JSON header, or from anywhere
+    offset = data.draw(
+        st.integers(0, 9) | st.integers(0, header_end) | st.integers(0, len(blob) - 1)
+    )
+    if data.draw(st.booleans(), label="truncate"):
+        return blob[:offset]
+    damaged = bytearray(blob)
+    damaged[offset] ^= data.draw(st.integers(1, 255), label="xor mask")
+    return bytes(damaged)
+
+
+def damage_csv(blob, data):
+    """The CSV dump ``blob`` cut short, with one byte flipped, with two lines
+    spliced or with one header integer replaced, drawn from hypothesis ``data``."""
+    lines = blob.split(b"\n")
+    damage = data.draw(st.sampled_from(["truncate", "flip", "splice", "header"]))
+    if damage == "truncate":
+        return blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
+    if damage == "flip":
+        damaged = bytearray(blob)
+        offset = data.draw(st.integers(0, len(blob) - 1), label="offset")
+        damaged[offset] ^= data.draw(st.integers(1, 255), label="xor mask")
+        return bytes(damaged)
+    if damage == "splice":
+        # the head of one line joined to the tail of another, in place of a third
+        a, b, c = (data.draw(st.integers(0, len(lines) - 1), label=n) for n in "abc")
+        head = lines[a][: data.draw(st.integers(0, len(lines[a])), label="cut a")]
+        tail = lines[b][data.draw(st.integers(0, len(lines[b])), label="cut b"):]
+        return b"\n".join(lines[:c] + [head + tail] + lines[c + 1 :])
+    field = data.draw(st.sampled_from(["version", "dim", "num_classes", "id"]))
+    return replace_header_field(blob, field, data.draw(ANY_JSON_INTEGER))
 
 
 # -- memory ----------------------------------------------------------------------------

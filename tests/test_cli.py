@@ -30,7 +30,7 @@ from dgdx.metrics import MetricConfig, csv_row
 from dgdx.scenarios import ScenarioSpec, generate
 
 from conftest import random_dataset
-from support import rewrite_header, traced_peak
+from support import damage_binary, damage_csv, rewrite_header, traced_peak
 
 
 @pytest.fixture
@@ -151,7 +151,7 @@ class TestDiagnoseCommand:
         # the largest fit (e2', d1') takes every domain's fit rows, as float64
         fit_rows = int((splits == 0).sum()) * dim * 8
         # beyond one copy of them: their targets and weights, one domain's float32 gather, and
-        # the solver's bounded temporaries (about 2 MiB for the 0-1 line search)
+        # the solver's bounded temporaries (up to about 2.5 MiB for the 0-1 line search)
         assert peak <= own + 1.25 * fit_rows + (2 << 20)
 
     @pytest.mark.parametrize("num_classes", [2, 1])
@@ -256,6 +256,29 @@ class TestUndecodableDump:
         text = res.output + (res.stderr or "")
         assert "Traceback" not in text
         assert f"not UTF-8 text at byte {offset}" in text
+
+
+@pytest.mark.parametrize("fmt", [FORMAT_BINARY, FORMAT_CSV])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_damaged_dump_exits_cleanly(runner, tmp_path, fmt, data):
+    # the damage of test_core's TestBinaryDumpDamage and TestCsvDumpDamage,
+    # diagnosed against a head that fits the undamaged dump; a flipped
+    # exponent byte can leave probe fits unconverged (exit 3) after a second
+    # or two, which caps the example count
+    clean, head = tmp_path / f"clean.{fmt}", tmp_path / "head.json"
+    if not clean.exists():
+        save_dump(random_dataset(0), clean, fmt)
+        LinearProbe(np.zeros((2, 3)), np.zeros(2)).save(head)
+    damage = damage_binary if fmt == FORMAT_BINARY else damage_csv
+    dump = tmp_path / f"damaged.{fmt}"
+    dump.write_bytes(damage(clean.read_bytes(), data))
+    res = runner.invoke(main, ["diagnose", "--dump", str(dump), "--head", str(head),
+                               "--out", str(tmp_path / "o")])
+    assert res.exit_code in (0, 2, 3), res.output
+    assert isinstance(res.exception, (SystemExit, type(None)))
+    assert "Traceback" not in res.output
 
 
 class TestScenarioCommand:
@@ -676,6 +699,9 @@ class TestTrainSweepTrajectory:
     @pytest.mark.parametrize("args", [
         ["sweep", "--algorithm", "coral", "--samples-per-domain", "1"],
         ["train", "--algorithm", "coral", "--beta", "nan"],
+        ["train", "--learning-rate", "nan"],
+        ["train", "--learning-rate", "inf"],
+        ["trajectory", "--learning-rate", "-1"],
         ["sweep", "--algorithm", "group-dro", "--betas", "inf"],
         ["trajectory", "--epochs", "1"],
     ])
@@ -684,3 +710,18 @@ class TestTrainSweepTrajectory:
         assert res.exit_code == 2
         assert isinstance(res.exception, SystemExit)
         assert "Traceback" not in res.output + (res.stderr or "")
+
+    @pytest.mark.parametrize("command", [
+        ["scenario", "--kind", "success"],
+        ["verify", "--trials", "2"],
+        ["train"],
+        ["sweep", "--algorithm", "erm"],
+        ["trajectory"],
+    ], ids=lambda command: command[0])
+    def test_negative_seed_exits_two_naming_the_option(self, runner, tmp_path, command):
+        res = runner.invoke(main, [*command, "--seed", "-1", "--out", str(tmp_path)])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        text = res.output + (res.stderr or "")
+        assert "Traceback" not in text
+        assert "--seed" in text

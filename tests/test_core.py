@@ -22,7 +22,7 @@ from dgdx.core import (
 from dgdx.metrics import e0_prime
 
 from conftest import random_dataset
-from support import rewrite_header, traced_peak
+from support import damage_binary, damage_csv, replace_header_field, traced_peak
 
 
 def _two_domain_csv(tmp_path, rows, dim=2, num_classes=2):
@@ -220,40 +220,12 @@ class TestBinaryDumpDamage:
     @settings(max_examples=60, deadline=None)
     def test_truncated_or_flipped_dump_loads_or_raises_dump_error(self, dump, data):
         path, blob = dump
-        header_end = 9 + int.from_bytes(blob[5:9], "little")
-        # offsets come from the 9 fixed bytes, from those and the JSON header, or from anywhere
-        offset = data.draw(
-            st.integers(0, 9) | st.integers(0, header_end) | st.integers(0, len(blob) - 1)
-        )
-        if data.draw(st.booleans(), label="truncate"):
-            damaged = blob[:offset]
-        else:
-            damaged = bytearray(blob)
-            damaged[offset] ^= data.draw(st.integers(1, 255), label="xor mask")
-        path.write_bytes(bytes(damaged))
+        path.write_bytes(damage_binary(blob, data))
         try:
             ds = load_dump(path, FORMAT_BINARY)
         except DumpError:
             return
         assert isinstance(ds, RepresentationDataset)
-
-
-# any JSON integer, with the small ones, those past 32 bits and the negative ones each drawn often
-ANY_JSON_INTEGER = (
-    st.integers() | st.integers(-3, 64) | st.integers(min_value=2**31) | st.integers(max_value=-1)
-)
-
-
-def _replace_header_field(blob, field, value):
-    """``blob`` with header ``field`` set to ``value``; ``"id"`` is the first domain's id."""
-
-    def edit(header):
-        if field == "id":
-            header["domains"][0]["id"] = value
-        else:
-            header[field] = value
-
-    return rewrite_header(blob, edit)
 
 
 class TestCsvDumpDamage:
@@ -267,24 +239,7 @@ class TestCsvDumpDamage:
     @settings(max_examples=120, deadline=None)
     def test_damaged_dump_loads_or_raises_dump_error(self, dump, data):
         path, blob = dump
-        lines = blob.split(b"\n")
-        damage = data.draw(st.sampled_from(["truncate", "flip", "splice", "header"]))
-        if damage == "truncate":
-            damaged = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
-        elif damage == "flip":
-            damaged = bytearray(blob)
-            offset = data.draw(st.integers(0, len(blob) - 1), label="offset")
-            damaged[offset] ^= data.draw(st.integers(1, 255), label="xor mask")
-        elif damage == "splice":
-            # the head of one line joined to the tail of another, in place of a third
-            a, b, c = (data.draw(st.integers(0, len(lines) - 1), label=n) for n in "abc")
-            head = lines[a][: data.draw(st.integers(0, len(lines[a])), label="cut a")]
-            tail = lines[b][data.draw(st.integers(0, len(lines[b])), label="cut b"):]
-            damaged = b"\n".join(lines[:c] + [head + tail] + lines[c + 1 :])
-        else:
-            field = data.draw(st.sampled_from(["version", "dim", "num_classes", "id"]))
-            damaged = _replace_header_field(blob, field, data.draw(ANY_JSON_INTEGER))
-        path.write_bytes(bytes(damaged))
+        path.write_bytes(damage_csv(blob, data))
         try:
             ds = load_dump(path, FORMAT_CSV)
         except DumpError:
@@ -340,7 +295,7 @@ class TestHeaderSizes:
     def test_bad_size_is_a_dump_error_naming_the_field(self, tmp_path, fmt, field, value):
         path = tmp_path / "dump"
         save_dump(random_dataset(0), path, fmt)  # 48 samples of dim 3
-        path.write_bytes(_replace_header_field(path.read_bytes(), field, value))
+        path.write_bytes(replace_header_field(path.read_bytes(), field, value))
         with pytest.raises(DumpError, match=f"'{field}'"):
             load_dump(path, fmt)
 
@@ -348,13 +303,13 @@ class TestHeaderSizes:
     def test_as_many_classes_as_samples_loads(self, tmp_path, fmt):
         path = tmp_path / "dump"
         save_dump(random_dataset(0), path, fmt)
-        path.write_bytes(_replace_header_field(path.read_bytes(), "num_classes", 48))
+        path.write_bytes(replace_header_field(path.read_bytes(), "num_classes", 48))
         assert load_dump(path, fmt).num_classes == 48
 
     def test_binary_dim_that_does_not_divide_the_records_names_the_field(self, tmp_path):
         path = tmp_path / "dump.bin"
         save_dump(random_dataset(0), path, FORMAT_BINARY)  # 48 records of 21 bytes
-        path.write_bytes(_replace_header_field(path.read_bytes(), "dim", 4))
+        path.write_bytes(replace_header_field(path.read_bytes(), "dim", 4))
         with pytest.raises(DumpError, match="not a whole number of records .*'dim' 4"):
             load_dump(path, FORMAT_BINARY)
 
