@@ -18,8 +18,8 @@ from .core import (
     save_dump,
     validate_no_label_shift,
 )
-from .metrics import MetricConfig, decompose, diagnose, pearson
-from .probe import FiniteProbeFamily, ProbeFitConfig, exact_best_error, fit_probe, zero_one_error
+from .metrics import decompose, diagnose, pearson
+from .probe import FiniteProbeFamily, exact_best_error, fit_probe, zero_one_error
 from .scenarios import ScenarioSpec, check_expectation, generate
 
 __version__ = "0.1.0"
@@ -31,8 +31,6 @@ __all__ = [
     "DumpError",
     "FiniteProbeFamily",
     "LinearProbe",
-    "MetricConfig",
-    "ProbeFitConfig",
     "RepresentationDataset",
     "ScenarioSpec",
     "check_expectation",

@@ -31,7 +31,7 @@ from .core import (
     sniff_format,
     validate_no_label_shift,
 )
-from .metrics import MetricConfig, all_probes_converged, csv_header, csv_row, diagnose
+from .metrics import all_probes_converged, csv_header, csv_row, diagnose
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -113,7 +113,7 @@ def cmd_diagnose(dump_path, head_path, target, out, tol):
             for s in range(0, ds.num_samples, block):
                 if not np.isfinite(head.scores(ds.z[s : s + block])).all():
                     _fail(EXIT_INPUT, f"{head_path}: the head's scores on the dump are not finite")
-        diag = diagnose(ds, head, MetricConfig(target_role=target))
+        diag = diagnose(ds, head, target)
     except (DatasetError, ValueError) as exc:
         _fail(EXIT_INPUT, str(exc))
     _write_json(out / "diagnosis.json", diag.to_dict())
@@ -151,7 +151,7 @@ def cmd_scenario(kind, seed, out, samples_per_cell, cluster_std, dim, fmt, verif
     exp.head.save(out / "head.json")
     _write_json(out / "expectation.json", exp.to_dict())
     if verify:
-        diag = diagnose(ds, exp.head, MetricConfig(target_role=ROLE_TEST))
+        diag = diagnose(ds, exp.head, ROLE_TEST)
         result = scenarios.check_expectation(diag, exp)
         _write_json(out / "verification.json", {
             "diagnosis": diag.to_dict(),
@@ -231,14 +231,14 @@ def _training_options(command):
 
 
 def _training(run, target, samples_per_domain, seed, **fields):
-    """``run(raw, cfg, metric_cfg)`` on the synthetic dataset of ``seed``,
+    """``run(raw, cfg, target)`` on the synthetic dataset of ``seed``,
     where ``cfg`` is the TrainConfig of ``seed`` and ``fields``.  A
     DivergenceError exits 3 and a ValueError, an invalid option value, 2."""
     try:
         raw = expt.make_dataset(
             expt.SyntheticColoredSpec(seed=seed, samples_per_domain=samples_per_domain)
         )
-        return run(raw, expt.TrainConfig(seed=seed, **fields), MetricConfig(target_role=target))
+        return run(raw, expt.TrainConfig(seed=seed, **fields), target)
     except expt.DivergenceError as exc:
         _fail(EXIT_NUMERIC, str(exc))
     except ValueError as exc:
@@ -280,8 +280,8 @@ def cmd_sweep(algorithm, betas, target, out, **opts):
         _fail(EXIT_INPUT, "beta grid is empty")
     out = _out_dir(out)
 
-    def run(raw, base, metric_cfg):
-        return expt.sweep_beta(raw, grid, base, metric_cfg)
+    def run(raw, base, target):
+        return expt.sweep_beta(raw, grid, base, target)
 
     rows = _training(run, target, algorithm=algorithm, beta=grid[0], **opts)
     _write_csv(

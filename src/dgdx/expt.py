@@ -601,13 +601,13 @@ def export_representations(params, raw):
 # -- sweeps and trajectories -----------------------------------------------------------
 
 
-def train_and_diagnose(raw, cfg, metric_cfg):
+def train_and_diagnose(raw, cfg, target):
     """Train under ``cfg``, export the final checkpoint's representations and
     diagnose them against its head: ``(model, dataset, diagnosis)``.  The
     steps are module globals looked up at call time, so wrappers see them."""
     model = train(raw, cfg)
     ds = export_representations(model.final, raw)
-    return model, ds, diagnose(ds, model.head_probe(), metric_cfg)
+    return model, ds, diagnose(ds, model.head_probe(), target)
 
 
 @dataclass(frozen=True)
@@ -616,14 +616,14 @@ class SweepRow:
     diagnosis: object
 
 
-def sweep_beta(raw, betas, base_cfg, metric_cfg):
+def sweep_beta(raw, betas, base_cfg, target):
     """One ``train_and_diagnose`` per regularization strength, each with
     ``base_cfg``'s algorithm and other settings."""
     if len(betas) == 0:
         raise ValueError("beta grid must be nonempty")
     rows = []
     for beta in betas:
-        _, _, diag = train_and_diagnose(raw, replace(base_cfg, beta=float(beta)), metric_cfg)
+        _, _, diag = train_and_diagnose(raw, replace(base_cfg, beta=float(beta)), target)
         rows.append(SweepRow(float(beta), diag))
     return rows
 
@@ -634,7 +634,7 @@ class TrajectoryResult:
     e3_d1_correlation: float = None  # None when undefined (constant series)
 
 
-def trajectory(raw, cfg, metric_cfg):
+def trajectory(raw, cfg, target):
     """Diagnose every per-epoch checkpoint and correlate test error (e3')
     with union distinguishability (d1') along the way."""
     if cfg.epochs < 2:
@@ -643,7 +643,7 @@ def trajectory(raw, cfg, metric_cfg):
     diags = []
     for i in range(len(model.checkpoints)):
         ds = export_representations(model.checkpoints[i], raw)
-        diags.append(diagnose(ds, model.head_probe(i), metric_cfg))
+        diags.append(diagnose(ds, model.head_probe(i), target))
     try:
         corr = pearson([d.e3_prime for d in diags], [d.d1_prime for d in diags])
     except ConstantSeriesError:

@@ -22,7 +22,7 @@ bias.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .core import (
     SPLIT_HOLDOUT,
     DatasetError,
 )
-from .probe import ProbeFitConfig, fit_probe, zero_one_error
+from .probe import fit_probe, zero_one_error
 
 _COMPONENTS = E_COMPONENTS + D_COMPONENTS
 # the components, then the primed metrics: column "e0p" holds field e0_prime
@@ -47,19 +47,6 @@ _CSV_FIELDS = _COMPONENTS + tuple(c + "_prime" for c in _COMPONENTS)
 
 class ConstantSeriesError(ValueError):
     """Correlation of a constant series is undefined."""
-
-
-@dataclass(frozen=True)
-class MetricConfig:
-    """How probes are fitted (``probe_cfg``) and which domains are the
-    targets: the test domains, or the validation domains as their proxy."""
-
-    probe_cfg: ProbeFitConfig = field(default_factory=ProbeFitConfig)
-    target_role: str = ROLE_TEST
-
-    def __post_init__(self):
-        if self.target_role not in (ROLE_TEST, ROLE_VALID):
-            raise ValueError("target_role must be 'test' or 'valid'")
 
 
 # components below minus this are flagged negative; smaller ones are rounding
@@ -74,16 +61,18 @@ def _train_ids(ds):
     return ds.domain_ids_with_role(ROLE_TRAIN)
 
 
-def _target_ids(ds, cfg):
-    """The target domain ids in header order: the test domains, or the
-    validation domains in validation-proxy mode."""
-    target = ds.domain_ids_with_role(cfg.target_role)
-    if not target:
-        raise DatasetError(f"dataset has no domains with role {cfg.target_role!r}")
-    return target
+def _target_ids(ds, target):
+    """The ids of the domains whose role is ``target``, in header order: the
+    test domains, or the validation domains in validation-proxy mode."""
+    if target not in (ROLE_TEST, ROLE_VALID):
+        raise ValueError(f"target must be {ROLE_TEST!r} or {ROLE_VALID!r}, not {target!r}")
+    ids = ds.domain_ids_with_role(target)
+    if not ids:
+        raise DatasetError(f"dataset has no domains with role {target!r}")
+    return ids
 
 
-def _union_ids(ds, cfg):
+def _union_ids(ds, target):
     """Domain set of the union distinguishability probes, d1' and d2': the
     training domains by id, then the target domains.
 
@@ -92,14 +81,14 @@ def _union_ids(ds, cfg):
     training-only metric d0'.  (e2' fits on all training domains in both
     modes.)
     """
-    train, target = sorted(_train_ids(ds)), _target_ids(ds, cfg)
-    if cfg.target_role == ROLE_VALID:
-        if len(target) >= len(train):
+    train, target_ids = sorted(_train_ids(ds)), _target_ids(ds, target)
+    if target == ROLE_VALID:
+        if len(target_ids) >= len(train):
             raise DatasetError(
                 "validation-proxy mode needs fewer validation domains than training domains"
             )
-        train = train[: len(train) - len(target)]
-    return train + target
+        train = train[: len(train) - len(target_ids)]
+    return train + target_ids
 
 
 def _rows(ds, domain_ids, split, targets, label=None):
@@ -150,7 +139,7 @@ def _score(probe, rows, targets):
     return zero_one_error(probe, z, t, weights=w)
 
 
-def _select(ds, cfg, domain_ids, targets, label=None, scored_ids=None):
+def _select(ds, domain_ids, targets, label=None, scored_ids=None):
     """Fit the error-minimizing probe over ``domain_ids`` and return
     ``(holdout error, meta)``; the error is taken on ``scored_ids``
     (default: ``domain_ids``).
@@ -169,7 +158,7 @@ def _select(ds, cfg, domain_ids, targets, label=None, scored_ids=None):
         raise DatasetError(f"the split={SPLIT_FIT} (fit) samples{of_class} of domains "
                            f"{domain_ids} hold fewer than 2 distinct {targets}s; "
                            "no probe can be fitted")
-    probe, record = fit_probe(z, t, num_outputs, cfg.probe_cfg, sample_weight=w)
+    probe, record = fit_probe(z, t, num_outputs, sample_weight=w)
     meta = dict(record.to_dict(), kept="zero_one")
     # dropped before the holdout rows are gathered, so the two are never held together
     del z, t, w
@@ -201,58 +190,58 @@ def e0_prime(ds, head):
     return _head_error(ds, head, _train_ids(ds))
 
 
-def e1_prime(ds, cfg):
+def e1_prime(ds, target):
     """Best shared probe's error on target domains (inseparability).
 
     One probe is shared across all target domains, matching the single
     minimizer inside the defining infimum.  Fitted probes report the lower
     holdout error of a fit's two stages (see ``_select``).
     """
-    return _select(ds, cfg, _target_ids(ds, cfg), "label")
+    return _select(ds, _target_ids(ds, target), "label")
 
 
-def e2_prime(ds, cfg):
+def e2_prime(ds, target):
     """Error on target domains of the probe fit jointly on training plus
     target domains, every domain weighted equally (misalignment).  Fitted
     probes report the lower holdout error of a fit's two stages (see
     ``_select``)."""
-    target = _target_ids(ds, cfg)
-    return _select(ds, cfg, sorted(_train_ids(ds)) + target, "label", scored_ids=target)
+    target_ids = _target_ids(ds, target)
+    return _select(ds, sorted(_train_ids(ds)) + target_ids, "label", scored_ids=target_ids)
 
 
-def e3_prime(ds, head, cfg):
+def e3_prime(ds, head, target):
     """Learned head's 0-1 error averaged over target domains (plain test error)."""
-    return _head_error(ds, head, _target_ids(ds, cfg))
+    return _head_error(ds, head, _target_ids(ds, target))
 
 
-def d0_prime(ds, cfg):
+def d0_prime(ds):
     """Chance-adjusted accuracy of the best domain classifier on training domains.
 
     Fitted probes report the lower holdout error of a fit's two stages (see
     ``_select``), as do ``d1_prime`` and ``d2_prime``.
     """
     train = sorted(_train_ids(ds))
-    err, meta = _select(ds, cfg, train, "domain")
+    err, meta = _select(ds, train, "domain")
     return 1.0 - err - 1.0 / len(train), meta
 
 
-def d1_prime(ds, cfg):
+def d1_prime(ds, target):
     """Chance-adjusted accuracy of the best domain classifier on the union of
     training and target domains (validation-proxy mode swaps target domains
     in for an equal number of training domains so baselines match)."""
-    union = _union_ids(ds, cfg)
-    err, meta = _select(ds, cfg, union, "domain")
+    union = _union_ids(ds, target)
+    err, meta = _select(ds, union, "domain")
     return 1.0 - err - 1.0 / len(union), meta
 
 
-def d2_prime(ds, cfg):
+def d2_prime(ds, target):
     """Class-conditional version of the union distinguishability: a separate
     domain classifier per class, averaged over classes with equal weight.
     A class missing from a cell of the union makes it undefined."""
-    union = _union_ids(ds, cfg)
+    union = _union_ids(ds, target)
     values, metas = [], {}
     for y in range(ds.num_classes):
-        err, metas[f"class{y}"] = _select(ds, cfg, union, "domain", label=y)
+        err, metas[f"class{y}"] = _select(ds, union, "domain", label=y)
         values.append(1.0 - err - 1.0 / len(union))
     return float(np.mean(values)), metas
 
@@ -339,22 +328,21 @@ def pearson(series_a, series_b):
     return min(1.0, max(-1.0, r))
 
 
-def diagnose(ds, head, cfg=None):
+def diagnose(ds, head, target=ROLE_TEST):
     """Run all seven metrics on a dataset and decompose them.
 
-    ``head`` is the learned classification head under diagnosis.  Probe fit
-    metadata (iterations, final objective, convergence, and which stage's
-    probe was kept) is attached per probe.  Deterministic: identical inputs
-    give identical output.
+    ``head`` is the learned head under diagnosis and ``target`` the target
+    domains' role, ``"test"`` or ``"valid"``.  Probe fit metadata (iterations,
+    final objective, convergence, and which stage's probe was kept) is
+    attached per probe.  Deterministic: identical inputs give identical output.
     """
-    cfg = cfg or MetricConfig()
     e0p = e0_prime(ds, head)
-    e1p, m1 = e1_prime(ds, cfg)
-    e2p, m2 = e2_prime(ds, cfg)
-    e3p = e3_prime(ds, head, cfg)
-    d0p, md0 = d0_prime(ds, cfg)
-    d1p, md1 = d1_prime(ds, cfg)
-    d2p, md2 = d2_prime(ds, cfg)
+    e1p, m1 = e1_prime(ds, target)
+    e2p, m2 = e2_prime(ds, target)
+    e3p = e3_prime(ds, head, target)
+    d0p, md0 = d0_prime(ds)
+    d1p, md1 = d1_prime(ds, target)
+    d2p, md2 = d2_prime(ds, target)
     diag = decompose(e0p, e1p, e2p, e3p, d0p, d1p, d2p)
     meta = {"e1": m1, "e2": m2, "d0": md0, "d1": md1, "d2": md2}
     return replace(diag, probe_meta=meta)

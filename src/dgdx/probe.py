@@ -43,22 +43,12 @@ _FAMILY_BATCH = 4096
 # 48-100 parameters and 0.32-0.88 at 150; for k >= 5, 0.81-1.73 up to 100 and 0.68-1.34 at
 # 150 (no one constant suits every k); 0.24-0.69 on a 16k x 64 diagnose's fits (325, 455)
 _HESSIAN_MAX_PARAMS = 64
-
-
-@dataclass(frozen=True)
-class ProbeFitConfig:
-    l2_strength: float = 1e-4
-    max_iterations: int = 1000
-    gradient_tolerance: float = 1e-7
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.l2_strength < 0:
-            raise ValueError("l2_strength must be nonnegative")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if self.gradient_tolerance <= 0:
-            raise ValueError("gradient_tolerance must be positive")
+# the probe every diagnosis runs: the logistic stage's L2 penalty on the weights (the bias is
+# not penalized), its Newton step bound and gradient tolerance, and the 0-1 stage's seed
+_L2_STRENGTH = 1e-4
+_MAX_NEWTON_STEPS = 1000
+_GRADIENT_TOLERANCE = 1e-7
+_ZO_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -314,7 +304,7 @@ def _newton_step(grad, p, z, weights, lam, precond):
     return step if step.any() else -grad
 
 
-def _fit_logistic(z, targets, weights, k, cfg):
+def _fit_logistic(z, targets, weights, k):
     """Damped Newton descent on the logistic objective from zero weights.
 
     Each step solves the Newton system (see ``_newton_step``) and halves the
@@ -323,12 +313,12 @@ def _fit_logistic(z, targets, weights, k, cfg):
     conjugate-gradient path runs.  Returns ``(theta, iterations, objective,
     grad)``.
     """
-    lam = cfg.l2_strength
+    lam = _L2_STRENGTH
     theta = np.zeros((k, z.shape[1] + 1))
     precond = _preconditioner(z, weights, lam) if theta.size > _HESSIAN_MAX_PARAMS else None
     obj, grad, p = _objective_and_grad(theta, z, targets, weights, lam)
     iterations = 0
-    while np.abs(grad).max() > cfg.gradient_tolerance and iterations < cfg.max_iterations:
+    while np.abs(grad).max() > _GRADIENT_TOLERANCE and iterations < _MAX_NEWTON_STEPS:
         step = _newton_step(grad, p, z, weights, lam, precond)
         slope = float((grad * step).sum())
         t = 1.0
@@ -396,13 +386,13 @@ def _line_minima(scores, slopes, targets, weights):
     return covered[at, j], step
 
 
-def _descend_zero_one(theta, z, targets, weights, seed):
+def _descend_zero_one(theta, z, targets, weights):
     """Lower the weighted 0-1 fit error by exact line searches from ``theta``.
 
     The directions searched are the coordinate directions of the
     standardized features and the bias (only the biases when there are more
     than ``_ZO_MAX_COORDINATES`` of them) and, in each round,
-    ``_ZO_RANDOM_DIRECTIONS`` random directions drawn from ``seed`` (see
+    ``_ZO_RANDOM_DIRECTIONS`` random directions drawn from ``_ZO_SEED`` (see
     ``_zero_one_stream``).  A stream that stalls sits where none of its line
     searches lowers the error, which says little about the infimum: a new
     stream then starts from ``theta`` with fresh random directions, up to
@@ -430,7 +420,7 @@ def _descend_zero_one(theta, z, targets, weights, seed):
     coords = np.zeros((len(classes) * len(rows), k, dp1))
     for i, c in enumerate(classes):
         coords[i * len(rows) : (i + 1) * len(rows), c] = rows
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_ZO_SEED)
     best, best_err = theta, err
     for _ in range(_ZO_STREAMS):
         found, found_err, stalled = _zero_one_stream(
@@ -490,7 +480,7 @@ def _zero_one_stream(theta, err, z, targets, weights, coords, basis, rng):
     return theta, err, False
 
 
-def fit_probe(z, targets, num_outputs, cfg=None, sample_weight=None):
+def fit_probe(z, targets, num_outputs, sample_weight=None):
     """Fit a linear probe that approximately minimizes the weighted 0-1 error.
 
     Two stages.  First, L2-regularized multinomial logistic regression:
@@ -499,10 +489,10 @@ def fit_probe(z, targets, num_outputs, cfg=None, sample_weight=None):
     closed-form Hessian (see ``_hessian``) up to ``_HESSIAN_MAX_PARAMS``
     parameters and by conjugate gradients on Hessian-vector products,
     preconditioned by Böhning's bound (see ``_preconditioner``), above,
-    until the gradient infinity norm falls below ``cfg.gradient_tolerance``
-    or ``cfg.max_iterations`` steps pass.  Second, from that solution, descent
+    until the gradient infinity norm falls below ``_GRADIENT_TOLERANCE`` or
+    ``_MAX_NEWTON_STEPS`` steps pass.  Second, from that solution, descent
     on the weighted 0-1 error of the same points by exact line searches
-    along coordinate and random directions (seeded by ``cfg.seed``),
+    along coordinate and random directions (seeded by ``_ZO_SEED``),
     accepting only strict decreases, so the returned probe's fit error
     never exceeds the logistic one; a descent that stalls is restarted from
     the logistic solution with fresh directions, at most ``_ZO_STREAMS``
@@ -516,7 +506,6 @@ def fit_probe(z, targets, num_outputs, cfg=None, sample_weight=None):
     stage: iteration count, final objective and gradient, whether the
     gradient tolerance was met, and the logistic probe as ``start``.
     """
-    cfg = cfg or ProbeFitConfig()
     z, targets = _as_points(z, targets)
     n, d = z.shape
     if n == 0:
@@ -538,18 +527,18 @@ def fit_probe(z, targets, num_outputs, cfg=None, sample_weight=None):
     weights = weights / weights.sum()
 
     k = int(num_outputs)
-    theta, iterations, obj, grad = _fit_logistic(z, targets, weights, k, cfg)
+    theta, iterations, obj, grad = _fit_logistic(z, targets, weights, k)
     grad_max = float(np.abs(grad).max())
     start = LinearProbe(theta[:, :d], theta[:, d])
     record = FitRecord(
         iterations=iterations,
         objective=obj,
         grad_max=grad_max,
-        converged=grad_max <= cfg.gradient_tolerance,
+        converged=grad_max <= _GRADIENT_TOLERANCE,
         n_points=n,
         start=start,
     )
-    descended = _descend_zero_one(theta, z, targets, weights, cfg.seed)
+    descended = _descend_zero_one(theta, z, targets, weights)
     if descended is theta:
         return start, record
     return LinearProbe(descended[:, :d], descended[:, d]), record

@@ -13,8 +13,8 @@ import pytest
 
 from dgdx import expt, metrics, scenarios
 from dgdx.core import DomainMeta, LinearProbe, RepresentationDataset, ROLE_TEST, ROLE_TRAIN, ROLE_VALID
-from dgdx.metrics import MetricConfig, diagnose, pearson
-from dgdx.probe import ProbeFitConfig, exact_best_error, fit_probe, zero_one_error
+from dgdx.metrics import diagnose, pearson
+from dgdx.probe import exact_best_error, fit_probe, zero_one_error
 from dgdx.propositions import run_suite
 
 from conftest import random_dataset
@@ -25,9 +25,6 @@ def _report(name, ok, detail=""):
     status = "PASS" if ok else "FAIL"
     print(f"\nCRITERION {name}: {status} {detail}")
     assert ok, f"criterion {name} failed: {detail}"
-
-
-FAST_PROBES = ProbeFitConfig(max_iterations=80, gradient_tolerance=1e-4)
 
 
 def test_criterion_1_decomposition_identities():
@@ -45,7 +42,7 @@ def test_criterion_1_decomposition_identities():
             per_cell=6,
         )
         head = LinearProbe(rng.normal(size=(ds.num_classes, ds.dim)), rng.normal(size=ds.num_classes))
-        diag = diagnose(ds, head, MetricConfig(probe_cfg=FAST_PROBES))
+        diag = diagnose(ds, head)
         assert ((diag.e0 + diag.e1) + diag.e2) + diag.e3 == diag.e3_prime
         assert (diag.d0 + diag.d1) + diag.d2 == diag.d2_prime
         assert sum([diag.e0, diag.e1, diag.e2, diag.e3]) == diag.e3_prime
@@ -59,13 +56,12 @@ def test_criterion_1_decomposition_identities():
 def test_criterion_2_scenario_signatures():
     """Every kind passes its expectation for at least 19 of 20 seeds at defaults."""
     t0 = time.time()
-    cfg = MetricConfig(target_role=ROLE_TEST)
     failures = {}
     for kind in scenarios.KINDS:
         bad = 0
         for seed in range(20):
             ds, exp = scenarios.generate(scenarios.ScenarioSpec(kind=kind, seed=seed))
-            diag = diagnose(ds, exp.head, cfg)
+            diag = diagnose(ds, exp.head, ROLE_TEST)
             if not scenarios.check_expectation(diag, exp).passed:
                 bad += 1
         failures[kind] = bad
@@ -156,22 +152,21 @@ def test_criterion_6_qualitative_pattern():
     """The spurious-feature training pattern at the shipped seed."""
     t0 = time.time()
     raw = expt.make_dataset(expt.CRITERION_FIXTURE_SPEC)
-    mc = MetricConfig(target_role=ROLE_VALID)
 
     erm_cfg = expt.CRITERION_FIXTURE_CONFIG
-    _, _, erm_diag = expt.train_and_diagnose(raw, erm_cfg, mc)
+    _, _, erm_diag = expt.train_and_diagnose(raw, erm_cfg, ROLE_VALID)
     train_err = erm_diag.e0_prime
     erm_ok = (train_err <= 0.1 and erm_diag.e3_prime >= 0.5
               and erm_diag.d0_prime <= 0.1 and erm_diag.d1_prime >= 0.3)
 
     base = replace(expt.CRITERION_FIXTURE_CONFIG, algorithm=expt.ALG_COND_INVARIANCE)
-    rows = expt.sweep_beta(raw, expt.BETA_GRID, base, mc)
+    rows = expt.sweep_beta(raw, expt.BETA_GRID, base, ROLE_VALID)
     best = min(rows, key=lambda r: r.diagnosis.e3_prime)
     gap = best.diagnosis.e3_prime - best.diagnosis.e0_prime
     best_ok = gap <= 0.1 and best.diagnosis.d1_prime <= 0.1
 
     collapse_cfg = replace(base, beta=1e6)
-    _, _, cdiag = expt.train_and_diagnose(raw, collapse_cfg, mc)
+    _, _, cdiag = expt.train_and_diagnose(raw, collapse_cfg, ROLE_VALID)
     collapse_ok = cdiag.e0_prime >= 0.3
 
     elapsed = time.time() - t0
@@ -194,11 +189,10 @@ def test_criterion_7_frozen_feature_protocol():
     pretrained = expt.pretrained_invariant_params(expt.CRITERION_FIXTURE_SPEC)
     cfg = replace(expt.CRITERION_FIXTURE_CONFIG, freeze_features=True)
     model = expt.train(raw, cfg, start=pretrained)
-    mc = MetricConfig(target_role=ROLE_VALID)
     diags = []
     for i in range(len(model.checkpoints)):
         ds = expt.export_representations(model.checkpoints[i], raw)
-        diags.append(diagnose(ds, model.head_probe(i), mc))
+        diags.append(diagnose(ds, model.head_probe(i), ROLE_VALID))
     const_ok = True
     for f in ("e1_prime", "e2_prime", "d0_prime", "d1_prime", "d2_prime"):
         vals = [getattr(d, f) for d in diags]
@@ -231,8 +225,8 @@ def test_criterion_8_correlation_machinery():
     raw = expt.make_dataset(spec)
     cfg = expt.TrainConfig(epochs=4, steps_per_epoch=20, learning_rate=0.1,
                            hidden_width=8, seed=5)
-    r1 = expt.trajectory(raw, cfg, MetricConfig(target_role=ROLE_VALID))
-    r2 = expt.trajectory(raw, cfg, MetricConfig(target_role=ROLE_VALID))
+    r1 = expt.trajectory(raw, cfg, ROLE_VALID)
+    r2 = expt.trajectory(raw, cfg, ROLE_VALID)
     emitted = r1.e3_d1_correlation
     deterministic = (emitted == r2.e3_d1_correlation)
     produced = emitted is None or -1.0 <= emitted <= 1.0

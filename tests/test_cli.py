@@ -26,7 +26,7 @@ from dgdx.core import (
     load_dump,
     save_dump,
 )
-from dgdx.metrics import MetricConfig, csv_row
+from dgdx.metrics import csv_row
 from dgdx.scenarios import ScenarioSpec, generate
 
 from conftest import random_dataset
@@ -671,7 +671,7 @@ class TestTrainSweepTrajectory:
         raw = expt.make_dataset(expt.SyntheticColoredSpec(seed=1, samples_per_domain=90))
         base = expt.TrainConfig(algorithm="group-dro", beta=0.5, epochs=2, steps_per_epoch=5,
                                 learning_rate=0.1, hidden_width=8, seed=1)
-        rows = expt.sweep_beta(raw, [0.5, 2.0], base, MetricConfig(target_role=ROLE_VALID))
+        rows = expt.sweep_beta(raw, [0.5, 2.0], base, ROLE_VALID)
         expected = [{"beta": r.beta, "train_holdout_error": r.diagnosis.e0_prime,
                      "diagnosis": r.diagnosis.to_dict()} for r in rows]
         report = json.loads((tmp_path / "sweep.json").read_text())

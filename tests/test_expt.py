@@ -16,7 +16,7 @@ from dgdx.core import (
     save_dump,
     validate_no_label_shift,
 )
-from dgdx.metrics import MetricConfig, diagnose
+from dgdx.metrics import diagnose
 
 from support import pack_params, traced_peak, unpack_params
 
@@ -384,11 +384,10 @@ class TestTrain:
     def test_frozen_metrics_constant_across_checkpoints(self):
         raw = expt.make_dataset(SMALL_SPEC)
         model = expt.train(raw, small_cfg(freeze_features=True, epochs=3))
-        mc = MetricConfig(target_role=ROLE_VALID)
         diags = []
         for i in range(3):
             ds = expt.export_representations(model.checkpoints[i], raw)
-            diags.append(diagnose(ds, model.head_probe(i), mc))
+            diags.append(diagnose(ds, model.head_probe(i), ROLE_VALID))
         for f in ("e1_prime", "e2_prime", "d0_prime", "d1_prime", "d2_prime"):
             vals = [getattr(d, f) for d in diags]
             assert max(vals) - min(vals) <= 1e-9, f
@@ -589,9 +588,8 @@ class TestExportRepresentations:
         path = tmp_path / "reps.bin"
         save_dump(ds, path, FORMAT_BINARY)
         ds2 = load_dump(path, FORMAT_BINARY)
-        mc = MetricConfig(target_role=ROLE_VALID)
-        a = diagnose(ds, model.head_probe(), mc)
-        b = diagnose(ds2, model.head_probe(), mc)
+        a = diagnose(ds, model.head_probe(), ROLE_VALID)
+        b = diagnose(ds2, model.head_probe(), ROLE_VALID)
         for f in ("e0_prime", "e1_prime", "e2_prime", "e3_prime",
                   "d0_prime", "d1_prime", "d2_prime"):
             assert abs(getattr(a, f) - getattr(b, f)) <= 1e-9
@@ -600,28 +598,27 @@ class TestExportRepresentations:
 class TestSweepAndTrajectory:
     def test_single_beta_erm_sweep(self):
         raw = expt.make_dataset(SMALL_SPEC)
-        rows = expt.sweep_beta(raw, [0.0], small_cfg(), MetricConfig(target_role=ROLE_VALID))
+        rows = expt.sweep_beta(raw, [0.0], small_cfg(), ROLE_VALID)
         assert len(rows) == 1
         assert rows[0].beta == 0.0
 
     def test_empty_grid_rejected(self):
         raw = expt.make_dataset(SMALL_SPEC)
         with pytest.raises(ValueError, match="nonempty"):
-            expt.sweep_beta(raw, [], small_cfg(), MetricConfig(target_role=ROLE_VALID))
+            expt.sweep_beta(raw, [], small_cfg(), ROLE_VALID)
 
     def test_sweep_deterministic(self):
         raw = expt.make_dataset(SMALL_SPEC)
-        mc = MetricConfig(target_role=ROLE_VALID)
         base = small_cfg(algorithm="cond-invariance")
-        r1 = expt.sweep_beta(raw, [0.5, 2.0], base, mc)
-        r2 = expt.sweep_beta(raw, [0.5, 2.0], base, mc)
+        r1 = expt.sweep_beta(raw, [0.5, 2.0], base, ROLE_VALID)
+        r2 = expt.sweep_beta(raw, [0.5, 2.0], base, ROLE_VALID)
         for a, b in zip(r1, r2):
             assert a.diagnosis == b.diagnosis
 
     def test_trajectory_zero_lr_identical_and_correlation_undefined(self):
         raw = expt.make_dataset(SMALL_SPEC)
         cfg = small_cfg(epochs=2, learning_rate=0.0)
-        res = expt.trajectory(raw, cfg, MetricConfig(target_role=ROLE_VALID))
+        res = expt.trajectory(raw, cfg, ROLE_VALID)
         assert len(res.diagnoses) == 2
         assert res.diagnoses[0] == res.diagnoses[1]
         assert res.e3_d1_correlation is None
@@ -629,14 +626,13 @@ class TestSweepAndTrajectory:
     def test_trajectory_matches_recomputed_diagnoses(self, tmp_path):
         raw = expt.make_dataset(SMALL_SPEC)
         cfg = small_cfg(epochs=3)
-        res = expt.trajectory(raw, cfg, MetricConfig(target_role=ROLE_VALID))
+        res = expt.trajectory(raw, cfg, ROLE_VALID)
         model = expt.train(raw, cfg)
         for i, diag in enumerate(res.diagnoses):
             ds = expt.export_representations(model.checkpoints[i], raw)
             path = tmp_path / f"cp{i}.bin"
             save_dump(ds, path, FORMAT_BINARY)
-            again = diagnose(load_dump(path, FORMAT_BINARY), model.head_probe(i),
-                             MetricConfig(target_role=ROLE_VALID))
+            again = diagnose(load_dump(path, FORMAT_BINARY), model.head_probe(i), ROLE_VALID)
             assert abs(again.e3_prime - diag.e3_prime) <= 1e-9
 
 

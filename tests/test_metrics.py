@@ -22,7 +22,6 @@ from dgdx.core import (
 )
 from dgdx.metrics import (
     ConstantSeriesError,
-    MetricConfig,
     all_probes_converged,
     csv_header,
     csv_row,
@@ -111,7 +110,7 @@ class TestGeneralizationMetrics:
     def test_e1_separable_targets(self):
         ds = build_dataset({(0, 0): (0, -1), (0, 1): (0, 1), (1, 0): (1, -1), (1, 1): (1, 1),
                             (2, 0): (5, -1), (2, 1): (5, 1)}, roles={2: ROLE_TEST})
-        assert e1_prime(ds, MetricConfig())[0] <= 0.01
+        assert e1_prime(ds, ROLE_TEST)[0] <= 0.01
 
     def test_e1_interleaved_targets_near_half(self):
         ds = build_dataset(
@@ -119,20 +118,19 @@ class TestGeneralizationMetrics:
              (2, 0): (5, 0), (2, 1): (5, 0), (3, 0): (6, 0), (3, 1): (6, 0)},
             roles={2: ROLE_TEST, 3: ROLE_TEST}, per_cell=200,
         )
-        assert e1_prime(ds, MetricConfig())[0] == pytest.approx(0.5, abs=0.06)
+        assert e1_prime(ds, ROLE_TEST)[0] == pytest.approx(0.5, abs=0.06)
 
     def test_e2_identical_domains_separable(self):
         cells = {(d, y): (0, 2 * y - 1) for d in range(3) for y in range(2)}
         ds = build_dataset(cells, roles={2: ROLE_TEST})
-        assert e2_prime(ds, MetricConfig())[0] <= 0.01
+        assert e2_prime(ds, ROLE_TEST)[0] <= 0.01
 
     def test_e2_equals_e1_when_test_matches_train(self):
         # two training domains drawn from the same distribution as the single
         # test domain: the joint fit and the target-only fit see the same task
         cells = {(d, y): (0, 2 * y - 1) for d in range(3) for y in range(2)}
         ds = build_dataset(cells, std=0.8, per_cell=160, roles={2: ROLE_TEST})
-        cfg = MetricConfig()
-        assert e2_prime(ds, cfg)[0] == pytest.approx(e1_prime(ds, cfg)[0], abs=0.02)
+        assert e2_prime(ds, ROLE_TEST)[0] == pytest.approx(e1_prime(ds, ROLE_TEST)[0], abs=0.02)
 
     def test_fitted_metric_keeps_the_stage_with_lower_holdout_error(self):
         # overlapping classes: the 0-1 stage moves the probe, and the metric
@@ -146,14 +144,14 @@ class TestGeneralizationMetrics:
         errs = [zero_one_error(p, ds.z[held].astype(np.float64), ds.labels[held])
                 for p in (probe, rec.start)]
         assert errs[0] != errs[1]
-        value, meta = e1_prime(ds, MetricConfig())
+        value, meta = e1_prime(ds, ROLE_TEST)
         assert value == min(errs)
         assert meta["kept"] == ("logistic" if errs[1] < errs[0] else "zero_one")
 
     def test_e3_constant_head(self):
         ds = build_dataset({(0, 0): (0, -1), (0, 1): (0, 1), (1, 0): (1, -1), (1, 1): (1, 1),
                             (2, 0): (2, -1), (2, 1): (2, 1)}, roles={2: ROLE_TEST})
-        assert e3_prime(ds, constant_probe(1, 2, 2), MetricConfig()) == pytest.approx(0.5)
+        assert e3_prime(ds, constant_probe(1, 2, 2), ROLE_TEST) == pytest.approx(0.5)
 
     def test_target_role_valid_selects_validation_domains(self):
         ds = build_dataset(
@@ -162,10 +160,15 @@ class TestGeneralizationMetrics:
             roles={2: ROLE_VALID},
         )
         head = y_rule_head()
-        cfg = MetricConfig(target_role=ROLE_VALID)
-        assert e3_prime(ds, head, cfg) == pytest.approx(1.0)
+        assert e3_prime(ds, head, ROLE_VALID) == pytest.approx(1.0)
         with pytest.raises(DatasetError, match="role 'test'"):
-            e3_prime(ds, head, MetricConfig(target_role=ROLE_TEST))
+            e3_prime(ds, head, ROLE_TEST)
+
+    @pytest.mark.parametrize("target", [ROLE_TRAIN, "Test", ""])
+    def test_target_must_be_test_or_valid(self, target):
+        ds = random_dataset(0)
+        with pytest.raises(ValueError, match="target must be 'test' or 'valid'"):
+            diagnose(ds, constant_probe(0, 2, ds.dim), target)
 
 
 class TestInvarianceMetrics:
@@ -184,12 +187,12 @@ class TestInvarianceMetrics:
         splits = np.concatenate([splits, [0, 0, 1, 1]]).astype(np.uint8)
         labels = np.concatenate([labels, [0, 1, 0, 1]])
         ds = RepresentationDataset(2, 2, domains, ids, splits, labels, all_z)
-        assert abs(d0_prime(ds, MetricConfig())[0]) <= 0.05
+        assert abs(d0_prime(ds)[0]) <= 0.05
 
     def test_d0_fully_separated(self):
         ds = build_dataset({(0, 0): (0, -1), (0, 1): (0, 1), (1, 0): (5, -1), (1, 1): (5, 1),
                             (2, 0): (9, -1), (2, 1): (9, 1)}, roles={2: ROLE_TEST})
-        assert d0_prime(ds, MetricConfig())[0] == pytest.approx(0.5, abs=0.01)
+        assert d0_prime(ds)[0] == pytest.approx(0.5, abs=0.01)
 
     def test_d0_two_coincident_one_separated_is_third(self):
         cells = {(0, 0): (0, -1), (0, 1): (0, 1),
@@ -197,25 +200,24 @@ class TestInvarianceMetrics:
                  (2, 0): (5, -1), (2, 1): (5, 1),
                  (3, 0): (9, -1), (3, 1): (9, 1)}
         ds = build_dataset(cells, per_cell=200, roles={3: ROLE_TEST})
-        assert d0_prime(ds, MetricConfig())[0] == pytest.approx(1 / 3, abs=0.05)
+        assert d0_prime(ds)[0] == pytest.approx(1 / 3, abs=0.05)
 
     def test_d1_identical_domains_near_zero(self):
         cells = {(d, y): (0, 2 * y - 1) for d in range(4) for y in range(2)}
         ds = build_dataset(cells, per_cell=200, roles={3: ROLE_TEST})
-        assert abs(d1_prime(ds, MetricConfig())[0]) <= 0.05
+        assert abs(d1_prime(ds, ROLE_TEST)[0]) <= 0.05
 
     def test_d1_all_separated(self):
         cells = {(d, y): (4 * d, 2 * y - 1) for d in range(4) for y in range(2)}
         ds = build_dataset(cells, roles={3: ROLE_TEST})
-        assert d1_prime(ds, MetricConfig())[0] == pytest.approx(0.75, abs=0.01)
+        assert d1_prime(ds, ROLE_TEST)[0] == pytest.approx(0.75, abs=0.01)
 
     def test_d1_proxy_mode_matches_d0_baseline(self):
         # 3 training domains (one of which gets dropped) plus 1 validation
         # domain: the probe sees 3 domains either way
         cells = {(d, y): (4 * d, 2 * y - 1) for d in range(4) for y in range(2)}
         ds = build_dataset(cells, roles={3: ROLE_VALID})
-        cfg = MetricConfig(target_role=ROLE_VALID)
-        assert d1_prime(ds, cfg)[0] == pytest.approx(2 / 3, abs=0.01)
+        assert d1_prime(ds, ROLE_VALID)[0] == pytest.approx(2 / 3, abs=0.01)
 
     def test_d2_label_flipped_alignment(self):
         # unconditional marginals match everywhere, so d1' is near zero, but
@@ -224,9 +226,8 @@ class TestInvarianceMetrics:
                  (1, 0): (0, 0), (1, 1): (4, 0),
                  (2, 0): (4, 0), (2, 1): (0, 0)}
         ds = build_dataset(cells, per_cell=240, roles={2: ROLE_TEST})
-        cfg = MetricConfig()
-        assert abs(d1_prime(ds, cfg)[0]) <= 0.05
-        assert d2_prime(ds, cfg)[0] >= 0.3
+        assert abs(d1_prime(ds, ROLE_TEST)[0]) <= 0.05
+        assert d2_prime(ds, ROLE_TEST)[0] >= 0.3
 
     def test_d2_missing_cell_is_error(self):
         ds = random_dataset(3)
@@ -236,12 +237,11 @@ class TestInvarianceMetrics:
         broken = RepresentationDataset(ds.dim, ds.num_classes, ds.domains, ds.domain_ids,
                                        ds.splits, labels, ds.z)
         with pytest.raises(DatasetError, match="class-conditional"):
-            d2_prime(broken, MetricConfig())
+            d2_prime(broken, ROLE_TEST)
 
     def test_d2_single_class_equals_d1(self):
         ds = random_dataset(4, num_classes=1)
-        cfg = MetricConfig()
-        assert d2_prime(ds, cfg)[0] == pytest.approx(d1_prime(ds, cfg)[0], abs=1e-12)
+        assert d2_prime(ds, ROLE_TEST)[0] == pytest.approx(d1_prime(ds, ROLE_TEST)[0], abs=1e-12)
 
 
 class TestDecompose:
@@ -459,7 +459,7 @@ class TestExactFamilyMode:
         return random_dataset(seed, n_train=2, n_test=2, dim=2, num_classes=2, per_cell=8)
 
     def _d_primes(self, ds, family_of):
-        train, union = sorted(_train_ids(ds)), _union_ids(ds, MetricConfig())
+        train, union = sorted(_train_ids(ds)), _union_ids(ds, ROLE_TEST)
         d0 = 1.0 - _exact_error(ds, family_of, train, "domain") - 1.0 / len(train)
         d1 = 1.0 - _exact_error(ds, family_of, union, "domain") - 1.0 / len(union)
         d2 = np.mean([1.0 - _exact_error(ds, family_of, union, "domain", label=y)
@@ -470,7 +470,7 @@ class TestExactFamilyMode:
     def test_orderings_hold_exactly(self, seed):
         ds = self._balanced_dataset(seed)
         family_of = _random_family_provider(seed)
-        target = _target_ids(ds, MetricConfig())
+        target = _target_ids(ds, ROLE_TEST)
         e1 = _exact_error(ds, family_of, target, "label")
         e2 = _exact_error(ds, family_of, sorted(_train_ids(ds)) + target, "label", scored=target)
         assert e1 <= e2 + 1e-12
@@ -481,12 +481,12 @@ class TestExactFamilyMode:
     def test_e2_le_e3_for_train_optimal_head(self, seed):
         ds = self._balanced_dataset(seed)
         family_of = _random_family_provider(seed)
-        train, target = sorted(_train_ids(ds)), _target_ids(ds, MetricConfig())
+        train, target = sorted(_train_ids(ds)), _target_ids(ds, ROLE_TEST)
         z, ys, w, _ = _rows(ds, train, SPLIT_HOLDOUT, "label")
         family = family_of(ds.num_classes, z)
         _, idx = exact_best_error(family, z, ys, weights=w)
         e2 = _exact_error(ds, family_of, train + target, "label", scored=target)
-        assert e2 <= e3_prime(ds, family[idx], MetricConfig()) + 1e-12
+        assert e2 <= e3_prime(ds, family[idx], ROLE_TEST) + 1e-12
 
     @pytest.mark.parametrize("seed", range(6))
     def test_d_metrics_nonnegative_with_constant_probes(self, seed):
@@ -568,7 +568,7 @@ _PINNED_DIAGNOSIS_SHA256 = {
 def test_diagnoses_are_pinned():
     digests = {}
     for name, ds, head in _pinned_cases():
-        diag = diagnose(ds, head, MetricConfig(target_role=ROLE_TEST))
+        diag = diagnose(ds, head, ROLE_TEST)
         view = _without_solver_bits(diag.to_dict())
         digests[name] = hashlib.sha256(json.dumps(view, sort_keys=True).encode()).hexdigest()
     assert digests == _PINNED_DIAGNOSIS_SHA256
@@ -629,7 +629,7 @@ def test_domain_order_is_pinned():
         for seed in range(8):
             ds = _reheaded(seed, order, roles)
             head = LinearProbe(np.random.default_rng(seed).normal(size=(3, 3)), np.zeros(3))
-            diag = diagnose(ds, head, MetricConfig(target_role=target))
+            diag = diagnose(ds, head, target)
             view = _without_solver_bits(diag.to_dict())
             digests[f"{name}-{seed}"] = hashlib.sha256(
                 json.dumps(view, sort_keys=True).encode()).hexdigest()

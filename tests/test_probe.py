@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from dgdx.core import LinearProbe
 from dgdx.probe import (
     FiniteProbeFamily,
-    ProbeFitConfig,
     exact_best_error,
     fit_probe,
     zero_one_error,
@@ -83,11 +82,13 @@ class TestFitProbe:
         assert r1 == r2
 
     @pytest.mark.parametrize("lams", [(0.0, 1e-4), (1e-4, 1e-2), (1e-2, 1.0)])
-    def test_objective_monotone_in_l2(self, lams):
+    def test_objective_monotone_in_l2(self, lams, monkeypatch):
         z, t = _clusters(6, n=20, sep=1.0)
         lo, hi = lams
-        _, rec_lo = fit_probe(z, t, 2, ProbeFitConfig(l2_strength=lo))
-        _, rec_hi = fit_probe(z, t, 2, ProbeFitConfig(l2_strength=hi))
+        monkeypatch.setattr(probe_module, "_L2_STRENGTH", lo)
+        _, rec_lo = fit_probe(z, t, 2)
+        monkeypatch.setattr(probe_module, "_L2_STRENGTH", hi)
+        _, rec_hi = fit_probe(z, t, 2)
         assert rec_hi.objective >= rec_lo.objective - 1e-9
 
     def test_per_target_equal_weighting(self):
@@ -190,11 +191,11 @@ class TestZeroOneStage:
         assert r1 == r2
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
-    def test_other_seeds_stay_between_logistic_and_enumeration(self, seed):
-        cfg = ProbeFitConfig(seed=seed)
+    def test_other_seeds_stay_between_logistic_and_enumeration(self, seed, monkeypatch):
+        monkeypatch.setattr(probe_module, "_ZO_SEED", seed)
         for i in range(8):
             z, t = _blobs(i)
-            probe, rec = fit_probe(z, t, 2, cfg)
+            probe, rec = fit_probe(z, t, 2)
             fitted = zero_one_error(probe, z, t)
             assert fitted <= zero_one_error(rec.start, z, t) + 1e-12
             assert fitted >= best_linear01_error_2d(z, t) - 1e-12
@@ -204,10 +205,10 @@ class TestZeroOneStage:
         for seed in range(1, 5):
             for i in range(20):
                 z, t = _blobs(i)
-                cfg = ProbeFitConfig(seed=seed)
-                several = zero_one_error(fit_probe(z, t, 2, cfg)[0], z, t)
+                monkeypatch.setattr(probe_module, "_ZO_SEED", seed)
+                several = zero_one_error(fit_probe(z, t, 2)[0], z, t)
                 monkeypatch.setattr(probe_module, "_ZO_STREAMS", 1)
-                one = zero_one_error(fit_probe(z, t, 2, cfg)[0], z, t)
+                one = zero_one_error(fit_probe(z, t, 2)[0], z, t)
                 monkeypatch.undo()
                 assert several <= one
                 lowered += several < one
@@ -335,12 +336,13 @@ class TestLogisticStage:
         precond = _preconditioner(z, w, 0.01)
         assert np.allclose(precond @ bound, np.eye(6), atol=1e-10)
 
-    def test_singular_bound_still_converges(self):
+    def test_singular_bound_still_converges(self, monkeypatch):
         # l2_strength 0 with a dead unit and a constant feature: the bound has a null space
         z, t = _gaussian_classes(5, 600, 30, 3)
         z = np.hstack([z, np.zeros((600, 1)), np.full((600, 1), 2.5)])
         assert 3 * (z.shape[1] + 1) > probe_module._HESSIAN_MAX_PARAMS
-        _, rec = fit_probe(z, t, 3, ProbeFitConfig(l2_strength=0.0))
+        monkeypatch.setattr(probe_module, "_L2_STRENGTH", 0.0)
+        _, rec = fit_probe(z, t, 3)
         assert rec.converged and np.isfinite(rec.start.weights).all()
 
     def test_conjugate_gradient_steps_reach_the_same_optimum(self, monkeypatch):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dgdx.core import FORMAT_BINARY, ROLE_TEST, ROLE_TRAIN, save_dump, validate_no_label_shift
-from dgdx.metrics import MetricConfig, diagnose
+from dgdx.metrics import diagnose
 from dgdx.scenarios import (
     FIG1_KINDS,
     KINDS,
@@ -19,7 +19,7 @@ from dgdx.scenarios import (
 def run_kind(kind, seed=1, **kw):
     spec = ScenarioSpec(kind=kind, seed=seed, **kw)
     ds, exp = generate(spec)
-    diag = diagnose(ds, exp.head, MetricConfig(target_role=ROLE_TEST))
+    diag = diagnose(ds, exp.head, ROLE_TEST)
     return ds, exp, diag
 
 
