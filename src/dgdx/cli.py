@@ -91,6 +91,8 @@ def main():
 @click.option("--tol", default=0.02, show_default=True, help="label-shift tolerance gate")
 def cmd_diagnose(dump_path, head_path, target, out, tol):
     """Diagnose a representation dump against a learned head."""
+    if not tol >= 0:  # NaN too
+        _fail(EXIT_INPUT, f"--tol must be a nonnegative number, got {tol}")
     ds = _load_dump_checked(dump_path)
     if not os.path.exists(head_path):
         _fail(EXIT_INPUT, f"head file not found: {head_path}")

@@ -127,8 +127,11 @@ class RepresentationDataset:
             i = int(np.flatnonzero(~np.isfinite(self.z).all(axis=1))[0])
             value = self.z[i][~np.isfinite(self.z[i])][0]
             raise DatasetError(f"non-finite feature value {value} at row {{row}}", i)
-        if not np.isin(self.splits, [SPLIT_FIT, SPLIT_HOLDOUT]).all():
-            raise DatasetError("split flags must be 0 (fit) or 1 (holdout)")
+        bad = np.flatnonzero(~np.isin(self.splits, [SPLIT_FIT, SPLIT_HOLDOUT]))
+        if bad.size:
+            i = int(bad[0])
+            raise DatasetError(f"split flag {int(self.splits[i])} at row {{row}} "
+                               "is not 0 (fit) or 1 (holdout)", i)
         for dm in self.domains:
             for split, name in ((SPLIT_FIT, "fit"), (SPLIT_HOLDOUT, "holdout")):
                 if (dm.id, split) not in self.cell_rows:

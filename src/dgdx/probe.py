@@ -240,9 +240,9 @@ def _preconditioner(z, weights, lam):
 
     As ``diag p - p p^T <= (I - 1 1^T / k) / 2``, along such directions the
     Hessian is at most ``X^T diag(w) X / 2``, plus ``lam`` on the weight
-    coordinates, applied to each class row.  The bound is singular when
-    ``lam`` is 0 and a feature is zero or constant (a dead unit).  Its Gram
-    is summed over row chunks so the temporaries stay small.
+    coordinates, applied to each class row.  ``lam`` is ``_L2_STRENGTH`` > 0,
+    so the bound is definite even when a feature is zero or constant (a dead
+    unit).  Its Gram is summed over row chunks so the temporaries stay small.
     """
     n, d = z.shape
     gram = np.zeros((d + 1, d + 1))

@@ -195,6 +195,21 @@ class TestDiagnoseCommand:
         assert message in text
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_bad_tol_exits_two_naming_the_option(runner, tmp_path, tol):
+    dump = tmp_path / "reps.bin"
+    save_dump(random_dataset(0, per_cell=8), dump, FORMAT_BINARY)
+    head = tmp_path / "head.json"
+    LinearProbe(np.zeros((2, 3)), np.zeros(2)).save(head)
+    res = runner.invoke(main, ["diagnose", "--dump", str(dump), "--head", str(head),
+                               "--tol", tol, "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    text = res.output + (res.stderr or "")
+    assert "Traceback" not in text
+    assert "--tol" in text
+
+
 @pytest.mark.parametrize("fmt", [FORMAT_BINARY, FORMAT_CSV])
 @pytest.mark.parametrize("field, value", [
     ("dim", -1), ("dim", 2**40), ("dim", 1.5), ("dim", True), ("num_classes", 2**40),

@@ -184,6 +184,17 @@ class TestBinaryStreaming:
         with pytest.raises(DumpError, match=message):
             load_dump(dump, FORMAT_BINARY)
 
+    @pytest.mark.parametrize("flag", [2, 7, 255])
+    def test_bad_split_flag_names_its_row(self, dump, flag):
+        blob = bytearray(dump.read_bytes())
+        dtype = _record_dtype(3)
+        rec = np.frombuffer(blob, dtype=dtype, offset=len(blob) - self.N * dtype.itemsize)
+        rec["split"][4] = flag
+        dump.write_bytes(bytes(blob))
+        with pytest.raises(DumpError, match=f"split flag {flag} at row 5 is not 0 "
+                                            r"\(fit\) or 1 \(holdout\)$"):
+            load_dump(dump, FORMAT_BINARY)
+
     def test_records_cut_after_the_size_check(self, tmp_path, monkeypatch):
         # more records than the file object buffers with the header, so the cut shows
         path = tmp_path / "d.bin"

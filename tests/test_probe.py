@@ -336,12 +336,14 @@ class TestLogisticStage:
         precond = _preconditioner(z, w, 0.01)
         assert np.allclose(precond @ bound, np.eye(6), atol=1e-10)
 
-    def test_singular_bound_still_converges(self, monkeypatch):
-        # l2_strength 0 with a dead unit and a constant feature: the bound has a null space
+    def test_dead_unit_bound_is_definite_and_converges(self):
+        # a dead unit and a constant feature: only the L2 penalty keeps the bound definite
         z, t = _gaussian_classes(5, 600, 30, 3)
         z = np.hstack([z, np.zeros((600, 1)), np.full((600, 1), 2.5)])
         assert 3 * (z.shape[1] + 1) > probe_module._HESSIAN_MAX_PARAMS
-        monkeypatch.setattr(probe_module, "_L2_STRENGTH", 0.0)
+        x = np.hstack([z, np.ones((600, 1))])
+        penalty = np.append(np.full(32, probe_module._L2_STRENGTH), 0.0)
+        assert np.linalg.eigvalsh(x.T @ x / 1200 + np.diag(penalty)).min() > 1e-6
         _, rec = fit_probe(z, t, 3)
         assert rec.converged and np.isfinite(rec.start.weights).all()
 
