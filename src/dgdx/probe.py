@@ -71,7 +71,6 @@ class FitRecord:
             "grad_max": self.grad_max,
             "converged": self.converged,
             "n_points": self.n_points,
-            "mode": "fit",
         }
 
 

@@ -376,10 +376,9 @@ class TestDiagnose:
         meta = diagnose(ds, head).probe_meta
         assert set(meta) == {"e1", "e2", "d0", "d1", "d2"}
         assert set(meta["d2"]) == {"class0", "class1", "class2"}
-        keys = {"iterations", "objective", "grad_max", "converged", "n_points", "mode", "kept"}
+        keys = {"iterations", "objective", "grad_max", "converged", "n_points", "kept"}
         for probe_meta in [meta[k] for k in ("e1", "e2", "d0", "d1")] + list(meta["d2"].values()):
             assert set(probe_meta) == keys
-            assert probe_meta["mode"] == "fit"
 
     def test_all_probes_converged_reads_every_probe(self):
         ds = random_dataset(8, n_train=3, n_test=2, num_classes=3, per_cell=10)
@@ -546,22 +545,22 @@ def _without_solver_bits(node):
 
 # each case's diagnosis.json fields, less the solver's last bits, hashed
 _PINNED_DIAGNOSIS_SHA256 = {
-    "underfit": "4479040816b05b76ec37c6df3461187515b8c1c93701c9221265a7af3b4f0f57",
-    "test-inseparable": "ef9385941127980c4723ddb2c2037bef35180be8e0e3ea00a54c869e0165697d",
-    "misaligned": "319bc981c0f71308cdb5625adad373b58bd908f5c32d958d8f442dfcd5e08b46",
-    "head-noninvariant": "057ea8ca44230708ef4f9f44f02a57fbf8ddc739caddb981af4deda4b320f687",
-    "success": "ecea3d9483d5f263c3bb75238935b62e9b518a79782e3c02c1f8a3db773d4988",
-    "inv-train-only-a": "0e752260e054d150eb750e36887691d4f7ee6b05d5490ba5e2ee8c48995589ee",
-    "inv-train-only-b": "8d8645640b13191850e0caeb9e2e4f331eb745c613e3ee98d918bdb711830e36",
-    "inv-train-only-c": "876f5765f62ced7a0dd158b0ba410b9bfc05c60e0c129cde88c1aa7e83ef6b16",
-    "inv-train-only-d": "359f8988e14aca157461de2babc96f5efcc9c610a81b398a9ef8c23d7b2adba8",
-    "inv-train-only-e": "5a11934d1b6a1317b96762b3b9eacac6595f89dcdea8f80b309951c583e08e1f",
-    "inv-all-a": "b32c89e016f3c77a3d792ad28482a5e18fa6db8ebe90ead291b939084d70e1b2",
-    "inv-all-b": "ff7ccb2afcf165b60c182dadce35763c50478f90cbf65f30941ceca6752c9839",
-    "inv-all-c": "67d9b8935224da0e6e02c9cb00839dc5534ad2ef4d23f477a3afa562b2e8f43f",
-    "inv-all-d": "e89fecd987005d440b4aac9af9b3d780e839e3deb7a00283adcc5e8ae7fccc5f",
-    "label-flipped": "5bd3fa9db1d8d1d33f9462876a182acf3174931fb282b8d1dd07eae4c196afea",
-    "pcg-64d": "060cf0319e72571135545cc2df8e6df0e0a4b641962f2a5ce1cb5523f3f6f91f",
+    "underfit": "e922e03d4d536b418dfe9bfb698737ffabae3256674f1608173c44b7346c4a23",
+    "test-inseparable": "52c5d3a4e676aee6786cbf9d958615a20892b182111aa046dbcc11100b67bcf2",
+    "misaligned": "33f8556a31e59677155dce06a819a2405c81e3855d6ae9d14b597f4b05c84d26",
+    "head-noninvariant": "5627970a135e2a1f4f099255a9faf53fd1ebd065a3e4cc15b040d1bcfbea09f2",
+    "success": "8f20325ea47dd9f6fd718b5ea7060c90b857eae3195237493ebf652c4d927d4c",
+    "inv-train-only-a": "69deac4d1b348e2ac123a9baf6537057f29627e0b78e4d97a031c2de8f5cadb7",
+    "inv-train-only-b": "c69471379cbc4ce3d4de90887055bc79aefcb54d09c99503218bfb8bf4e780d2",
+    "inv-train-only-c": "532be96a45fba98d4112f70660b35c43f91d5166afbdb2c2b771bee69a48a8eb",
+    "inv-train-only-d": "6b90998fed7afd2675b20adfd97360706ec102cd1a560a2b25df6b5ce1429873",
+    "inv-train-only-e": "b933b2d3025edd15750b8b4b6bc5a6a36d8c61fe0d793fdad8f355c4bdfb9029",
+    "inv-all-a": "07c4f033c50d69b555c6f1d566b03c1e2e15c1221018426f733c5358ad5e7cc7",
+    "inv-all-b": "11594e6e6d48529a039383370e081e06420a4a3edb083dbd7cb837e18667389b",
+    "inv-all-c": "8a01f5eb95731fee839c63b4db311bfd85f5467eff00d07deed134f2a85fd1aa",
+    "inv-all-d": "c85cb087110a29ffcbedcb110180755100de311f133bba2f6fa6ff4b5f5b3db8",
+    "label-flipped": "91ad7f5de7b7222c692217a58b06e839a22c31ee35ee15e5223b0670b1a80efa",
+    "pcg-64d": "9906cbd05d48cc192c89df05313c61bebb66a85abf3d9869356ead662e4e6f8b",
 }
 
 
@@ -593,30 +592,30 @@ _DOMAIN_ORDERS = {
 
 # each case's diagnosis.json fields, less the solver's last bits, hashed
 _PINNED_ORDER_SHA256 = {
-    "reversed-0": "5c39e71949089f2d45ac54a7a6cbd38a89477ff64054abec1329ec33ff8ba6c6",
-    "reversed-1": "0c8aea64276688ca11f5f4ad49ed12b9042ef8cc799ae61300cbc033e0186e39",
-    "reversed-2": "88d0102e15612ffa6ddf6810a70b945850be2074b57b66b111ce10ba3c4d59c3",
-    "reversed-3": "b15d349fbfa2dd6cd03fdc587d5a0a6c10d07930441a79ccfa9de854fd3b1fe8",
-    "reversed-4": "9d9f0bbc3c589517a0ca0335a5aa2b89f9b51d293091fc275137f7417af39266",
-    "reversed-5": "18596eefcdbf2c62ae4f70a015926088a4f2413e2a03189240caaac1b0d2d2f8",
-    "reversed-6": "1ab37b62cbcaee8381403b4fac880e5866058a3ef8dab6ce4244262e03dd9b48",
-    "reversed-7": "b9cf24557997f9be4d8872d06a2bb9e0e1ac806c5e2b4c20b1fec8de0d692a13",
-    "interleaved-0": "4d7454db64a49a152cdc8cec226194ffef6f692af8a28151e7f36d9f4b265d00",
-    "interleaved-1": "b4e60c046f67a212f4ed555747d6601472e93ca62a85e4e1dfd7b93581e796f5",
-    "interleaved-2": "b5ceffaa9e4615f5baeb48a4de76e155d77c4d542df4580d60275c88e866fda0",
-    "interleaved-3": "b89075c73eb09c66a4ea7286274336a2dccf77e10931457c54d6f4c4fa2a1a75",
-    "interleaved-4": "0f45fc11e5bb88713628b2bfcc29670d3356dc62ef30eeaf959686aca94bcbf4",
-    "interleaved-5": "032aea62d1dd1d549accd9b9dc47da0def36a056db008f846a7bd95f17110d99",
-    "interleaved-6": "7111408ade0b59c813d64ddcfc6da9c089d190ff0b8728c299aeeccf35f421f0",
-    "interleaved-7": "abfd6b549c7b5884a89c780ea76df2a1af5ff0d5ba582fd6e1b1a54a0f2af4da",
-    "valid-0": "58cb8123a230b829c9034c84bb983b41290b65608b4c27ed4004e1fe67048630",
-    "valid-1": "a23ea42e4c2d49aae55b896dff049d34e0439ebbb553b227e391b63bc52cb325",
-    "valid-2": "8a27025618816601292a645629a9a934055f2ed0a1cea0226e49d139b4e6113d",
-    "valid-3": "8940f60f9aff2d7c2b4951172ddb3abc7f89cef7a74485c0fb07f8a853e4cd84",
-    "valid-4": "f8ff8176be1976569cec3ffffd492287da946c6f896c919fff0a917f310d465f",
-    "valid-5": "34dd0c3cd18a147df97a920ad04e3c73aea20041a2d8dd869c5a8e8fdf8d0958",
-    "valid-6": "6241e0098f833f9b17a9864e9d563cd5549bf47b8278f053a320cb7a24f7b413",
-    "valid-7": "ff5d7c999b4f19755f2ca9a1778b74d030e105f5a1f0a2468f3fbe2b90e14114",
+    "reversed-0": "106a987e30cf527cdc36d019feef526bef5f662a90cb81e8dfa0b692d97db649",
+    "reversed-1": "6ae90580bd3f58dddc335b9dda384ca3edd55ce8a41b5c01565f9eeb388248bb",
+    "reversed-2": "71813179d4c3b0fc8cca0581e5e7f44c116ac706c1bd2954d117f26a1b375484",
+    "reversed-3": "b0ce0a406f783605476322a82659c9ac56929cf419a47f0c7617923e4208f30b",
+    "reversed-4": "bfc9bee896b3f2fbbf9411a32b4230ee14c73f395726662c99319fb02bc7d2ee",
+    "reversed-5": "8c2c58b8876133cce872169ea3169dc819bfddcd69530788cc3eff98ea5546a5",
+    "reversed-6": "f7b0e265ba0d78b8f4ecc0cfddc7c589ecde7047e72e61e839b666ac29dda95b",
+    "reversed-7": "fbed614c8ed581d266b14d7b477840f04e607412eaebdb92c86f622e659d9c79",
+    "interleaved-0": "3957de8476b47e9568df6287b3965cc9ce3f6654c04c61ec2d9848ee5233ea06",
+    "interleaved-1": "3d48637f0f440551ad8de28a533ddb124163789323e9601409194506ca193fbc",
+    "interleaved-2": "e549890187a2e527dd32f692365df1210101eb0e76f8245c4a4d2878f3fe5fe9",
+    "interleaved-3": "75ad150e6b992e71c77c99dae27dc2fea6c2b5c2c125f4ae9dbb7b6aad57cb21",
+    "interleaved-4": "98c498687986df74dcbac81eb4fa6b5dd1642503a31701b98f8d222dbb7f9421",
+    "interleaved-5": "34a05f78361922f89adaeff8a6bfcc1101ec5e6223aa3ee4f9101ffe87bd2cd8",
+    "interleaved-6": "c52995c40d1f6671939d6204fc3771ddfce6a762fa11a587a46df2c6f29aaa82",
+    "interleaved-7": "369d756fec7a66d18e5bf2406fb3c59855a5fd8aafc0a41be7e1fd3c370b7358",
+    "valid-0": "f0a14665967d6b70aa3d108e6b511492e1d9013ac5a59d1b3b0efb7386641f8d",
+    "valid-1": "b03a8f4818e9842c3fe9dcb3c5156e5a4b04eaa83647f81883278726448c37e5",
+    "valid-2": "3076d26f72fce63914db9fd8e2be24eaaf7f489d6770386b854e0dc348971950",
+    "valid-3": "7e7879952797abdd0bf1a776e386994e8469543fa0270aa5ed3206cf05e95935",
+    "valid-4": "63a3b011304bcddd38b7c594f4c9e0272f3a41455f947dfb380e237466e744fb",
+    "valid-5": "75c86a913ec8c0af65233d2831dfcb1d403c895b67f5c4fcb128592c817b713b",
+    "valid-6": "7b512d2eed84b313a93673544c4343cd327331af18f58703888a72ed90f97c92",
+    "valid-7": "b4f2130eab661c7131638a316a4233c3dcc5e16ce0d3c32a608470086d3672d0",
 }
 
 
