@@ -250,7 +250,8 @@ def _training(run, target, samples_per_domain, seed, **fields):
 @main.command("train")
 @click.option("--algorithm", type=_ALG, default=expt.TrainConfig.algorithm, show_default=True)
 @click.option("--beta", default=expt.TrainConfig.beta, show_default=True)
-@click.option("--freeze-features", is_flag=True)
+@click.option("--freeze-features", is_flag=True, help="train the head only; the feature "
+              "layers keep their random initialization from --seed (not a pretrained extractor)")
 @_training_options
 def cmd_train(target, out, **opts):
     """Train on the synthetic multi-domain dataset, export and diagnose."""

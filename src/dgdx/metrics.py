@@ -14,9 +14,9 @@ All averages over domains weight domains equally regardless of sample
 counts.  Probes train on fit samples and every reported number comes from
 holdout samples.  A fit gives two probes, the logistic solution and the
 one its 0-1 descent reaches (see ``probe.fit_probe``), and the probe-based
-metrics keep the lower holdout error of the two: a minimum of two holdout
-errors, so ``e1'``, ``e2'`` and the ``d'`` values carry a small optimistic
-bias.
+metrics keep the lower holdout error of the two.  That choice biases
+``e1'``, ``e2'`` and the ``d'`` values low, and the fitted probe's gap to
+the infimum biases them high; which one dominates depends on the data.
 """
 
 from __future__ import annotations

@@ -72,10 +72,12 @@ class PartitionInstance:
         if not (np.isfinite(self.points).all() and np.isfinite(self.joint).all()):
             raise ValueError("points and joint must be finite")
         if (self.joint < 0).any():
-            raise ValueError("probabilities must be nonnegative")
+            i, x, y = np.argwhere(self.joint < 0)[0]
+            raise ValueError(f"joint: domain {i} has a negative entry at point {x}, class {y}")
         sums = self.joint.sum(axis=(1, 2))
         if np.abs(sums - 1.0).max() > 1e-9:
-            raise ValueError("each domain's probabilities must sum to 1")
+            i = int(np.argmax(np.abs(sums - 1.0) > 1e-9))
+            raise ValueError(f"joint: domain {i}'s probabilities sum to {float(sums[i])}, not 1")
         k = self.joint.shape[0]
         idx = self.train_idx
         if not all(_is_index(i, k) for i in idx) or len(set(idx)) != len(idx):
@@ -438,8 +440,9 @@ def check_partition_expectation(inst):
 # -- random instance constructors ------------------------------------------------------
 
 _FAMILY_SIZE = 20  # probes per family of a random_instance
-# the precondition-satisfying instances' probes per family, domains and point dim
-_PREMISE_FAMILY_SIZE, _PREMISE_DOMAINS, _PREMISE_DIM = 12, 3, 2
+_DIM = 2  # the points' dim in every constructed instance
+# the precondition-satisfying instances' probes per family and domains
+_PREMISE_FAMILY_SIZE, _PREMISE_DOMAINS = 12, 3
 
 
 def _random_family(rng, num_outputs, dim, size):
@@ -452,15 +455,14 @@ def _random_family(rng, num_outputs, dim, size):
     return FiniteProbeFamily(weights, bias)
 
 
-def random_instance(seed, n_domains=4, n_train=2, n_points=8, dim=2, num_classes=2,
-                    uniform_priors=True):
+def random_instance(seed, n_domains=4, n_train=2, n_points=8, num_classes=2, uniform_priors=True):
     """A generic random instance: random support, random probability tables,
     random probe families.  Uniform priors give each class exactly 1/C mass
     in every domain."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, 101)))
-    points = rng.normal(0.0, 1.0, size=(n_points, dim))
-    label_family = _random_family(rng, num_classes, dim, _FAMILY_SIZE)
-    domain_family = _random_family(rng, n_domains, dim, _FAMILY_SIZE)
+    points = rng.normal(0.0, 1.0, size=(n_points, _DIM))
+    label_family = _random_family(rng, num_classes, _DIM, _FAMILY_SIZE)
+    domain_family = _random_family(rng, n_domains, _DIM, _FAMILY_SIZE)
     joint = np.zeros((n_domains, n_points, num_classes))
     for i in range(n_domains):
         if uniform_priors:
@@ -478,8 +480,8 @@ def _labelled_points(rng, n_points, num_classes):
     """Points, a random family and the labels a random member gives them,
     redrawn (at most 64 times) until two classes appear."""
     for _ in range(64):
-        points = rng.normal(0.0, 1.0, size=(n_points, _PREMISE_DIM))
-        family = _random_family(rng, num_classes, _PREMISE_DIM, _PREMISE_FAMILY_SIZE)
+        points = rng.normal(0.0, 1.0, size=(n_points, _DIM))
+        family = _random_family(rng, num_classes, _DIM, _PREMISE_FAMILY_SIZE)
         labels = family[int(rng.integers(len(family)))].predict(points)
         if np.unique(labels).size >= 2:
             break

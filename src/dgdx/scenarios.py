@@ -44,15 +44,10 @@ KINDS = (
 
 FIG1_KINDS = KINDS[:5]
 
-# kinds whose joint fit must be dominated by the training side
-_NEEDS_TRAIN_MAJORITY = (KIND_MISALIGNED, "inv-all-c", KIND_LABEL_FLIPPED)
-
 
 @dataclass(frozen=True)
 class ScenarioSpec:
     kind: str
-    n_train_domains: int = None
-    n_test_domains: int = None
     samples_per_cell: int = 500
     cluster_std: float = 0.08
     dim: int = 2
@@ -67,25 +62,6 @@ class ScenarioSpec:
             raise ValueError(f"cluster_std must be positive and finite, got {self.cluster_std}")
         if self.dim < 2:
             raise ValueError(f"kind {self.kind} requires dim >= 2")
-        n1, n3 = self.domain_counts()
-        if n1 < 2:
-            raise ValueError("scenarios need at least 2 training domains")
-        if n3 < 1:
-            raise ValueError("scenarios need at least 1 test domain")
-        if self.kind in _NEEDS_TRAIN_MAJORITY and n1 <= n3:
-            raise ValueError(
-                f"kind {self.kind} needs more training than test domains "
-                "so the joint fit is dominated by the training side"
-            )
-
-    def domain_counts(self):
-        if self.kind == KIND_LABEL_FLIPPED:
-            defaults = (2, 1)
-        else:
-            defaults = (3, 2)
-        n1 = self.n_train_domains if self.n_train_domains is not None else defaults[0]
-        n3 = self.n_test_domains if self.n_test_domains is not None else defaults[1]
-        return n1, n3
 
 
 @dataclass(frozen=True)
@@ -144,7 +120,7 @@ def check_expectation(diag, exp):
 # the sites of one (domain, class) share its sample budget in their listed
 # order, the last taking the rest.  The head (w, theta) predicts class 1 iff
 # w . z > theta.  A predicate "e1<=" reads e1 <= _LOW and "e1>=" reads
-# e1 >= _HIGH.  A row that depends on n1 is a function of n1 returning it.
+# e1 >= _HIGH.
 
 _LOW = 0.05
 _HIGH = 0.3
@@ -194,18 +170,6 @@ def _above(sites_at):
     return lambda k, n1: sites_at(y=2.0 + k)
 
 
-def _head_noninvariant(n1):
-    # classes split along x everywhere (the consistent rule); training domains
-    # stacked along y; the designed head tilts into y, which stays
-    # train-optimal but breaks on test domains placed further up
-    slope = 0.6 / (n1 - 1)
-    gap = 1
-    while slope * (n1 + 2 * gap + 1) / 2.0 - 0.5 < 0.2:
-        gap += 1
-    head = ((1.0, slope), slope * (n1 - 1) / 2.0)
-    return _x_split, lambda k, n1: _x_split(n1 + gap + k), head, "e0<= e1<= e2<= e3>= d0_prime>="
-
-
 _Y_HEAD = ((0.0, 1.0), 0.0)
 _X_HEAD = ((1.0, 0.0), 0.0)
 _SPLIT = _fixed(_x_split())
@@ -219,7 +183,12 @@ _LAYOUTS = {
     # a shared head still separates the y-mirrored test domains, but no
     # single line is consistent with training too
     KIND_MISALIGNED: (_y_split, _beside(_y_flip), _Y_HEAD, "e0<= e1<= e2>= d0_prime>="),
-    KIND_HEAD_NONINVARIANT: _head_noninvariant,
+    # classes split along x everywhere (the consistent rule); training domains
+    # stack along y at y = 0, 1, 2 and test domains at y = 4, 5; the head tilts
+    # into y by 0.3 about y = 1, which stays train-optimal but puts the test
+    # boundary at x <= -0.9, past the class-0 clusters at x = -0.5
+    KIND_HEAD_NONINVARIANT: (_x_split, lambda k, n1: _x_split(n1 + 1 + k), ((1.0, 0.3), 0.3),
+                             "e0<= e1<= e2<= e3>= d0_prime>="),
     KIND_SUCCESS: (_y_split, _beside(_y_split), _Y_HEAD, "e0<= e1<= e2<= e3<= d0_prime>= d2<="),
     # training domains coincide (invariant among themselves); distinct test
     # offsets keep the union distinguishable
@@ -247,9 +216,9 @@ def generate(spec):
     ``samples_per_cell`` Gaussian samples split evenly into fit and holdout;
     extra dimensions beyond the first two carry pure noise.
     """
-    n1, n3 = spec.domain_counts()
-    layout = _LAYOUTS[spec.kind]
-    train, test, (head_w, theta), preds = layout(n1) if callable(layout) else layout
+    # misaligned, inv-all-c and label-flipped need a training majority in the joint fit
+    n1, n3 = (2, 1) if spec.kind == KIND_LABEL_FLIPPED else (3, 2)
+    train, test, (head_w, theta), preds = _LAYOUTS[spec.kind]
     preds = tuple((p[:-2], p[-2:], _LOW if p[-2:] == "<=" else _HIGH) for p in preds.split())
     rng = np.random.default_rng(np.random.SeedSequence((spec.seed, KINDS.index(spec.kind))))
 

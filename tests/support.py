@@ -294,3 +294,11 @@ def traced_peak(fn, *args, **kwargs):
     finally:
         tracemalloc.stop()
 
+
+def without_solver_bits(node):
+    """``node`` without the ``objective`` and ``grad_max`` entries, whose last
+    bits depend on the BLAS thread count."""
+    if isinstance(node, dict):
+        return {k: without_solver_bits(v) for k, v in node.items()
+                if k not in ("objective", "grad_max")}
+    return node

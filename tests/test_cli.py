@@ -27,6 +27,7 @@ from dgdx.core import (
     save_dump,
 )
 from dgdx.metrics import csv_row
+from dgdx.probe import FiniteProbeFamily
 from dgdx.scenarios import ScenarioSpec, generate
 
 from conftest import random_dataset
@@ -236,6 +237,41 @@ def test_bad_header_size_exits_two_naming_the_field(runner, tmp_path, fmt, field
     assert f"'{field}'" in text
 
 
+@pytest.mark.parametrize("fmt", [FORMAT_BINARY, FORMAT_CSV])
+def test_repeated_domain_id_exits_two(runner, tmp_path, fmt):
+    dump = tmp_path / "reps"
+    save_dump(random_dataset(0, per_cell=8), dump, fmt)
+
+    def edit(header):
+        header["domains"][1]["id"] = header["domains"][0]["id"]
+
+    dump.write_bytes(rewrite_header(dump.read_bytes(), edit))
+    head = tmp_path / "head.json"
+    LinearProbe(np.zeros((2, 3)), np.zeros(2)).save(head)
+    res = runner.invoke(main, ["diagnose", "--dump", str(dump), "--head", str(head),
+                               "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+    assert "duplicate domain id" in res.output
+
+
+@pytest.mark.parametrize("command, option", [
+    ("diagnose", "--dump"), ("pca", "--dump"), ("verify", "--instance"),
+])
+def test_missing_input_file_exits_two_naming_it(runner, tmp_path, command, option):
+    head = tmp_path / "head.json"
+    LinearProbe(np.zeros((2, 3)), np.zeros(2)).save(head)
+    extra = ["--head", str(head)] if command == "diagnose" else []
+    res = runner.invoke(main, [command, option, str(tmp_path / "nope.bin"), *extra,
+                               "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+    assert "nope.bin" in res.output
+    assert not (tmp_path / "o").exists()
+
+
 def _undecodable_dump(tmp_path, kind):
     """A dump file that is not UTF-8 where it must be, and the file offset of
     its first byte that is not."""
@@ -393,10 +429,14 @@ def _instance_with(**fields):
     return dict(random_instance(7).to_dict(), **fields)
 
 
-def _family_of_dim(dim):
-    from dgdx.propositions import random_instance
+def _zero_family(num_outputs, dim):
+    return FiniteProbeFamily(np.zeros((1, num_outputs, dim)), np.zeros((1, num_outputs))).to_dict()
 
-    return random_instance(7, dim=dim).domain_family.to_dict()
+
+def _joint_with(domain, point, label, value):
+    joint = _instance_with()["joint"]
+    joint[domain][point][label] = value
+    return joint
 
 
 def _family_with_bias(name, value):
@@ -425,7 +465,7 @@ _NESTED = "[" * 100_000  # deeper than the JSON decoder's recursion limit
     (_instance_with(label_family="x"), "label_family"),
     (_instance_with(label_family={"probes": [1]}), "label_family"),
     (_instance_with(domain_family=[1]), "domain_family"),
-    (_instance_with(domain_family=_family_of_dim(3)), "domain_family"),
+    (_instance_with(domain_family=_zero_family(4, 3)), "domain_family"),
     (_instance_with(train_idx=[5]), "train_idx"),
     (_instance_with(train_idx="0"), "train_idx"),
     (_instance_with(train_idx=[-1]), "train_idx"),
@@ -446,6 +486,9 @@ _NESTED = "[" * 100_000  # deeper than the JSON decoder's recursion limit
     # finite, but the scores on the points overflow
     (_instance_with(domain_family=_family_with_weights("domain_family", [8.36e307] * 2)),
      "domain_family"),
+    (_instance_with(joint=_joint_with(2, 3, 1, -0.01)), "joint"),
+    (_instance_with(joint=_joint_with(1, 0, 0, 0.5)), "joint"),
+    (_instance_with(label_family=_zero_family(3, 2)), "label_family"),
     pytest.param(_NESTED, "inst.json", id="nested-arrays"),
 ])
 def test_malformed_instance_exits_two_naming_the_field(runner, tmp_path, obj, field):
@@ -515,6 +558,8 @@ def _head_with(**fields):
                  id="num-outputs-null"),
     pytest.param(json.dumps(_head_with(num_outputs=float("inf"))), "bad_head.json",
                  id="num-outputs-inf"),
+    pytest.param(json.dumps(_head_with(num_outputs=3)), "bad_head.json",
+                 id="num-outputs-not-the-weight-rows"),
     pytest.param(json.dumps([1, 2]), "bad_head.json", id="not-an-object"),
     pytest.param(_NESTED, "bad_head.json", id="nested-arrays"),
     # the scenario dump has dim 2 and 2 classes
@@ -711,6 +756,26 @@ class TestTrainSweepTrajectory:
                                    "--seed", "0", "--out", str(tmp_path)])
         assert res.exit_code == 2
 
+    def test_diverging_training_exits_three_naming_the_epoch(self, runner, tmp_path):
+        # the only exit-3 path of training: the objective overflows
+        res = runner.invoke(main, ["train", "--learning-rate", "1e300", "--epochs", "1",
+                                   "--steps-per-epoch", "2", "--samples-per-domain", "90",
+                                   "--hidden-width", "4", "--seed", "0",
+                                   "--out", str(tmp_path)])
+        assert res.exit_code == 3
+        assert isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output
+        assert "objective non-finite at epoch 1" in res.output
+
+    def test_freeze_features_keeps_the_initial_feature_layers(self, runner, tmp_path):
+        res = runner.invoke(main, ["train", "--freeze-features", "--seed", "0", "--epochs", "2",
+                                   *self.FAST, "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        raw = expt.make_dataset(expt.SyntheticColoredSpec(seed=0, samples_per_domain=90))
+        start = expt.init_params(raw.spec.input_dim, 8, raw.spec.num_classes, 0)
+        written = load_dump(tmp_path / "representations.bin", FORMAT_BINARY)
+        assert np.array_equal(written.z, expt.export_representations(start, raw).z)
+
     @pytest.mark.parametrize("args", [
         ["sweep", "--algorithm", "coral", "--samples-per-domain", "1"],
         ["train", "--algorithm", "coral", "--beta", "nan"],
@@ -719,6 +784,7 @@ class TestTrainSweepTrajectory:
         ["trajectory", "--learning-rate", "-1"],
         ["sweep", "--algorithm", "group-dro", "--betas", "inf"],
         ["trajectory", "--epochs", "1"],
+        ["sweep", "--algorithm", "erm", "--betas", ","],
     ])
     def test_invalid_training_option_exit_two(self, runner, tmp_path, args):
         res = runner.invoke(main, [*args, "--seed", "0", "--out", str(tmp_path)])

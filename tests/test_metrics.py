@@ -50,7 +50,7 @@ from dgdx.probe import (
 from dgdx.scenarios import KINDS, ScenarioSpec, generate
 
 from conftest import random_dataset
-from support import constant_probe
+from support import constant_probe, without_solver_bits
 
 
 def build_dataset(cells, dim=2, num_classes=2, per_cell=80, std=0.05, seed=0, roles=None):
@@ -534,15 +534,6 @@ def _pinned_cases():
     yield ("pcg-64d",) + _pcg_dump()
 
 
-def _without_solver_bits(node):
-    """``node`` without the ``objective`` and ``grad_max`` entries, whose last
-    bits depend on the BLAS thread count."""
-    if isinstance(node, dict):
-        return {k: _without_solver_bits(v) for k, v in node.items()
-                if k not in ("objective", "grad_max")}
-    return node
-
-
 # each case's diagnosis.json fields, less the solver's last bits, hashed
 _PINNED_DIAGNOSIS_SHA256 = {
     "underfit": "e922e03d4d536b418dfe9bfb698737ffabae3256674f1608173c44b7346c4a23",
@@ -568,7 +559,7 @@ def test_diagnoses_are_pinned():
     digests = {}
     for name, ds, head in _pinned_cases():
         diag = diagnose(ds, head, ROLE_TEST)
-        view = _without_solver_bits(diag.to_dict())
+        view = without_solver_bits(diag.to_dict())
         digests[name] = hashlib.sha256(json.dumps(view, sort_keys=True).encode()).hexdigest()
     assert digests == _PINNED_DIAGNOSIS_SHA256
 
@@ -629,7 +620,7 @@ def test_domain_order_is_pinned():
             ds = _reheaded(seed, order, roles)
             head = LinearProbe(np.random.default_rng(seed).normal(size=(3, 3)), np.zeros(3))
             diag = diagnose(ds, head, target)
-            view = _without_solver_bits(diag.to_dict())
+            view = without_solver_bits(diag.to_dict())
             digests[f"{name}-{seed}"] = hashlib.sha256(
                 json.dumps(view, sort_keys=True).encode()).hexdigest()
     assert digests == _PINNED_ORDER_SHA256

@@ -447,5 +447,17 @@ def test_instances_compare_and_hash_by_identity():
     assert np.array_equal(c.joint, a.joint) and c != a
 
 
+@pytest.mark.parametrize("cell, value, message", [
+    ((2, 3, 1), -0.01, "joint: domain 2 has a negative entry at point 3, class 1"),
+    ((1, 0, 0), 0.0, "joint: domain 1's probabilities sum to "),
+])
+def test_bad_joint_names_its_domain(cell, value, message):
+    inst = random_instance(7)
+    joint = inst.joint.copy()
+    joint[cell] = value
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(inst, joint=joint)
+
+
 def test_reports_are_pinned():
     assert _pinned_report_digests() == _PINNED_REPORTS_SHA256
