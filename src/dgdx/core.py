@@ -82,7 +82,9 @@ class RepresentationDataset:
         self.domain_ids = np.ascontiguousarray(domain_ids, dtype=np.int64)
         self.splits = np.ascontiguousarray(splits, dtype=np.uint8)
         self.labels = np.ascontiguousarray(labels, dtype=np.int64)
-        self.z = np.ascontiguousarray(z, dtype=np.float32)
+        # a value past float32's range becomes inf, which _validate reports with its row
+        with np.errstate(over="ignore"):
+            self.z = np.ascontiguousarray(z, dtype=np.float32)
         self._validate()
         for arr in (self.domain_ids, self.splits, self.labels, self.z):
             arr.flags.writeable = False

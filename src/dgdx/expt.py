@@ -84,8 +84,10 @@ class SyntheticColoredSpec:
             raise ValueError("need at least 3 domains (train, valid, test)")
         if min(self.num_classes, self.signal_dim, self.color_dim) < 1:
             raise ValueError("dims and class count must be positive")
-        if self.samples_per_domain < self.num_classes:
-            raise ValueError("samples_per_domain must cover every class")
+        if self.samples_per_domain < 2 * self.num_classes:
+            raise ValueError(f"samples_per_domain must be at least 2 * num_classes "
+                             f"({2 * self.num_classes}), so that every class has fit and "
+                             f"holdout samples; got {self.samples_per_domain}")
 
     @property
     def input_dim(self):
@@ -594,7 +596,7 @@ def export_representations(params, raw):
         domain_ids=raw.domain_ids,
         splits=raw.splits,
         labels=raw.labels,
-        z=reps.astype(np.float32),
+        z=reps,
     )
 
 

@@ -12,11 +12,14 @@ chance-adjusted accuracy, so lower means more invariant.
 
 All averages over domains weight domains equally regardless of sample
 counts.  Probes train on fit samples and every reported number comes from
-holdout samples.  A fit gives two probes, the logistic solution and the
-one its 0-1 descent reaches (see ``probe.fit_probe``), and the probe-based
-metrics keep the lower holdout error of the two.  That choice biases
-``e1'``, ``e2'`` and the ``d'`` values low, and the fitted probe's gap to
-the infimum biases them high; which one dominates depends on the data.
+holdout samples.  A fit returns its candidates, ``{source: probe}``: the
+probe its 0-1 descent reaches, ``"zero_one"``, and the logistic solution it
+started from, ``"logistic"``, since the descent can overfit a small fit split
+(see ``probe.fit_probe``).  Each candidate's per-row holdout misses are
+reduced by the metric's rule, and the lowest error is kept; ties keep
+``"zero_one"``.  That choice biases ``e1'``, ``e2'`` and the ``d'`` values
+low, and the fitted probe's gap to the infimum biases them high; which one
+dominates depends on the data.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .core import (
     SPLIT_HOLDOUT,
     DatasetError,
 )
-from .probe import fit_probe, zero_one_error
+from .probe import fit_probe
 
 _COMPONENTS = E_COMPONENTS + D_COMPONENTS
 # the components, then the primed metrics: column "e0p" holds field e0_prime
@@ -124,33 +127,11 @@ def _rows(ds, domain_ids, split, targets, label=None):
     return z, t, w, ends
 
 
-def _score(probe, rows, targets):
-    """The probe's 0-1 error on ``rows`` (see ``_rows``), every domain
-    weighted equally.
-
-    Label targets (e0'-e3') average the per-domain errors; domain targets
-    (d0'-d2') take one weighted error over all blocks.  The two differ in
-    the last bits, so each metric's way is part of its reported value.
-    """
-    z, t, w, ends = rows
-    if targets == "label":
-        blocks = zip(np.split(z, ends[:-1]), np.split(t, ends[:-1]))
-        return float(np.mean([zero_one_error(probe, zb, tb) for zb, tb in blocks]))
-    return zero_one_error(probe, z, t, weights=w)
-
-
-def _select(ds, domain_ids, targets, label=None, scored_ids=None):
-    """Fit the error-minimizing probe over ``domain_ids`` and return
-    ``(holdout error, meta)``; the error is taken on ``scored_ids``
-    (default: ``domain_ids``).
-
-    The probe trains on fit samples.  The fit's 0-1 stage can overfit a
-    small fit split, so the logistic solution it started from is scored as
-    well and the lower holdout error is kept (ties keep the 0-1 stage's
-    probe).  Both probes upper-bound the same infimum, but the minimum of
-    their two holdout errors is biased low, slightly, since the choice sees
-    the samples it is scored on.
-    """
+def _fit(ds, domain_ids, targets, label=None):
+    """Fit a probe on the fit samples of ``domain_ids``: ``(candidates, meta)``,
+    the candidates ``{"zero_one": probe}`` plus ``"logistic"``, its start, when
+    the 0-1 stage moved it (see ``probe.fit_probe``), and meta the fit's record.
+    The fit rows are freed on return, before any holdout rows are gathered."""
     num_outputs = ds.num_classes if targets == "label" else len(domain_ids)
     z, t, w, _ = _rows(ds, domain_ids, SPLIT_FIT, targets, label)
     if (t == t[0]).all():
@@ -159,30 +140,52 @@ def _select(ds, domain_ids, targets, label=None, scored_ids=None):
                            f"{domain_ids} hold fewer than 2 distinct {targets}s; "
                            "no probe can be fitted")
     probe, record = fit_probe(z, t, num_outputs, sample_weight=w)
-    meta = dict(record.to_dict(), kept="zero_one")
-    # dropped before the holdout rows are gathered, so the two are never held together
-    del z, t, w
-    held = _rows(ds, scored_ids or domain_ids, SPLIT_HOLDOUT, targets, label)
-    value = _score(probe, held, targets)
+    candidates = {"zero_one": probe}
     if record.start is not probe:
-        start_value = _score(record.start, held, targets)
-        if start_value < value:
-            value, meta["kept"] = start_value, "logistic"
-    return value, meta
+        candidates["logistic"] = record.start
+    return candidates, record.to_dict()
+
+
+def _misses(probe, rows):
+    """Per row of ``rows`` (see ``_rows``), whether the probe misses its target."""
+    return probe.predict(rows[0]) != rows[1]
+
+
+def _error(misses, rows, targets):
+    """The error of ``misses`` on ``rows``, every domain weighted equally: label
+    targets (e0'-e3') average the per-domain errors, domain targets (d0'-d2')
+    weight all blocks at once.  The two differ in the last bits, so each
+    metric's rule is part of its value."""
+    miss, w, ends = misses.astype(np.float64), rows[2], rows[3]
+    if targets == "label":
+        return float(np.mean([block.mean() for block in np.split(miss, ends[:-1])]))
+    return float((miss * w).sum() / w.sum())
+
+
+def _select(ds, domain_ids, targets, label=None, scored_ids=None):
+    """Fit over ``domain_ids`` (see ``_fit``); return the candidates' lowest
+    holdout error on ``scored_ids`` (default: ``domain_ids``) and the fit's
+    meta, whose ``"kept"`` names the first candidate to reach it."""
+    candidates, meta = _fit(ds, domain_ids, targets, label)
+    held = _rows(ds, scored_ids or domain_ids, SPLIT_HOLDOUT, targets, label)
+    errors = {src: _error(_misses(p, held), held, targets) for src, p in candidates.items()}
+    meta["kept"] = min(errors, key=errors.get)
+    return errors[meta["kept"]], meta
 
 
 def _head_error(ds, head, domain_ids):
     if head.num_outputs != ds.num_classes:
         raise ValueError("head must have num_classes outputs")
-    return _score(head, _rows(ds, domain_ids, SPLIT_HOLDOUT, "label"), "label")
+    held = _rows(ds, domain_ids, SPLIT_HOLDOUT, "label")
+    return _error(_misses(head, held), held, "label")
 
 
 # -- the seven primed metrics ----------------------------------------------------
 #
-# The five probe metrics return ``(value, meta)``, meta being the fit's record
-# (d2': one per class); the two head metrics return the value.  e0', e1' and
-# e3' stack their domains in header order, d0' and the union in id order: the
-# order moves the last bits.
+# The five probe metrics return ``(value, meta)``: the value comes from
+# ``_select``'s error, meta is the fit's record (d2': one per class).  The two
+# head metrics return the value.  e0', e1' and e3' stack their domains in
+# header order, d0' and the union in id order: the order moves the last bits.
 
 
 def e0_prime(ds, head):
@@ -194,17 +197,14 @@ def e1_prime(ds, target):
     """Best shared probe's error on target domains (inseparability).
 
     One probe is shared across all target domains, matching the single
-    minimizer inside the defining infimum.  Fitted probes report the lower
-    holdout error of a fit's two stages (see ``_select``).
+    minimizer inside the defining infimum.
     """
     return _select(ds, _target_ids(ds, target), "label")
 
 
 def e2_prime(ds, target):
     """Error on target domains of the probe fit jointly on training plus
-    target domains, every domain weighted equally (misalignment).  Fitted
-    probes report the lower holdout error of a fit's two stages (see
-    ``_select``)."""
+    target domains, every domain weighted equally (misalignment)."""
     target_ids = _target_ids(ds, target)
     return _select(ds, sorted(_train_ids(ds)) + target_ids, "label", scored_ids=target_ids)
 
@@ -215,11 +215,7 @@ def e3_prime(ds, head, target):
 
 
 def d0_prime(ds):
-    """Chance-adjusted accuracy of the best domain classifier on training domains.
-
-    Fitted probes report the lower holdout error of a fit's two stages (see
-    ``_select``), as do ``d1_prime`` and ``d2_prime``.
-    """
+    """Chance-adjusted accuracy of the best domain classifier on training domains."""
     train = sorted(_train_ids(ds))
     err, meta = _select(ds, train, "domain")
     return 1.0 - err - 1.0 / len(train), meta

@@ -648,15 +648,34 @@ def test_out_path_that_is_a_file_exits_two_naming_it(runner, tmp_path, monkeypat
     assert called == []
 
 
-def test_importing_the_cli_loads_no_scipy():
+def _python(*args, check=False):
+    """``python *args`` in a fresh process that imports this checkout's dgdx,
+    with numpy's warnings printed as they would be outside the test suite."""
     src = str(Path(dgdx.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          check=check)
+
+
+def test_importing_the_cli_loads_no_scipy():
     code = ("import sys, dgdx.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          check=True)
-    assert proc.stdout.strip() == "[]"
+    assert _python("-c", code, check=True).stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("args, name", [
+    # one sample per class: 80/20 leaves every class without fit samples
+    (["train", "--samples-per-domain", "3"], "samples_per_domain"),
+    (["train", "--samples-per-domain", "5"], "samples_per_domain"),
+    # features past float32's range
+    (["scenario", "--kind", "success", "--cluster-std", "1e300"], "non-finite feature value"),
+], ids=["samples-3", "samples-5", "cluster-std-1e300"])
+def test_rejected_input_exits_two_without_a_warning(tmp_path, args, name):
+    proc = _python("-m", "dgdx.cli", *args, "--seed", "0", "--out", str(tmp_path))
+    assert proc.returncode == 2, proc.stderr
+    assert name in proc.stderr
+    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
 
 
 class TestPcaCommand:

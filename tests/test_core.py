@@ -541,6 +541,19 @@ class TestDatasetInvariants:
         assert info.value.index == 4
         assert info.value.at_row(9) == f"non-finite feature value {value} at row 9"
 
+    @pytest.mark.parametrize("value, shown", [(1e39, "inf"), (-1e39, "-inf")])
+    def test_rejects_float64_features_past_float32_range(self, value, shown):
+        # the float32 cast overflows to inf without a warning; the error names the row
+        ds = random_dataset(0)
+        z = ds.z.astype(np.float64)
+        z[4, 1] = value
+        message = f"non-finite feature value {shown} at row 5$"
+        with pytest.raises(DatasetError, match=message) as info:
+            RepresentationDataset(
+                ds.dim, ds.num_classes, ds.domains, ds.domain_ids, ds.splits, ds.labels, z
+            )
+        assert info.value.index == 4
+
     def test_rejects_wrong_dim(self):
         ds = random_dataset(0)
         with pytest.raises(DatasetError, match="shape"):

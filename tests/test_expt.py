@@ -57,6 +57,19 @@ class TestMakeDataset:
         b = expt.make_dataset(expt.SyntheticColoredSpec(seed=1, samples_per_domain=30))
         assert not np.allclose(a.x[:5], b.x[:5])
 
+    @pytest.mark.parametrize("samples", [3, 4, 5])
+    def test_too_few_samples_per_class_are_rejected(self, samples):
+        # 80/20 of one sample per class leaves every class without fit samples
+        with pytest.raises(ValueError, match="samples_per_domain"):
+            expt.SyntheticColoredSpec(num_classes=3, samples_per_domain=samples)
+
+    def test_two_samples_per_class_give_each_cell_both_splits(self):
+        raw = expt.make_dataset(expt.SyntheticColoredSpec(num_classes=3, samples_per_domain=6))
+        for d in range(5):
+            for y in range(3):
+                m = (raw.domain_ids == d) & (raw.labels == y)
+                assert np.bincount(raw.splits[m], minlength=2).tolist() == [1, 1]
+
     def test_split_is_80_20_per_cell(self):
         raw = expt.make_dataset(SMALL_SPEC)
         for d in range(4):

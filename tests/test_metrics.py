@@ -35,8 +35,11 @@ from dgdx.metrics import (
     e2_prime,
     e3_prime,
     pearson,
+    _error,
+    _fit,
+    _misses,
     _rows,
-    _score,
+    _select,
     _target_ids,
     _train_ids,
     _union_ids,
@@ -147,6 +150,31 @@ class TestGeneralizationMetrics:
         value, meta = e1_prime(ds, ROLE_TEST)
         assert value == min(errs)
         assert meta["kept"] == ("logistic" if errs[1] < errs[0] else "zero_one")
+
+    def test_tied_candidates_keep_the_zero_one_probe(self, monkeypatch):
+        # a 0-1 probe that is its logistic start scaled by 2 predicts the same rows exactly
+        real_fit = metrics.fit_probe
+
+        def fit_probe(*args, **kwargs):
+            _, rec = real_fit(*args, **kwargs)
+            return LinearProbe(2 * rec.start.weights, 2 * rec.start.bias), rec
+
+        monkeypatch.setattr(metrics, "fit_probe", fit_probe)
+        ds = random_dataset(3, n_train=2, n_test=2, per_cell=10)
+        candidates, _ = _fit(ds, _target_ids(ds, ROLE_TEST), "label")
+        assert list(candidates) == ["zero_one", "logistic"]
+        value, meta = e1_prime(ds, ROLE_TEST)
+        held = _rows(ds, _target_ids(ds, ROLE_TEST), SPLIT_HOLDOUT, "label")
+        assert value == _error(_misses(candidates["logistic"], held), held, "label")
+        assert meta["kept"] == "zero_one"
+
+    def test_unmoved_zero_one_stage_gives_one_candidate(self):
+        # separable fit rows: the logistic probe already fits them without error
+        cells = {(d, y): (0, 2 * y - 1) for d in range(3) for y in range(2)}
+        ds = build_dataset(cells, roles={2: ROLE_TEST})
+        candidates, _ = _fit(ds, [2], "label")
+        assert list(candidates) == ["zero_one"]
+        assert _select(ds, [2], "label")[1]["kept"] == "zero_one"
 
     def test_e3_constant_head(self):
         ds = build_dataset({(0, 0): (0, -1), (0, 1): (0, 1), (1, 0): (1, -1), (1, 1): (1, 1),
@@ -447,7 +475,31 @@ def _exact_error(ds, family_of, ids, targets, label=None, scored=None):
     family = family_of(ds.num_classes if targets == "label" else len(ids), z)
     _, idx = exact_best_error(family, z, t, weights=w)
     held = _rows(ds, scored or ids, SPLIT_HOLDOUT, targets, label)
-    return _score(family[idx], held, targets)
+    return _error(_misses(family[idx], held), held, targets)
+
+
+@given(seed=st.integers(0, 10_000), n_domains=st.integers(2, 4),
+       num_classes=st.integers(2, 3), per_cell=st.sampled_from([6, 10, 14]),
+       targets=st.sampled_from(["label", "domain"]), label=st.sampled_from([None, 0]))
+@settings(max_examples=60, deadline=None)
+def test_error_reduces_misses_as_zero_one_error_does(seed, n_domains, num_classes, per_cell,
+                                                     targets, label):
+    # bit for bit the per-block rule each metric reported before misses were kept per row:
+    # the mean of the domains' errors for labels, one weighted error for domains
+    ds = random_dataset(seed, n_train=n_domains, n_test=0, num_classes=num_classes,
+                        per_cell=per_cell)
+    ids = [dm.id for dm in ds.domains][::-1]
+    rows = _rows(ds, ids, SPLIT_HOLDOUT, targets, label)
+    z, t, w, ends = rows
+    k = num_classes if targets == "label" else n_domains
+    rng = np.random.default_rng(seed)
+    probe = LinearProbe(rng.normal(size=(k, ds.dim)), rng.normal(size=k))
+    if targets == "label":
+        blocks = zip(np.split(z, ends[:-1]), np.split(t, ends[:-1]))
+        expected = float(np.mean([zero_one_error(probe, zb, tb) for zb, tb in blocks]))
+    else:
+        expected = zero_one_error(probe, z, t, weights=w)
+    assert _error(_misses(probe, rows), rows, targets) == expected
 
 
 class TestExactFamilyMode:
