@@ -156,7 +156,8 @@ def _error(misses, rows, targets):
     targets (e0'-e3') average the per-domain errors, domain targets (d0'-d2')
     weight all blocks at once.  The two differ in the last bits, so each
     metric's rule is part of its value."""
-    miss, w, ends = misses.astype(np.float64), rows[2], rows[3]
+    _, _, w, ends = rows
+    miss = misses.astype(np.float64)
     if targets == "label":
         return float(np.mean([block.mean() for block in np.split(miss, ends[:-1])]))
     return float((miss * w).sum() / w.sum())

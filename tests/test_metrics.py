@@ -484,8 +484,8 @@ def _exact_error(ds, family_of, ids, targets, label=None, scored=None):
 @settings(max_examples=60, deadline=None)
 def test_error_reduces_misses_as_zero_one_error_does(seed, n_domains, num_classes, per_cell,
                                                      targets, label):
-    # bit for bit the per-block rule each metric reported before misses were kept per row:
-    # the mean of the domains' errors for labels, one weighted error for domains
+    # bit for bit zero_one_error's values reduced by each metric's rule: the mean of the
+    # per-domain errors for labels, one weighted error over all blocks for domains
     ds = random_dataset(seed, n_train=n_domains, n_test=0, num_classes=num_classes,
                         per_cell=per_cell)
     ids = [dm.id for dm in ds.domains][::-1]
