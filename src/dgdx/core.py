@@ -146,7 +146,9 @@ class RepresentationDataset:
         return int(self.domain_ids.shape[0])
 
     def domain_ids_with_role(self, role):
-        return [dm.id for dm in self.domains if dm.role == role]
+        """The ids of the domains with ``role``, ascending: every metric takes
+        its domains in this order, whatever order the header lists them in."""
+        return sorted(dm.id for dm in self.domains if dm.role == role)
 
     @cached_property
     def cell_rows(self):

@@ -59,14 +59,9 @@ _NEGATIVE_TOLERANCE = 1e-6
 # -- the metric engine -----------------------------------------------------------
 
 
-def _train_ids(ds):
-    """The training domain ids in header order."""
-    return ds.domain_ids_with_role(ROLE_TRAIN)
-
-
 def _target_ids(ds, target):
-    """The ids of the domains whose role is ``target``, in header order: the
-    test domains, or the validation domains in validation-proxy mode."""
+    """The ids of the domains whose role is ``target``: the test domains, or
+    the validation domains in validation-proxy mode."""
     if target not in (ROLE_TEST, ROLE_VALID):
         raise ValueError(f"target must be {ROLE_TEST!r} or {ROLE_VALID!r}, not {target!r}")
     ids = ds.domain_ids_with_role(target)
@@ -77,14 +72,14 @@ def _target_ids(ds, target):
 
 def _union_ids(ds, target):
     """Domain set of the union distinguishability probes, d1' and d2': the
-    training domains by id, then the target domains.
+    training domains, then the target domains.
 
-    In validation-proxy mode the last n2 training domains (by id) are dropped
-    so the domain count, and hence the chance baseline, matches the
+    In validation-proxy mode the n2 training domains with the highest ids are
+    dropped so the domain count, and hence the chance baseline, matches the
     training-only metric d0'.  (e2' fits on all training domains in both
     modes.)
     """
-    train, target_ids = sorted(_train_ids(ds)), _target_ids(ds, target)
+    train, target_ids = ds.domain_ids_with_role(ROLE_TRAIN), _target_ids(ds, target)
     if target == ROLE_VALID:
         if len(target_ids) >= len(train):
             raise DatasetError(
@@ -185,13 +180,12 @@ def _head_error(ds, head, domain_ids):
 #
 # The five probe metrics return ``(value, meta)``: the value comes from
 # ``_select``'s error, meta is the fit's record (d2': one per class).  The two
-# head metrics return the value.  e0', e1' and e3' stack their domains in
-# header order, d0' and the union in id order: the order moves the last bits.
+# head metrics return the value.
 
 
 def e0_prime(ds, head):
     """Learned head's 0-1 error averaged over training domains (underfitting)."""
-    return _head_error(ds, head, _train_ids(ds))
+    return _head_error(ds, head, ds.domain_ids_with_role(ROLE_TRAIN))
 
 
 def e1_prime(ds, target):
@@ -207,7 +201,8 @@ def e2_prime(ds, target):
     """Error on target domains of the probe fit jointly on training plus
     target domains, every domain weighted equally (misalignment)."""
     target_ids = _target_ids(ds, target)
-    return _select(ds, sorted(_train_ids(ds)) + target_ids, "label", scored_ids=target_ids)
+    train = ds.domain_ids_with_role(ROLE_TRAIN)
+    return _select(ds, train + target_ids, "label", scored_ids=target_ids)
 
 
 def e3_prime(ds, head, target):
@@ -217,7 +212,7 @@ def e3_prime(ds, head, target):
 
 def d0_prime(ds):
     """Chance-adjusted accuracy of the best domain classifier on training domains."""
-    train = sorted(_train_ids(ds))
+    train = ds.domain_ids_with_role(ROLE_TRAIN)
     err, meta = _select(ds, train, "domain")
     return 1.0 - err - 1.0 / len(train), meta
 

@@ -160,7 +160,7 @@ def _scores(theta, z):
     return z @ theta[:, :-1].T + theta[:, -1]
 
 
-def _objective_and_grad(theta, z, targets, weights, lam):
+def _objective_and_grad(theta, z, targets, weights):
     """L2-regularized weighted cross-entropy, its gradient and the softmax.
 
     ``theta`` is ``(k, d + 1)``: class weight rows with the bias as the last
@@ -176,16 +176,16 @@ def _objective_and_grad(theta, z, targets, weights, lam):
     ce = np.log(denom) + u_max[:, 0] - own
     p /= denom[:, None]
     w = theta[:, :-1]
-    obj = float(weights @ ce) + 0.5 * lam * float((w * w).sum())
+    obj = float(weights @ ce) + 0.5 * _L2_STRENGTH * float((w * w).sum())
     r = weights[:, None] * p
     r[rows, targets] -= weights
     grad = np.empty_like(theta)
-    grad[:, :-1] = r.T @ z + lam * w
+    grad[:, :-1] = r.T @ z + _L2_STRENGTH * w
     grad[:, -1] = r.sum(axis=0)
     return obj, grad, p
 
 
-def _hessian(p, z, weights, lam):
+def _hessian(p, z, weights):
     """Closed-form Hessian of the objective, class-major over ``(k, d + 1)``,
     exactly symmetric.
 
@@ -218,30 +218,30 @@ def _hessian(p, z, weights, lam):
         hess[blk, blk] += diag[c]
     same = np.arange(d + 1)
     hess.reshape(k, d + 1, k, d + 1)[:, same, :, same] += 1.0 / k
-    hess[np.diag_indices(m)] += np.tile(np.append(np.full(d, lam), 0.0), k)
+    hess[np.diag_indices(m)] += np.tile(np.append(np.full(d, _L2_STRENGTH), 0.0), k)
     return hess
 
 
-def _hessian_product(v, p, z, weights, lam):
+def _hessian_product(v, p, z, weights):
     """Hessian of the objective times ``v``, ``(k, d + 1)``, without the matrix."""
     q = p * _scores(v, z)
     q -= p * q.sum(axis=1, keepdims=True)
     q *= weights[:, None]
     out = np.empty_like(v)
-    out[:, :-1] = q.T @ z + lam * v[:, :-1]
+    out[:, :-1] = q.T @ z + _L2_STRENGTH * v[:, :-1]
     out[:, -1] = q.sum(axis=0)
     return out
 
 
-def _preconditioner(z, weights, lam):
+def _preconditioner(z, weights):
     """Pseudo-inverse of Böhning's bound on the Hessian, ``(d + 1, d + 1)``,
     to apply to each class row of a direction whose class rows sum to zero.
 
     As ``diag p - p p^T <= (I - 1 1^T / k) / 2``, along such directions the
-    Hessian is at most ``X^T diag(w) X / 2``, plus ``lam`` on the weight
-    coordinates, applied to each class row.  ``lam`` is ``_L2_STRENGTH`` > 0,
-    so the bound is definite even when a feature is zero or constant (a dead
-    unit).  Its Gram is summed over row chunks so the temporaries stay small.
+    Hessian is at most ``X^T diag(w) X / 2``, plus ``_L2_STRENGTH`` > 0 on the
+    weight coordinates, applied to each class row, so the bound is definite
+    even when a feature is zero or constant (a dead unit).  Its Gram is summed
+    over row chunks so the temporaries stay small.
     """
     n, d = z.shape
     gram = np.zeros((d + 1, d + 1))
@@ -254,11 +254,11 @@ def _preconditioner(z, weights, lam):
         rows[:c, -1:] = root
         gram += rows[:c].T @ rows[:c]
     bound = 0.5 * gram
-    bound[np.diag_indices(d)] += lam
+    bound[np.diag_indices(d)] += _L2_STRENGTH
     return np.linalg.pinv(bound, hermitian=True)
 
 
-def _newton_step(grad, p, z, weights, lam, precond):
+def _newton_step(grad, p, z, weights, precond):
     """Solve the Newton system for the step.
 
     Up to ``_HESSIAN_MAX_PARAMS`` parameters ``m = k(d + 1)`` the Hessian
@@ -274,7 +274,7 @@ def _newton_step(grad, p, z, weights, lam, precond):
     preconditioner, applied row by row, keeps that so.
     """
     if grad.size <= _HESSIAN_MAX_PARAMS:
-        hess = _hessian(p, z, weights, lam)
+        hess = _hessian(p, z, weights)
         try:
             step = -np.linalg.solve(hess, grad.ravel())
         except np.linalg.LinAlgError:
@@ -287,7 +287,7 @@ def _newton_step(grad, p, z, weights, lam, precond):
     gnorm = np.linalg.norm(grad)
     tol = min(0.5, np.sqrt(gnorm)) * gnorm
     for _ in range(grad.size):
-        hd = _hessian_product(direction, p, z, weights, lam)
+        hd = _hessian_product(direction, p, z, weights)
         curvature = float((direction * hd).sum())
         if curvature <= 0.0:
             break
@@ -312,17 +312,16 @@ def _fit_logistic(z, targets, weights, k):
     conjugate-gradient path runs.  Returns ``(theta, iterations, objective,
     grad)``.
     """
-    lam = _L2_STRENGTH
     theta = np.zeros((k, z.shape[1] + 1))
-    precond = _preconditioner(z, weights, lam) if theta.size > _HESSIAN_MAX_PARAMS else None
-    obj, grad, p = _objective_and_grad(theta, z, targets, weights, lam)
+    precond = _preconditioner(z, weights) if theta.size > _HESSIAN_MAX_PARAMS else None
+    obj, grad, p = _objective_and_grad(theta, z, targets, weights)
     iterations = 0
     while np.abs(grad).max() > _GRADIENT_TOLERANCE and iterations < _MAX_NEWTON_STEPS:
-        step = _newton_step(grad, p, z, weights, lam, precond)
+        step = _newton_step(grad, p, z, weights, precond)
         slope = float((grad * step).sum())
         t = 1.0
         while True:
-            trial = _objective_and_grad(theta + t * step, z, targets, weights, lam)
+            trial = _objective_and_grad(theta + t * step, z, targets, weights)
             if trial[0] <= obj + 1e-4 * t * slope or t < 1e-10:
                 break
             t *= 0.5

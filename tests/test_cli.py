@@ -195,6 +195,27 @@ class TestDiagnoseCommand:
         assert "Traceback" not in text
         assert message in text
 
+    @pytest.mark.parametrize("fmt", [FORMAT_BINARY, FORMAT_CSV])
+    @pytest.mark.parametrize("order", [(6, 5, 4, 3, 2, 1, 0), (5, 2, 6, 0, 3, 4, 1)],
+                             ids=["reversed", "interleaved"])
+    def test_header_order_leaves_the_outputs_unchanged(self, runner, tmp_path, fmt, order):
+        # ids 0-3 train and 4-6 test; the header lists them in ``order``, the rows are unchanged
+        ds = random_dataset(0, n_train=4, n_test=3, num_classes=3)
+        dump = tmp_path / f"reps.{fmt}"
+        save_dump(ds, dump, fmt)
+        reheaded = tmp_path / f"reheaded.{fmt}"
+        reheaded.write_bytes(rewrite_header(dump.read_bytes(), lambda header: header.update(
+            domains=[header["domains"][d] for d in order])))
+        head = tmp_path / "head.json"
+        LinearProbe(np.random.default_rng(0).normal(size=(3, 3)), np.zeros(3)).save(head)
+        for name, path in (("id", dump), ("header", reheaded)):
+            res = runner.invoke(main, ["diagnose", "--dump", str(path), "--head", str(head),
+                                       "--out", str(tmp_path / name)])
+            assert res.exit_code == 0, res.output
+        for fname in ("diagnosis.json", "diagnosis.csv"):
+            assert (tmp_path / "header" / fname).read_bytes() == \
+                (tmp_path / "id" / fname).read_bytes()
+
 
 @pytest.mark.parametrize("tol", ["nan", "-1"])
 def test_bad_tol_exits_two_naming_the_option(runner, tmp_path, tol):

@@ -11,6 +11,8 @@ from dgdx.core import (
     DumpError,
     FORMAT_BINARY,
     FORMAT_CSV,
+    ROLE_TEST,
+    ROLE_TRAIN,
     LinearProbe,
     RepresentationDataset,
     _record_dtype,
@@ -505,6 +507,18 @@ class TestSaveDump:
         assert abs(e0_prime(ds, head) - e0_prime(ds2, head)) < 1e-9
         assert np.array_equal(ds.z, ds2.z)  # 9 significant digits are lossless for float32
 
+    @pytest.mark.parametrize("fmt", [FORMAT_BINARY, FORMAT_CSV])
+    def test_round_trip_keeps_the_header_order(self, tmp_path, fmt):
+        ds = random_dataset(0, n_train=4, n_test=3)
+        domains = tuple(ds.domains[d] for d in (5, 2, 6, 0, 3, 4, 1))
+        path, again = tmp_path / f"d.{fmt}", tmp_path / f"again.{fmt}"
+        save_dump(RepresentationDataset(ds.dim, ds.num_classes, domains, ds.domain_ids,
+                                        ds.splits, ds.labels, ds.z), path, fmt)
+        loaded = load_dump(path, fmt)
+        assert loaded.domains == domains
+        save_dump(loaded, again, fmt)
+        assert again.read_bytes() == path.read_bytes()
+
 
 class TestDatasetInvariants:
     def test_rejects_single_training_domain(self):
@@ -564,6 +578,13 @@ class TestDatasetInvariants:
     def test_accepts_valid(self):
         ds = random_dataset(0)
         assert ds.num_samples > 0
+
+    def test_role_ids_ascend_whatever_the_header_order(self):
+        ds = random_dataset(0, n_train=4, n_test=3)
+        reversed_header = RepresentationDataset(ds.dim, ds.num_classes, ds.domains[::-1],
+                                                ds.domain_ids, ds.splits, ds.labels, ds.z)
+        assert reversed_header.domain_ids_with_role(ROLE_TRAIN) == [0, 1, 2, 3]
+        assert reversed_header.domain_ids_with_role(ROLE_TEST) == [4, 5, 6]
 
     def test_cell_rows_list_each_cell_in_row_order(self):
         ds = random_dataset(6, n_train=3, n_test=2, per_cell=10)

@@ -41,7 +41,6 @@ from dgdx.metrics import (
     _rows,
     _select,
     _target_ids,
-    _train_ids,
     _union_ids,
 )
 from dgdx.probe import (
@@ -510,7 +509,7 @@ class TestExactFamilyMode:
         return random_dataset(seed, n_train=2, n_test=2, dim=2, num_classes=2, per_cell=8)
 
     def _d_primes(self, ds, family_of):
-        train, union = sorted(_train_ids(ds)), _union_ids(ds, ROLE_TEST)
+        train, union = ds.domain_ids_with_role(ROLE_TRAIN), _union_ids(ds, ROLE_TEST)
         d0 = 1.0 - _exact_error(ds, family_of, train, "domain") - 1.0 / len(train)
         d1 = 1.0 - _exact_error(ds, family_of, union, "domain") - 1.0 / len(union)
         d2 = np.mean([1.0 - _exact_error(ds, family_of, union, "domain", label=y)
@@ -521,9 +520,9 @@ class TestExactFamilyMode:
     def test_orderings_hold_exactly(self, seed):
         ds = self._balanced_dataset(seed)
         family_of = _random_family_provider(seed)
-        target = _target_ids(ds, ROLE_TEST)
+        train, target = ds.domain_ids_with_role(ROLE_TRAIN), _target_ids(ds, ROLE_TEST)
         e1 = _exact_error(ds, family_of, target, "label")
-        e2 = _exact_error(ds, family_of, sorted(_train_ids(ds)) + target, "label", scored=target)
+        e2 = _exact_error(ds, family_of, train + target, "label", scored=target)
         assert e1 <= e2 + 1e-12
         _, d1, d2 = self._d_primes(ds, family_of)
         assert d1 <= d2 + 1e-12
@@ -532,7 +531,7 @@ class TestExactFamilyMode:
     def test_e2_le_e3_for_train_optimal_head(self, seed):
         ds = self._balanced_dataset(seed)
         family_of = _random_family_provider(seed)
-        train, target = sorted(_train_ids(ds)), _target_ids(ds, ROLE_TEST)
+        train, target = ds.domain_ids_with_role(ROLE_TRAIN), _target_ids(ds, ROLE_TEST)
         z, ys, w, _ = _rows(ds, train, SPLIT_HOLDOUT, "label")
         family = family_of(ds.num_classes, z)
         _, idx = exact_best_error(family, z, ys, weights=w)
@@ -633,46 +632,47 @@ _DOMAIN_ORDERS = {
     "valid": ((6, 2, 5, 0, 3, 4, 1), (_V, _R, _V, _R, _V, _R, _R), ROLE_VALID),
 }
 
-# each case's diagnosis.json fields, less the solver's last bits, hashed
+# each case's id-ordered twin: its diagnosis.json fields, less the solver's last bits, hashed
 _PINNED_ORDER_SHA256 = {
-    "reversed-0": "106a987e30cf527cdc36d019feef526bef5f662a90cb81e8dfa0b692d97db649",
-    "reversed-1": "6ae90580bd3f58dddc335b9dda384ca3edd55ce8a41b5c01565f9eeb388248bb",
-    "reversed-2": "71813179d4c3b0fc8cca0581e5e7f44c116ac706c1bd2954d117f26a1b375484",
-    "reversed-3": "b0ce0a406f783605476322a82659c9ac56929cf419a47f0c7617923e4208f30b",
-    "reversed-4": "bfc9bee896b3f2fbbf9411a32b4230ee14c73f395726662c99319fb02bc7d2ee",
-    "reversed-5": "8c2c58b8876133cce872169ea3169dc819bfddcd69530788cc3eff98ea5546a5",
-    "reversed-6": "f7b0e265ba0d78b8f4ecc0cfddc7c589ecde7047e72e61e839b666ac29dda95b",
-    "reversed-7": "fbed614c8ed581d266b14d7b477840f04e607412eaebdb92c86f622e659d9c79",
-    "interleaved-0": "3957de8476b47e9568df6287b3965cc9ce3f6654c04c61ec2d9848ee5233ea06",
-    "interleaved-1": "3d48637f0f440551ad8de28a533ddb124163789323e9601409194506ca193fbc",
-    "interleaved-2": "e549890187a2e527dd32f692365df1210101eb0e76f8245c4a4d2878f3fe5fe9",
-    "interleaved-3": "75ad150e6b992e71c77c99dae27dc2fea6c2b5c2c125f4ae9dbb7b6aad57cb21",
-    "interleaved-4": "98c498687986df74dcbac81eb4fa6b5dd1642503a31701b98f8d222dbb7f9421",
+    "reversed-0": "3ceaf70719375934b46c677a28f9f4540b047e508c89399ce1863a7bf01e70f9",
+    "reversed-1": "73391299d1da4b6f5df3df76e48dfc772eec9233117e5239bcb5d0c311509b89",
+    "reversed-2": "0407c58a5189db17a92eaaac9c81926be5fe6f18c9d7cf929d27b5e760357c00",
+    "reversed-3": "e6056fd3a6f722ffba4b235c3a3fa4fb154ed29c9702ace45e5fc96ef3b6ef42",
+    "reversed-4": "8550a7d11c2be6f4e051c4b74515fb2ffb355b0ad41d7c16d7b1ef717becf4c3",
+    "reversed-5": "d02e97135bca4b183d4461620b237f0d28799598ddca13099e720dc44907d0a8",
+    "reversed-6": "b017bd11e0ef2ff1b444dad2464ba8b28250f99bf2aa7c7bfc026615719b9152",
+    "reversed-7": "ab384841998cab36f667d40ee81ccb37dabc0371bb8e316b520e0b9b827629fb",
+    "interleaved-0": "48294635e7c138dc1e425e2899cd877b11c8955a12ab84a1df4f354f6981d4aa",
+    "interleaved-1": "3bbc41aeb1857455d7197e93eeaadea40d54269bd67cdddf43597163f5b4d18a",
+    "interleaved-2": "8173a2728fe0e8689a6d41aaf8581f449894715952193a4c50b3f4293e8c800f",
+    "interleaved-3": "579ad92be1450d016b69743acda1dc696c7624bf294610414188e5436b2dae04",
+    "interleaved-4": "302653b24d56dc9388bff7901d176413caf850da5227e80615545564d4e44c55",
     "interleaved-5": "34a05f78361922f89adaeff8a6bfcc1101ec5e6223aa3ee4f9101ffe87bd2cd8",
-    "interleaved-6": "c52995c40d1f6671939d6204fc3771ddfce6a762fa11a587a46df2c6f29aaa82",
-    "interleaved-7": "369d756fec7a66d18e5bf2406fb3c59855a5fd8aafc0a41be7e1fd3c370b7358",
-    "valid-0": "f0a14665967d6b70aa3d108e6b511492e1d9013ac5a59d1b3b0efb7386641f8d",
-    "valid-1": "b03a8f4818e9842c3fe9dcb3c5156e5a4b04eaa83647f81883278726448c37e5",
-    "valid-2": "3076d26f72fce63914db9fd8e2be24eaaf7f489d6770386b854e0dc348971950",
-    "valid-3": "7e7879952797abdd0bf1a776e386994e8469543fa0270aa5ed3206cf05e95935",
-    "valid-4": "63a3b011304bcddd38b7c594f4c9e0272f3a41455f947dfb380e237466e744fb",
-    "valid-5": "75c86a913ec8c0af65233d2831dfcb1d403c895b67f5c4fcb128592c817b713b",
-    "valid-6": "7b512d2eed84b313a93673544c4343cd327331af18f58703888a72ed90f97c92",
-    "valid-7": "b4f2130eab661c7131638a316a4233c3dcc5e16ce0d3c32a608470086d3672d0",
+    "interleaved-6": "674577a37811c3defb6697a4269019084e28e9ed9fad4858f5b7b912739ecfd9",
+    "interleaved-7": "0e79ba6d6df1ab61ce2084d281b73bade1f5761841cbfd80f32b184b91dbb647",
+    "valid-0": "f95fba455ab8fa7e7d0781f05f11d060ef6ce6d38f7f232a32c177dde7ad9833",
+    "valid-1": "3160461c6e3009725a438c6d04c720df08b78e19ec8bdc61d492f01d43c4819e",
+    "valid-2": "2346ef7ff6bb9c637c2fc5845f5d2197592e7737a4d1c27a1844e25258ff790b",
+    "valid-3": "19bed6c8d686d1044a4ca2bc1d9629677f03dde44a7b3ee17715766cb4d71c4d",
+    "valid-4": "d7d29308f839b8fbe62a57e88a098cdd90a26580866124c6f437deef941a1dde",
+    "valid-5": "dff3c3267634d168571af066cf8bc3edf8de4d00dd8a0a6caeeecab5a0875e16",
+    "valid-6": "99c6470ebe9ae800cfc296d6c23e71f37781b9253e93456a8d7dc386f42645e6",
+    "valid-7": "8ef9584fbe0475c875a2cefe7922ac8c44f4e7c79e7f72bdb510afdfbd86709a",
 }
 
 
 def test_domain_order_is_pinned():
-    # e0', e1' and e3' take the header's order, d0' and the union id order:
-    # a slip between the two changes the last bits, which ascending headers hide
-    # (e2''s joint fit order moves only the solver bits, which the view leaves out)
+    # every metric takes each role's domains by id, so a header out of id order
+    # diagnoses to the last bit as its id-ordered twin does
     digests = {}
     for name, (order, roles, target) in _DOMAIN_ORDERS.items():
+        twin_order, twin_roles = zip(*sorted(zip(order, roles)))
         for seed in range(8):
-            ds = _reheaded(seed, order, roles)
             head = LinearProbe(np.random.default_rng(seed).normal(size=(3, 3)), np.zeros(3))
-            diag = diagnose(ds, head, target)
-            view = without_solver_bits(diag.to_dict())
-            digests[f"{name}-{seed}"] = hashlib.sha256(
-                json.dumps(view, sort_keys=True).encode()).hexdigest()
+            diag, twin = (diagnose(_reheaded(seed, o, r), head, target).to_dict()
+                          for o, r in ((order, roles), (twin_order, twin_roles)))
+            key = f"{name}-{seed}"
+            assert json.dumps(diag, sort_keys=True) == json.dumps(twin, sort_keys=True), key
+            digests[key] = hashlib.sha256(
+                json.dumps(without_solver_bits(twin), sort_keys=True).encode()).hexdigest()
     assert digests == _PINNED_ORDER_SHA256

@@ -286,13 +286,14 @@ class TestLogisticStage:
     def test_hessian_matches_the_dense_oracle(self, k, d, constant_rows, monkeypatch):
         # 303 points in row chunks of 2 to 7 (d = 64) or 47 to 166 (d = 2): a partial last chunk
         monkeypatch.setattr(probe_module, "_CHUNK_ELEMENTS", 1000)
+        monkeypatch.setattr(probe_module, "_L2_STRENGTH", 0.01)
         z, _ = _gaussian_classes(d, 303, d, k)
         rng = np.random.default_rng(k)
         p = rng.dirichlet(np.ones(k), size=1 if constant_rows else 303)
         p = np.broadcast_to(p, (303, k))
         w = rng.uniform(0.1, 1.0, size=303)
         w /= w.sum()
-        hess = _hessian(p, z, w, 0.01)
+        hess = _hessian(p, z, w)
         oracle = dense_hessian(p, z, w, 0.01)
         assert np.abs(hess - oracle).max() <= 1e-12 * np.abs(oracle).max()
         assert np.array_equal(hess, hess.T)
@@ -300,20 +301,21 @@ class TestLogisticStage:
         assert (k * (d + 1) > probe_module._HESSIAN_MAX_PARAMS) == (d == 64)
         grad = rng.normal(size=(k, d + 1))
         grad -= grad.mean(axis=0)
-        step = _newton_step(grad, p, z, w, 0.01, _preconditioner(z, w, 0.01))
+        step = _newton_step(grad, p, z, w, _preconditioner(z, w))
         g = np.linalg.norm(grad)
         assert np.linalg.norm(oracle @ step.ravel() + grad.ravel()) <= min(0.5, np.sqrt(g)) * g
         assert np.allclose(step.sum(axis=0), 0.0, atol=1e-12 * np.abs(step).max())
 
-    def test_hessian_product_matches_the_matrix(self):
+    def test_hessian_product_matches_the_matrix(self, monkeypatch):
+        monkeypatch.setattr(probe_module, "_L2_STRENGTH", 0.01)
         z, t = _gaussian_classes(0, 60, 4, 3)
         rng = np.random.default_rng(1)
         p = rng.dirichlet(np.ones(3), size=60)
         w = rng.uniform(0.1, 1.0, size=60)
         v = rng.normal(size=(3, 5))
         v -= v.mean(axis=0)  # the product leaves out the projector the matrix adds
-        hess = _hessian(p, z, w, 0.01)
-        assert np.allclose(_hessian_product(v, p, z, w, 0.01).ravel(), hess @ v.ravel())
+        hess = _hessian(p, z, w)
+        assert np.allclose(_hessian_product(v, p, z, w).ravel(), hess @ v.ravel())
 
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_preconditioner_inverts_a_bound_on_the_hessian(self, k, monkeypatch):
@@ -321,6 +323,7 @@ class TestLogisticStage:
         # Hessian; on class-centred directions that is the bound applied to each class row.
         # 200 rows in chunks of d + 1 = 6, the fewest a Gram chunk holds: a partial last chunk
         monkeypatch.setattr(probe_module, "_CHUNK_ELEMENTS", 30)
+        monkeypatch.setattr(probe_module, "_L2_STRENGTH", 0.01)
         z, _ = _gaussian_classes(k, 200, 5, k)
         rng = np.random.default_rng(10 + k)
         p = rng.dirichlet(np.full(k, 0.5), size=200)
@@ -333,7 +336,7 @@ class TestLogisticStage:
             v = rng.normal(size=(k, 6))
             v -= v.mean(axis=0)
             assert np.einsum("ai,ij,aj->", v, bound, v) >= v.ravel() @ hess @ v.ravel()
-        precond = _preconditioner(z, w, 0.01)
+        precond = _preconditioner(z, w)
         assert np.allclose(precond @ bound, np.eye(6), atol=1e-10)
 
     def test_dead_unit_bound_is_definite_and_converges(self):
