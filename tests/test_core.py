@@ -11,9 +11,9 @@ from dgdx.core import (
     DumpError,
     FORMAT_BINARY,
     FORMAT_CSV,
+    LinearProbe,
     ROLE_TEST,
     ROLE_TRAIN,
-    LinearProbe,
     RepresentationDataset,
     _record_dtype,
     load_dump,
