@@ -23,6 +23,7 @@ from .core import (
     DumpError,
     FORMAT_BINARY,
     FORMAT_CSV,
+    LABEL_SHIFT_TOL,
     LinearProbe,
     ROLE_TEST,
     ROLE_VALID,
@@ -33,7 +34,6 @@ from .core import (
 )
 from .metrics import all_probes_converged, csv_header, csv_row, diagnose
 
-EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
@@ -88,7 +88,7 @@ def main():
 @click.option("--head", "head_path", required=True, type=str, help="probe JSON for the learned head")
 @click.option("--target", type=click.Choice([ROLE_TEST, ROLE_VALID]), default=ROLE_TEST)
 @click.option("--out", default=".", help="output directory")
-@click.option("--tol", default=0.02, show_default=True, help="label-shift tolerance gate")
+@click.option("--tol", default=LABEL_SHIFT_TOL, show_default=True, help="label-shift tolerance gate")
 def cmd_diagnose(dump_path, head_path, target, out, tol):
     """Diagnose a representation dump against a learned head."""
     if not tol >= 0:  # NaN too
@@ -129,9 +129,10 @@ def cmd_diagnose(dump_path, head_path, target, out, tol):
 @click.option("--kind", required=True, type=str)
 @click.option("--seed", required=True, type=click.IntRange(min=0))
 @click.option("--out", default=".", help="output directory")
-@click.option("--samples-per-cell", default=500, show_default=True)
-@click.option("--cluster-std", default=0.08, show_default=True)
-@click.option("--dim", default=2, show_default=True)
+@click.option("--samples-per-cell", default=scenarios.ScenarioSpec.samples_per_cell,
+              show_default=True)
+@click.option("--cluster-std", default=scenarios.ScenarioSpec.cluster_std, show_default=True)
+@click.option("--dim", default=scenarios.ScenarioSpec.dim, show_default=True)
 @click.option("--format", "fmt", type=click.Choice([FORMAT_BINARY, FORMAT_CSV]), default=FORMAT_BINARY)
 @click.option("--verify", is_flag=True, help="re-diagnose the fixture and check its expectation")
 def cmd_scenario(kind, seed, out, samples_per_cell, cluster_std, dim, fmt, verify):
@@ -220,7 +221,8 @@ def _training_options(command):
         click.option("--epochs", default=expt.TrainConfig.epochs, show_default=True),
         click.option("--steps-per-epoch", default=expt.TrainConfig.steps_per_epoch,
                      show_default=True),
-        click.option("--samples-per-domain", default=1200, show_default=True),
+        click.option("--samples-per-domain",
+                     default=expt.SyntheticColoredSpec.samples_per_domain, show_default=True),
         click.option("--seed", required=True, type=click.IntRange(min=0)),
         click.option("--learning-rate", default=expt.TrainConfig.learning_rate,
                      show_default=True),

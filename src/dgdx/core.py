@@ -329,7 +329,10 @@ class LabelShiftReport:
         }
 
 
-def validate_no_label_shift(ds, tol=0.02):
+LABEL_SHIFT_TOL = 0.02  # the default tolerance, also dgdx diagnose's --tol
+
+
+def validate_no_label_shift(ds, tol=LABEL_SHIFT_TOL):
     """Check that empirical class proportions agree across domains.
 
     Passes iff the largest |per-domain proportion - pooled proportion| over

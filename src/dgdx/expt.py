@@ -620,14 +620,12 @@ class SweepRow:
 
 def sweep_beta(raw, betas, base_cfg, target):
     """One ``train_and_diagnose`` per regularization strength, each with
-    ``base_cfg``'s algorithm and other settings."""
+    ``base_cfg``'s algorithm and other settings.  Every strength is checked
+    before the first one trains."""
     if len(betas) == 0:
         raise ValueError("beta grid must be nonempty")
-    rows = []
-    for beta in betas:
-        _, _, diag = train_and_diagnose(raw, replace(base_cfg, beta=float(beta)), target)
-        rows.append(SweepRow(float(beta), diag))
-    return rows
+    cfgs = [replace(base_cfg, beta=float(beta)) for beta in betas]
+    return [SweepRow(cfg.beta, train_and_diagnose(raw, cfg, target)[2]) for cfg in cfgs]
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,8 @@ and every implication can be verified numerically:
 
 from __future__ import annotations
 
-import copy
 import itertools
 from dataclasses import asdict, dataclass
-from functools import cached_property
 from math import comb
 
 import numpy as np
@@ -41,11 +39,9 @@ class PartitionInstance:
     ``head_index`` overrides it.  Domain classifiers need their own family
     because they have one output per domain rather than per class.
 
-    The instance holds read-only copies of ``points``, ``joint`` and the
-    families' parameters, so the exact losses it caches on first use
-    (``label_losses``, ``domain_predictions``) cannot go stale, and the
-    caller's arrays are left as they were.  Instances compare and hash by
-    identity.
+    The instance holds its own copies of ``points`` and ``joint``, so later
+    edits to the caller's arrays do not reach it.  Instances compare and
+    hash by identity.
     """
 
     points: np.ndarray  # (m, dim)
@@ -56,15 +52,8 @@ class PartitionInstance:
     head_index: int = None
 
     def __post_init__(self):
-        object.__setattr__(self, "points", _frozen(self.points, np.float64))
-        object.__setattr__(self, "joint", _frozen(self.joint, np.float64))
-        for name in ("label_family", "domain_family"):
-            family = getattr(self, name)
-            if family is not None:
-                # the caller's family, validated already, with read-only copies of its arrays
-                family = copy.copy(family)
-                family.weights, family.bias = _frozen(family.weights), _frozen(family.bias)
-                object.__setattr__(self, name, family)
+        object.__setattr__(self, "points", np.array(self.points, dtype=np.float64))
+        object.__setattr__(self, "joint", np.array(self.joint, dtype=np.float64))
         if self.points.ndim != 2 or self.points.shape[1] != self.label_family.dim:
             raise ValueError("points must have shape (num_points, label_family dim)")
         if self.joint.ndim != 3 or self.joint.shape[1] != self.points.shape[0]:
@@ -116,19 +105,6 @@ class PartitionInstance:
         """Per-domain point marginals, shape (K, m)."""
         return self.joint.sum(axis=2)
 
-    @cached_property
-    def label_losses(self):
-        """Each label-family probe's exact expected 0-1 loss in each domain,
-        ``(P, K)``; a subset's error is the mean of its columns."""
-        return _frozen(_label_losses(self, self.label_family.predict(self.points)))
-
-    @cached_property
-    def domain_predictions(self):
-        """Each domain-family probe's output at each point, ``(P, m)``."""
-        if self.domain_family is None:
-            raise ValueError("instance has no domain classifier family")
-        return _frozen(self.domain_family.predict(self.points))
-
     def to_dict(self):
         return {
             "points": self.points.tolist(),
@@ -175,13 +151,6 @@ def _is_index(i, n):
     return isinstance(i, (int, np.integer)) and not isinstance(i, bool) and 0 <= i < n
 
 
-def _frozen(values, dtype=None):
-    """A read-only copy of ``values``."""
-    out = np.array(values, dtype=dtype)
-    out.flags.writeable = False
-    return out
-
-
 # -- exact evaluation --------------------------------------------------------------
 
 
@@ -195,9 +164,16 @@ def _miss_mass(preds, tables, correct):
     return (tables * miss).sum(axis=(2, 3))
 
 
-def _label_losses(inst, preds):
+def _per_domain_loss(inst, preds):
     """Exact expected 0-1 loss of each row of predictions in each domain, ``(P, K)``."""
     return _miss_mass(preds, inst.joint, np.arange(inst.num_classes)[None, :])
+
+
+def _label_table(inst):
+    """Each label-family probe's exact expected 0-1 loss in each domain,
+    ``(P, K)``, from one prediction of the family; a subset's error is the
+    mean of its columns."""
+    return _per_domain_loss(inst, inst.label_family.predict(inst.points))
 
 
 def _subset_error(losses, domain_subset):
@@ -229,7 +205,7 @@ def _domain_errors(inst, domain_subset, preds, conditional_class=None):
 
 def eval_F(inst, domain_subset, probe):
     """Equal-weight average over the subset of the exact expected 0-1 loss."""
-    losses = _label_losses(inst, probe.predict(inst.points)[None])
+    losses = _per_domain_loss(inst, probe.predict(inst.points)[None])
     return float(_subset_error(losses, domain_subset)[0])
 
 
@@ -248,18 +224,18 @@ def _argmin(errs):
     return float(errs[idx]), idx
 
 
-def _best_label(inst, subset):
-    return _argmin(_subset_error(inst.label_losses, subset))
+def _best_label(losses, subset):
+    return _argmin(_subset_error(losses, subset))
 
 
-def _head(inst):
+def _head(inst, losses):
     if inst.head_index is not None:
         return eval_F(inst, inst.train_idx, inst.label_family[inst.head_index]), inst.head_index
-    return _best_label(inst, inst.train_idx)
+    return _best_label(losses, inst.train_idx)
 
 
-def _best_domain(inst, subset, conditional_class=None):
-    return _argmin(_domain_errors(inst, subset, inst.domain_predictions, conditional_class))
+def _best_domain(inst, subset, preds, conditional_class=None):
+    return _argmin(_domain_errors(inst, subset, preds, conditional_class))
 
 
 # -- proposition checks --------------------------------------------------------------
@@ -309,7 +285,7 @@ def check_prop1(inst):
     dev = np.abs(marg - marg[0]).max()
     if dev > _EXACT_TOL:
         return _gated_out("prop1", f"precondition not met: marginals differ by {dev:.3e}")
-    best, _ = _best_label(inst, range(inst.num_domains))
+    best, _ = _best_label(_label_table(inst), range(inst.num_domains))
     if best > _EXACT_TOL:
         return _gated_out(
             "prop1", f"precondition not met: no common zero-error classifier (best {best:.3e})"
@@ -332,7 +308,7 @@ def check_prop2(inst):
     """Gate: the trained head has zero training error and class-conditional
     distributions are invariant.  Conclusion: zero error on the held-out
     domains."""
-    e0, head_idx = _head(inst)
+    e0, head_idx = _head(inst, _label_table(inst))
     if e0 > _EXACT_TOL:
         return _gated_out("prop2", f"precondition not met: training error {e0:.3e} > 0")
     reason, conds = _class_conditionals(inst)
@@ -381,19 +357,21 @@ def check_orderings(inst):
     """
     test = inst.test_idx
     all_domains = tuple(range(inst.num_domains))
-    e1, _ = _best_label(inst, test)
-    e2 = eval_F(inst, test, inst.label_family[_best_label(inst, all_domains)[1]])
-    e0, head_idx = _head(inst)
+    losses = _label_table(inst)
+    e1, _ = _best_label(losses, test)
+    e2 = eval_F(inst, test, inst.label_family[_best_label(losses, all_domains)[1]])
+    e0, head_idx = _head(inst, losses)
     e3 = eval_F(inst, test, inst.label_family[head_idx])
-    head_minimizes = e0 <= _best_label(inst, inst.train_idx)[0] + _EXACT_TOL
+    head_minimizes = e0 <= _best_label(losses, inst.train_idx)[0] + _EXACT_TOL
     entries = [_ordering("e1_le_e2", e1, e2, True), _ordering("e2_le_e3", e2, e3, head_minimizes)]
     if inst.domain_family is not None:
         k = inst.num_domains
         pri = inst.priors()
-        d1 = 1.0 - _best_domain(inst, all_domains)[0] - 1.0 / k
+        preds = inst.domain_family.predict(inst.points)
+        d1 = 1.0 - _best_domain(inst, all_domains, preds)[0] - 1.0 / k
         d2 = None
         if (pri > 0).all():
-            gys = [_best_domain(inst, all_domains, y)[0] for y in range(inst.num_classes)]
+            gys = [_best_domain(inst, all_domains, preds, y)[0] for y in range(inst.num_classes)]
             d2 = 1.0 - float(np.mean(gys)) - 1.0 / k
         uniform = np.abs(pri - 1.0 / inst.num_classes).max() <= 1e-9
         entries.append(_ordering("d1_le_d2", d1, d2, uniform and d2 is not None))
@@ -429,7 +407,7 @@ def check_partition_expectation(inst):
     test = [tuple(i for i in range(k) if i not in s) for s in train]
     # every split's subset errors at once, (P, splits, n1): each mean is
     # _subset_error's, and the family minimum is the error _best_label finds
-    losses = inst.label_losses
+    losses = _label_table(inst)
     e0s = losses[:, train].mean(axis=2).min(axis=0)
     e1s = losses[:, test].mean(axis=2).min(axis=0)
     mean_e0 = float(np.mean(e0s))

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -25,6 +27,7 @@ from dgdx.core import (
     _record_dtype,
     load_dump,
     save_dump,
+    validate_no_label_shift,
 )
 from dgdx.metrics import csv_row
 from dgdx.probe import FiniteProbeFamily
@@ -215,6 +218,29 @@ class TestDiagnoseCommand:
         for fname in ("diagnosis.json", "diagnosis.csv"):
             assert (tmp_path / "header" / fname).read_bytes() == \
                 (tmp_path / "id" / fname).read_bytes()
+
+
+def _field_default(cls, name):
+    return next(f.default for f in dataclasses.fields(cls) if f.name == name)
+
+
+_TRAINING_DEFAULTS = [(f, expt.TrainConfig) for f in (
+    "epochs", "steps_per_epoch", "learning_rate", "hidden_width")] + [
+    ("samples_per_domain", expt.SyntheticColoredSpec)]
+
+
+@pytest.mark.parametrize("command, option, library", [
+    ("diagnose", "tol", inspect.signature(validate_no_label_shift).parameters["tol"].default),
+    *[("scenario", f, _field_default(ScenarioSpec, f))
+      for f in ("samples_per_cell", "cluster_std", "dim")],
+    *[(c, f, _field_default(cls, f)) for c in ("train", "sweep", "trajectory")
+      for f, cls in _TRAINING_DEFAULTS],
+    *[(c, f, _field_default(expt.TrainConfig, f)) for c in ("train", "trajectory")
+      for f in ("algorithm", "beta")],
+])
+def test_option_defaults_are_the_library_defaults(command, option, library):
+    (param,) = [p for p in main.commands[command].params if p.name == option]
+    assert param.default == library and type(param.default) is type(library)
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1"])

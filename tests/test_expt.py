@@ -620,6 +620,20 @@ class TestSweepAndTrajectory:
         with pytest.raises(ValueError, match="nonempty"):
             expt.sweep_beta(raw, [], small_cfg(), ROLE_VALID)
 
+    def test_bad_beta_rejected_before_any_training(self, monkeypatch):
+        raw = expt.make_dataset(SMALL_SPEC)
+        calls = []
+        original = expt.train
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(expt, "train", counted)
+        with pytest.raises(ValueError, match="nonnegative"):
+            expt.sweep_beta(raw, [0.1, -1.0], small_cfg(algorithm="coral"), ROLE_VALID)
+        assert len(calls) == 0
+
     def test_sweep_deterministic(self):
         raw = expt.make_dataset(SMALL_SPEC)
         base = small_cfg(algorithm="cond-invariance")

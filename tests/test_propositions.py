@@ -14,6 +14,7 @@ from dgdx.propositions import (
     PropositionReport,
     _best_domain,
     _best_label,
+    _label_table,
     _random_family,
     check_orderings,
     check_partition_expectation,
@@ -241,11 +242,13 @@ class TestFamilySearch:
         inst = random_instance(seed, n_domains=3 + seed % 3, n_points=6 + seed % 4,
                                num_classes=2 + seed % 2, uniform_priors=bool(seed % 2))
         domains = tuple(range(inst.num_domains))
+        losses = _label_table(inst)
+        preds = inst.domain_family.predict(inst.points)
         for subset in (inst.train_idx, inst.test_idx, domains):
-            err, idx = _best_label(inst, subset)
+            err, idx = _best_label(losses, subset)
             assert err == eval_F(inst, subset, inst.label_family[idx])
         for y in (None,) + tuple(range(inst.num_classes)):
-            err, idx = _best_domain(inst, domains, conditional_class=y)
+            err, idx = _best_domain(inst, domains, preds, conditional_class=y)
             assert err == eval_G(inst, domains, inst.domain_family[idx], conditional_class=y)
 
     @pytest.mark.parametrize("num_outputs, dim", [(2, 2), (3, 2), (4, 3)])
@@ -267,9 +270,9 @@ class TestFamilySearch:
         twice = FiniteProbeFamily(np.zeros((2 * k, k, 2)), np.concatenate([np.eye(k)] * 2))
         labels = FiniteProbeFamily(np.zeros((4, 2, 2)), np.concatenate([np.eye(2)] * 2))
         tied = PartitionInstance(inst.points, inst.joint, inst.train_idx, labels, twice)
-        _, idx = _best_label(tied, (0, 1, 2))
+        _, idx = _best_label(_label_table(tied), (0, 1, 2))
         assert idx < 2
-        _, idx = _best_domain(tied, (0, 1, 2))
+        _, idx = _best_domain(tied, (0, 1, 2), twice.predict(tied.points))
         assert idx < k
 
 
@@ -286,11 +289,13 @@ class TestLossTable:
     def test_searches_equal_a_from_scratch_reference(self, seed, uniform, n_domains):
         inst = random_instance(seed, n_domains=n_domains, n_points=6 + seed,
                                num_classes=2 + seed, uniform_priors=uniform)
+        losses = _label_table(inst)
+        preds = inst.domain_family.predict(inst.points)
         for subset in _ordered_subsets(n_domains):
-            assert _best_label(inst, subset) == reference_best_label(inst, subset)
+            assert _best_label(losses, subset) == reference_best_label(inst, subset)
             for y in (None,) + tuple(range(inst.num_classes)):
                 expected = reference_best_domain(inst, subset, conditional_class=y)
-                assert _best_domain(inst, subset, conditional_class=y) == expected
+                assert _best_domain(inst, subset, preds, conditional_class=y) == expected
 
     @pytest.mark.parametrize("seed", range(6))
     def test_partition_expectation_equals_a_split_by_split_reference(self, seed):
@@ -304,16 +309,12 @@ class TestLossTable:
         assert (rep.mean_train_error, rep.mean_separability_error) == (
             float(np.mean(e0s)), float(np.mean(e1s)))
 
-    def test_instance_arrays_are_read_only_copies(self):
+    def test_instance_arrays_are_its_own_copies(self):
         inst = random_instance(4)
         points, joint = inst.points.copy(), inst.joint.copy()
         held = PartitionInstance(points, joint, inst.train_idx, inst.label_family,
                                  inst.domain_family)
-        for arr in (held.points, held.joint, held.label_losses, held.domain_predictions,
-                    held.label_family.weights, held.domain_family.bias):
-            with pytest.raises(ValueError, match="read-only"):
-                arr[0] = 0.0
-        # the caller's arrays stay its own and writable
+        # edits to the caller's arrays do not reach the instance
         assert held.points is not points and held.joint is not joint
         points[0] = 9.0
         joint[0, 0, 0] = 9.0
@@ -322,9 +323,8 @@ class TestLossTable:
 
     def test_replaced_instance_builds_its_own_table(self):
         inst = random_instance(8, n_domains=4)
-        inst.label_losses
         moved = dataclasses.replace(inst, joint=inst.joint[::-1])
-        assert np.array_equal(moved.label_losses, inst.label_losses[:, ::-1])
+        assert np.array_equal(_label_table(moved), _label_table(inst)[:, ::-1])
 
     def test_suite_evaluation_counts(self, monkeypatch):
         # the benchmark's traced run counts eval_F and eval_G calls: each orderings
@@ -343,6 +343,29 @@ class TestLossTable:
         for name in SUITES:
             run_suite(name, trials=40, seed=0)
         assert calls == {"eval_F": 3 * 40, "eval_G": 0}
+
+    @pytest.mark.parametrize("check, make, reads", [
+        (check_prop1, make_prop1_instance, ("label",)),
+        (check_prop2, make_prop2_instance, ("label",)),
+        (check_orderings, random_instance, ("label", "domain")),
+        (check_partition_expectation, random_instance, ("label",)),
+    ], ids=["prop1", "prop2", "orderings", "partition"])
+    def test_each_check_predicts_each_family_it_reads_once(self, monkeypatch, check, make,
+                                                           reads):
+        calls = []
+        original = FiniteProbeFamily.predict
+
+        def counted(family, z):
+            calls.append(family)
+            return original(family, z)
+
+        monkeypatch.setattr(FiniteProbeFamily, "predict", counted)
+        for seed in range(5):
+            inst = make(seed)
+            calls.clear()
+            check(inst)
+            names = {id(inst.label_family): "label", id(inst.domain_family): "domain"}
+            assert sorted(names[id(f)] for f in calls) == sorted(reads)
 
 
 class TestSuites:
