@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +12,14 @@ from dgdx.probe import (
     zero_one_error,
 )
 from dgdx import probe as probe_module
-from dgdx.probe import _hessian, _hessian_product, _line_minima, _newton_step, _preconditioner
+from dgdx.probe import (
+    _descend_zero_one,
+    _hessian,
+    _hessian_product,
+    _line_minima,
+    _newton_step,
+    _preconditioner,
+)
 
 from support import (
     best_linear01_error_2d,
@@ -112,6 +121,10 @@ def _blobs(seed, num_classes=2):
             zs.append(rng.uniform(-2.0, 2.0, size=2) + rng.normal(0.0, 0.5, size=(n, 2)))
             ts.append(np.full(n, c))
     return np.vstack(zs), np.concatenate(ts)
+
+
+def _fit_error(theta, z, t, w):
+    return zero_one_error(LinearProbe(theta[:, :-1], theta[:, -1]), z, t, w)
 
 
 class TestZeroOneStage:
@@ -246,6 +259,40 @@ class TestZeroOneStage:
             assert np.array_equal(probe.weights, first.weights)
             assert np.array_equal(probe.bias, first.bias)
             assert other_rec == rec
+
+    # (classes, blobs seed, digest of the returned parameters), from a start drawn from the
+    # same seed: a weighted binary descent over every coordinate; a three-class one over the
+    # biases, whose first stream stalls and ties the second, so the first is kept; and a
+    # three-class one whose second of three stalled streams wins
+    _PINNED_DESCENT_SHA256 = {
+        "binary-coordinates": (
+            2, 0, "9d836a05a1873e7e5bf39dff33151d7a7ead4ab2b11a2ea413a8087e141a2d40"),
+        "three-classes-biases": (
+            3, 0, "845dbbc675121b0040bdcaff088c794d2acf00da5fbc8c09741c89bb249df4ad"),
+        "restarted-stream-wins": (
+            3, 9, "6b6b876e191aae13a6ad11cc8f66c82534b61465cafea4a4944f6d661be0589f"),
+    }
+
+    @pytest.mark.parametrize("budget", [1, probe_module._LINE_SEARCH_ELEMENTS])
+    @pytest.mark.parametrize("case", sorted(_PINNED_DESCENT_SHA256))
+    def test_descent_is_pinned(self, case, budget, monkeypatch):
+        monkeypatch.setattr(probe_module, "_LINE_SEARCH_ELEMENTS", budget)
+        k, seed, digest = self._PINNED_DESCENT_SHA256[case]
+        z, t = _blobs(seed, num_classes=k)
+        rng = np.random.default_rng(seed)
+        theta = rng.normal(size=(k, 3))
+        w = rng.uniform(0.2, 1.0, size=len(t)) if k == 2 else np.ones(len(t))
+        w /= w.sum()
+        out = _descend_zero_one(theta, z, t, w)
+        assert _fit_error(out, z, t, w) < _fit_error(theta, z, t, w)
+        assert hashlib.sha256(out.tobytes()).hexdigest() == digest
+
+    def test_descent_from_zero_error_returns_its_start(self):
+        z, t = _blobs(1)
+        theta = np.random.default_rng(1).normal(size=(2, 3))
+        w = np.full(len(t), 1 / len(t))
+        assert _fit_error(theta, z, t, w) == 0.0
+        assert _descend_zero_one(theta, z, t, w) is theta
 
     def test_zero_fit_error_skips_the_stage(self):
         z, t = _clusters(0)
