@@ -167,7 +167,8 @@ def cmd_scenario(kind, seed, out, samples_per_cell, cluster_std, dim, fmt, verif
 
 @main.command("verify")
 @click.option("--suite", type=click.Choice(list(propositions.SUITES) + ["all"]), default="all")
-@click.option("--trials", type=int, help="random trials per suite; required without --instance")
+@click.option("--trials", type=click.IntRange(1, propositions.MAX_TRIALS),
+              help="random trials per suite; required without --instance")
 @click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--out", default=".", help="output directory")
 @click.option("--instance", "instance_path", default=None,
@@ -196,8 +197,6 @@ def cmd_verify(suite, trials, seed, out, instance_path):
         return
     if trials is None:
         _fail(EXIT_INPUT, "--trials is required without --instance")
-    if trials < 1:
-        _fail(EXIT_INPUT, "trials must be positive")
     out = _out_dir(out)
     names = list(propositions.SUITES) if suite == "all" else [suite]
     reports = {}

@@ -121,21 +121,11 @@ class FiniteProbeFamily:
 
     def predict(self, z):
         """Every probe's output at every point, ``(m, n)``: bit for bit each
-        probe's ``LinearProbe.predict``, ties going to the lowest output.
-
-        A running best over the outputs, replaced only by a strictly greater
-        score, takes the place of ``argmax``: on these strided scores it is
-        several times faster (for finite scores the two agree)."""
+        probe's ``LinearProbe.predict``, ties going to the lowest output."""
         scores = self.scores(z)
-        if self.num_outputs < 2:
-            return scores.argmax(axis=2)
-        best = scores[:, :, 0]
-        out = (scores[:, :, 1] > best).astype(np.intp)
-        for j in range(2, self.num_outputs):
-            best = np.maximum(best, scores[:, :, j - 1])
-            # j exceeds every earlier output, so this sets ``out`` to j where j wins
-            np.maximum(out, np.multiply(scores[:, :, j] > best, j, dtype=np.intp), out=out)
-        return out
+        if self.num_outputs == 2:
+            return (scores[:, :, 1] > scores[:, :, 0]).astype(np.intp)
+        return scores.argmax(axis=2)
 
     def to_dict(self):
         return {"probes": [self[i].to_dict() for i in range(len(self))]}
@@ -153,6 +143,17 @@ def _as_points(z, targets):
     if targets.shape != (z.shape[0],):
         raise ValueError("targets must be a vector matching the number of points")
     return z, targets
+
+
+def _normalized_weights(weights, n):
+    """Weights for ``n`` points scaled to sum to one; they must be finite and
+    nonnegative, with a positive sum."""
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != (n,):
+        raise ValueError("weights must match the number of points")
+    if not (np.isfinite(weights).all() and (weights >= 0).all() and weights.sum() > 0):
+        raise ValueError("weights must be finite and nonnegative with positive sum")
+    return weights / weights.sum()
 
 
 def _scores(theta, z):
@@ -261,9 +262,10 @@ def _preconditioner(z, weights):
 def _newton_step(grad, p, z, weights, precond):
     """Solve the Newton system for the step.
 
-    Up to ``_HESSIAN_MAX_PARAMS`` parameters ``m = k(d + 1)`` the Hessian
-    is built (``n m^2 / 2 + n m (d + 1)`` multiply-adds, see ``_hessian``)
-    and solved directly, ``m^3`` work and ``m^2`` memory.  Above that,
+    With ``precond`` None the Hessian of the ``m = k(d + 1)`` parameters is
+    built (``n m^2 / 2 + n m (d + 1)`` multiply-adds, see ``_hessian``) and
+    solved directly, ``m^3`` work and ``m^2`` memory; ``_fit_logistic``
+    passes None up to ``_HESSIAN_MAX_PARAMS`` parameters.  Otherwise
     conjugate gradients on Hessian-vector products (``n m`` work each),
     preconditioned by ``precond`` (see ``_preconditioner``) applied to each
     class row, solve it to a relative residual of ``min(0.5, sqrt(|grad|))``,
@@ -273,7 +275,7 @@ def _newton_step(grad, p, z, weights, precond):
     vector to every class row, where the Hessian is singular; the
     preconditioner, applied row by row, keeps that so.
     """
-    if grad.size <= _HESSIAN_MAX_PARAMS:
+    if precond is None:
         hess = _hessian(p, z, weights)
         try:
             step = -np.linalg.solve(hess, grad.ravel())
@@ -307,10 +309,11 @@ def _fit_logistic(z, targets, weights, k):
     """Damped Newton descent on the logistic objective from zero weights.
 
     Each step solves the Newton system (see ``_newton_step``) and halves the
-    step until the Armijo condition holds.  The weights never change during
-    a fit, so the preconditioner is computed once, and only when the
-    conjugate-gradient path runs.  Returns ``(theta, iterations, objective,
-    grad)``.
+    step until the Armijo condition holds.  Above ``_HESSIAN_MAX_PARAMS``
+    parameters the steps take the conjugate-gradient path, whose
+    preconditioner is computed once, as the weights never change during a
+    fit; up to it, ``precond`` is None and each step is solved directly.
+    Returns ``(theta, iterations, objective, grad)``.
     """
     theta = np.zeros((k, z.shape[1] + 1))
     precond = _preconditioner(z, weights) if theta.size > _HESSIAN_MAX_PARAMS else None
@@ -331,8 +334,8 @@ def _fit_logistic(z, targets, weights, k):
     return theta, iterations, obj, grad
 
 
-def _weighted_error(theta, z, targets, weights):
-    return float(weights[_scores(theta, z).argmax(axis=1) != targets].sum())
+def _weighted_error(scores, targets, weights):
+    return float(weights[scores.argmax(axis=1) != targets].sum())
 
 
 def _line_minima(scores, slopes, targets, weights):
@@ -387,19 +390,25 @@ def _line_minima(scores, slopes, targets, weights):
 def _descend_zero_one(theta, z, targets, weights):
     """Lower the weighted 0-1 fit error by exact line searches from ``theta``.
 
-    The directions searched are the coordinate directions of the
+    Each round searches, exactly, the coordinate directions of the
     standardized features and the bias (only the biases when there are more
-    than ``_ZO_MAX_COORDINATES`` of them) and, in each round,
-    ``_ZO_RANDOM_DIRECTIONS`` random directions drawn from ``_ZO_SEED`` (see
-    ``_zero_one_stream``).  A stream that stalls sits where none of its line
-    searches lowers the error, which says little about the infimum: a new
-    stream then starts from ``theta`` with fresh random directions, up to
-    ``_ZO_STREAMS`` in all, and the lowest error found is kept (the earliest
-    stream on ties).  A stream that stops for zero error, a small decrease
-    or the round bound ends the stage.
+    than ``_ZO_MAX_COORDINATES`` of them) and ``_ZO_RANDOM_DIRECTIONS``
+    fresh random directions drawn from ``_ZO_SEED``, and takes the best step
+    if it strictly lowers the error.  A stream of rounds ends at zero error;
+    after a step that lowers the error by less than ``_ZO_MIN_DECREASE``,
+    since steps that small fit single points of noise in large fits rather
+    than move the boundary; after ``_ZO_MAX_ROUNDS`` rounds; or after
+    ``_ZO_PATIENCE`` rounds in a row without a decrease (a stall).  A stream
+    that stalls sits where none of its line searches lowers the error, which
+    says little about the infimum: a new stream then starts from ``theta``
+    with fresh random directions, up to ``_ZO_STREAMS`` in all, and the
+    lowest error found is kept (the earliest stream on ties).  A stream that
+    ends any other way ends the stage.  Returns ``theta`` itself when no
+    stream lowers its error.
     """
-    err = _weighted_error(theta, z, targets, weights)
-    if err == 0.0:
+    start_scores = _scores(theta, z)
+    start_err = _weighted_error(start_scores, targets, weights)
+    if start_err == 0.0:
         return theta
     n = z.shape[0]
     k, dp1 = theta.shape
@@ -418,91 +427,65 @@ def _descend_zero_one(theta, z, targets, weights):
     coords = np.zeros((len(classes) * len(rows), k, dp1))
     for i, c in enumerate(classes):
         coords[i * len(rows) : (i + 1) * len(rows), c] = rows
-    rng = np.random.default_rng(_ZO_SEED)
-    best, best_err = theta, err
-    for _ in range(_ZO_STREAMS):
-        found, found_err, stalled = _zero_one_stream(
-            theta, err, z, targets, weights, coords, basis, rng
-        )
-        if found_err < best_err:
-            best, best_err = found, found_err
-        if not stalled or best_err == 0.0:
-            break
-    return best
-
-
-def _zero_one_stream(theta, err, z, targets, weights, coords, basis, rng):
-    """One descent from ``theta``, whose weighted error is ``err``.
-
-    Each round searches, exactly, the ``coords`` directions and fresh random
-    ones from ``rng`` (mapped through ``basis``, the standardizing change of
-    coordinates), and takes the best step if it strictly lowers the error.
-    The stream ends at zero error; after a step that lowers the error by
-    less than ``_ZO_MIN_DECREASE``, since steps that small fit single
-    points of noise in large fits rather than move the boundary; after
-    ``_ZO_PATIENCE`` rounds in a row without a decrease (a stall); or after
-    ``_ZO_MAX_ROUNDS`` rounds.  Returns ``(theta, error, stalled)``.
-    """
-    n = z.shape[0]
-    k, dp1 = theta.shape
     # directions per line-search call, at least one (see _LINE_SEARCH_ELEMENTS)
     batch = max(1, _LINE_SEARCH_ELEMENTS // (8 * n * k))
-    scores = _scores(theta, z)
-    stalled = 0
-    for _ in range(_ZO_MAX_ROUNDS):
-        rand = rng.standard_normal((_ZO_RANDOM_DIRECTIONS, k, dp1))
-        rand -= rand.mean(axis=1, keepdims=True)
-        dirs = np.concatenate([coords, rand @ basis])
-        found = []
-        for s in range(0, len(dirs), batch):
-            part = dirs[s : s + batch].transpose(2, 1, 0)  # (d + 1, k, m)
-            slopes = (z @ part[:-1].reshape(dp1 - 1, -1) + part[-1].ravel()).reshape(n, k, -1)
-            found.append(_line_minima(scores, slopes, targets, weights))
-        correct = np.concatenate([c for c, _ in found])
-        step = np.concatenate([t for _, t in found])
-        # the first of the best directions, so sums that differ in rounding pick the same one
-        i = int(np.argmax(correct >= correct.max() - 1e-12))
-        cand = theta + step[i] * dirs[i]
-        cand_err = _weighted_error(cand, z, targets, weights)
-        gain = err - cand_err
-        if gain > 1e-12:
-            theta, err = cand, cand_err
-            if err == 0.0 or gain < _ZO_MIN_DECREASE:
-                break
-            scores = _scores(theta, z)
-            stalled = 0
-        else:
-            stalled += 1
-            if stalled >= _ZO_PATIENCE:
-                return theta, err, True
-    return theta, err, False
+    rng = np.random.default_rng(_ZO_SEED)
+    best, best_err = theta, start_err
+    for _ in range(_ZO_STREAMS):
+        cur, scores, err = theta, start_scores, start_err
+        stalled = 0
+        for _ in range(_ZO_MAX_ROUNDS):
+            rand = rng.standard_normal((_ZO_RANDOM_DIRECTIONS, k, dp1))
+            rand -= rand.mean(axis=1, keepdims=True)
+            dirs = np.concatenate([coords, rand @ basis])
+            found = []
+            for s in range(0, len(dirs), batch):
+                part = dirs[s : s + batch].transpose(2, 1, 0)  # (d + 1, k, m)
+                slopes = (z @ part[:-1].reshape(dp1 - 1, -1) + part[-1].ravel()).reshape(n, k, -1)
+                found.append(_line_minima(scores, slopes, targets, weights))
+            correct, step = np.hstack(found)
+            # the first of the best directions, so sums that differ in rounding pick the same one
+            i = int(np.argmax(correct >= correct.max() - 1e-12))
+            cand = cur + step[i] * dirs[i]
+            cand_scores = _scores(cand, z)
+            cand_err = _weighted_error(cand_scores, targets, weights)
+            gain = err - cand_err
+            if gain > 1e-12:
+                cur, scores, err = cand, cand_scores, cand_err
+                stalled = 0
+                if err == 0.0 or gain < _ZO_MIN_DECREASE:
+                    break
+            else:
+                stalled += 1
+                if stalled == _ZO_PATIENCE:
+                    break
+        if err < best_err:
+            best, best_err = cur, err
+        if stalled < _ZO_PATIENCE or best_err == 0.0:
+            break
+    return best
 
 
 def fit_probe(z, targets, num_outputs, sample_weight=None):
     """Fit a linear probe that approximately minimizes the weighted 0-1 error.
 
-    Two stages.  First, L2-regularized multinomial logistic regression:
-    damped Newton steps from zero weights (the objective is convex, so the
-    start only affects the path, not the optimum), solved with the
-    closed-form Hessian (see ``_hessian``) up to ``_HESSIAN_MAX_PARAMS``
-    parameters and by conjugate gradients on Hessian-vector products,
-    preconditioned by Böhning's bound (see ``_preconditioner``), above,
-    until the gradient infinity norm falls below ``_GRADIENT_TOLERANCE`` or
-    ``_MAX_NEWTON_STEPS`` steps pass.  Second, from that solution, descent
-    on the weighted 0-1 error of the same points by exact line searches
-    along coordinate and random directions (seeded by ``_ZO_SEED``),
-    accepting only strict decreases, so the returned probe's fit error
-    never exceeds the logistic one; a descent that stalls is restarted from
-    the logistic solution with fresh directions, at most ``_ZO_STREAMS``
-    times in all.  The surrogate alone can sit far from the 0-1 optimum,
-    for instance when one class has clusters on both sides of another.
+    First, L2-regularized multinomial logistic regression from zero weights
+    (see ``_fit_logistic``); then, from that solution, descent on the
+    weighted 0-1 error of the same points (see ``_descend_zero_one``), which
+    accepts only strict decreases, so the returned probe's fit error never
+    exceeds the logistic one.  The surrogate alone can sit far from the 0-1
+    optimum, for instance when one class has clusters on both sides of
+    another.
 
-    Points are weighted by ``sample_weight``, uniformly when it is None,
-    in both stages.
+    Points are weighted by ``sample_weight`` in both stages, uniformly when
+    it is None; weights must be finite and nonnegative with a positive sum,
+    and are scaled to sum to one.
 
-    Returns ``(probe, record)`` where the record describes the logistic
-    stage: iteration count, final objective and gradient, whether the
-    gradient tolerance was met, and the logistic probe as ``start``.
+    Returns ``(probe, record)``.  The record describes the logistic stage:
+    iteration count, final objective and gradient, whether the gradient
+    infinity norm fell to ``_GRADIENT_TOLERANCE`` within
+    ``_MAX_NEWTON_STEPS`` steps, and the logistic probe as ``start``, which
+    is the returned probe itself when the 0-1 stage changed nothing.
     """
     z, targets = _as_points(z, targets)
     n, d = z.shape
@@ -514,15 +497,8 @@ def fit_probe(z, targets, num_outputs, sample_weight=None):
         raise ValueError("targets out of range for num_outputs")
     if np.unique(targets).size < 2:
         raise ValueError("fewer than 2 distinct targets present")
-    if sample_weight is not None:
-        weights = np.asarray(sample_weight, dtype=np.float64)
-        if weights.shape != (n,):
-            raise ValueError("sample_weight must match the number of points")
-        if (weights < 0).any() or weights.sum() <= 0:
-            raise ValueError("sample_weight must be nonnegative with positive sum")
-    else:
-        weights = np.full(n, 1.0 / n)
-    weights = weights / weights.sum()
+    uniform = np.full(n, 1.0 / n)
+    weights = _normalized_weights(uniform if sample_weight is None else sample_weight, n)
 
     k = int(num_outputs)
     theta, iterations, obj, grad = _fit_logistic(z, targets, weights, k)
@@ -557,20 +533,18 @@ def zero_one_error(probe, z, targets, weights=None):
 def exact_best_error(family, z, targets, weights=None):
     """Exact minimum of the 0-1 error over a finite probe family.
 
-    Returns ``(error, index)``; the lowest index wins ties.  Each probe's
-    error adds the weights of its misclassified points one at a time, in
-    point order.
+    Returns ``(error, index)``; the lowest index wins ties.  Points are
+    weighted by ``weights``, uniformly when it is None, checked and scaled as
+    in ``fit_probe``.  Each probe's error adds the weights of its
+    misclassified points one at a time, in point order.
     """
     z, targets = _as_points(z, targets)
-    if z.shape[0] == 0:
+    n = z.shape[0]
+    if n == 0:
         raise ValueError("empty point list")
     if family.dim != z.shape[1]:
         raise ValueError(f"family expects dim {family.dim}, got {z.shape[1]}")
-    if weights is None:
-        w = np.full(z.shape[0], 1.0 / z.shape[0])
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        w = w / w.sum()
+    w = np.full(n, 1.0 / n) if weights is None else _normalized_weights(weights, n)
     errs = []
     for s in range(0, len(family), _FAMILY_BATCH):
         miss = family[s : s + _FAMILY_BATCH].predict(z) != targets  # (probes, n)

@@ -526,6 +526,9 @@ _TRIALS = {
         t_seed, n_domains=2 * (2 + t % 2), n_train=2 + t % 2, n_points=6 + t % 4)),
 }
 SUITES = tuple(_TRIALS)
+# trial t of a run with seed s draws its instance from seed (s << 20) + t, so a longer run
+# would reach the instances of seed s + 1
+MAX_TRIALS = 1 << 20
 
 
 def run_suite(name, trials, seed=0):
@@ -536,12 +539,15 @@ def run_suite(name, trials, seed=0):
     """
     if trials < 1:
         raise ValueError("trials must be positive")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"trials must be at most {MAX_TRIALS}; more would reuse the next "
+                         "seed's instances")
     if name not in _TRIALS:
         raise ValueError(f"unknown suite {name!r}")
     gated_out = passed = failed = 0
     counterexample = None
     for t in range(trials):
-        t_seed = (seed << 20) + t
+        t_seed = seed * MAX_TRIALS + t
         rep = _TRIALS[name](t, t_seed)
         if not rep.gate_passed:
             gated_out += 1

@@ -427,6 +427,13 @@ class TestVerifyCommand:
                                    "--out", str(tmp_path)])
         assert res.exit_code == 2
 
+    def test_trials_past_the_seed_stride_exit_two_naming_the_limit(self, runner, tmp_path):
+        res = runner.invoke(main, ["verify", "--trials", str((1 << 20) + 1),
+                                   "--out", str(tmp_path)])
+        assert res.exit_code == 2
+        assert "1048576" in res.output
+        assert not (tmp_path / "verify.json").exists()
+
     def test_instance_file_with_nonuniform_priors(self, runner, tmp_path):
         from dgdx.propositions import random_instance
 

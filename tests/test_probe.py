@@ -34,6 +34,16 @@ XOR_Z = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
 XOR_T = np.array([0, 0, 1, 1])
 
 
+# one point's weight made NaN, infinite or negative, weights that sum to zero, and too few
+_BAD_WEIGHTS = {
+    "nan": (np.array([1.0, np.nan, 1.0, 1.0]), "finite and nonnegative"),
+    "inf": (np.array([1.0, np.inf, 1.0, 1.0]), "finite and nonnegative"),
+    "negative": (np.array([1.0, -0.5, 1.0, 1.0]), "finite and nonnegative"),
+    "zero-sum": (np.zeros(4), "positive sum"),
+    "short": (np.ones(3), "match the number of points"),
+}
+
+
 def _clusters(seed, n=10, sep=3.0):
     rng = np.random.default_rng(seed)
     z0 = rng.normal(size=(n, 2))
@@ -75,6 +85,12 @@ class TestFitProbe:
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="empty"):
             fit_probe(np.zeros((0, 2)), np.zeros(0, dtype=int), 2)
+
+    @pytest.mark.parametrize("case", sorted(_BAD_WEIGHTS))
+    def test_rejects_invalid_weights(self, case):
+        weights, message = _BAD_WEIGHTS[case]
+        with pytest.raises(ValueError, match=message):
+            fit_probe(XOR_Z, XOR_T, 2, sample_weight=weights)
 
     def test_permutation_changes_objective_below_1e8(self):
         z, t = _clusters(3, n=25, sep=1.0)
@@ -348,7 +364,7 @@ class TestLogisticStage:
         assert (k * (d + 1) > probe_module._HESSIAN_MAX_PARAMS) == (d == 64)
         grad = rng.normal(size=(k, d + 1))
         grad -= grad.mean(axis=0)
-        step = _newton_step(grad, p, z, w, _preconditioner(z, w))
+        step = _newton_step(grad, p, z, w, None if d == 2 else _preconditioner(z, w))
         g = np.linalg.norm(grad)
         assert np.linalg.norm(oracle @ step.ravel() + grad.ravel()) <= min(0.5, np.sqrt(g)) * g
         assert np.allclose(step.sum(axis=0), 0.0, atol=1e-12 * np.abs(step).max())
@@ -467,6 +483,13 @@ class TestExactBestError:
         err, idx = exact_best_error(family, z, t)
         assert err == 0.0 and idx == 1
 
+    @pytest.mark.parametrize("case", sorted(_BAD_WEIGHTS))
+    def test_rejects_invalid_weights(self, case):
+        weights, message = _BAD_WEIGHTS[case]
+        family = FiniteProbeFamily.from_probes([constant_probe(0, 2, 2), constant_probe(1, 2, 2)])
+        with pytest.raises(ValueError, match=message):
+            exact_best_error(family, XOR_Z, XOR_T, weights=weights)
+
     def test_eight_axis_aligned_probes_on_xor(self):
         probes = []
         for axis in (0, 1):
@@ -529,7 +552,7 @@ class TestFiniteProbeFamily:
         for i in range(len(family)):
             assert np.array_equal(preds[i], family[i].predict(z))
 
-    @pytest.mark.parametrize("k", [2, 3, 5])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_predict_equals_argmax_with_planted_ties(self, k):
         rng = np.random.default_rng(k)
         # small integers make many scores tie exactly, between any outputs
@@ -541,7 +564,7 @@ class TestFiniteProbeFamily:
         family = FiniteProbeFamily(weights, bias)
         scores = np.matmul(z, weights.transpose(0, 2, 1)) + bias[:, None, :]
         top = scores.max(axis=2, keepdims=True)
-        assert ((scores == top).sum(axis=2) > 1).mean() > 0.2  # ties are common
+        assert k == 1 or ((scores == top).sum(axis=2) > 1).mean() > 0.2  # ties are common
         preds = family.predict(z)
         assert preds.dtype == scores.argmax(axis=2).dtype
         assert np.array_equal(preds, scores.argmax(axis=2))

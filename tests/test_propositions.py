@@ -380,6 +380,18 @@ class TestSuites:
         with pytest.raises(ValueError, match="positive"):
             run_suite("prop1", trials=0)
 
+    def test_trials_past_the_seed_stride_are_rejected_before_any_trial(self, monkeypatch):
+        # trial t of seed s is seeded (s << 20) + t: one more trial would be the next seed's first
+        from dgdx import propositions
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran a trial")
+
+        monkeypatch.setattr(propositions, "make_prop1_instance", refuse)
+        assert propositions.MAX_TRIALS == 1 << 20
+        with pytest.raises(ValueError, match="at most 1048576"):
+            run_suite("prop1", trials=(1 << 20) + 1)
+
     def test_unknown_suite_is_rejected(self):
         with pytest.raises(ValueError, match="unknown suite 'prop3'"):
             run_suite("prop3", trials=1)
