@@ -19,7 +19,6 @@ import numpy as np
 
 from . import expt, propositions, scenarios
 from .core import (
-    DatasetError,
     DumpError,
     FORMAT_BINARY,
     FORMAT_CSV,
@@ -74,7 +73,7 @@ def _load_dump_checked(path):
         _fail(EXIT_INPUT, f"dump file not found: {path}")
     try:
         return load_dump(path, sniff_format(path))
-    except (DumpError, DatasetError, OSError) as exc:
+    except (DumpError, OSError) as exc:
         _fail(EXIT_INPUT, str(exc))
 
 
@@ -116,7 +115,7 @@ def cmd_diagnose(dump_path, head_path, target, out, tol):
                 if not np.isfinite(head.scores(ds.z[s : s + block])).all():
                     _fail(EXIT_INPUT, f"{head_path}: the head's scores on the dump are not finite")
         diag = diagnose(ds, head, target)
-    except (DatasetError, ValueError) as exc:
+    except ValueError as exc:
         _fail(EXIT_INPUT, str(exc))
     _write_json(out / "diagnosis.json", diag.to_dict())
     _write_csv(out / "diagnosis.csv", csv_header(("target",)), [csv_row(diag, (target,))])

@@ -423,7 +423,7 @@ def save_dump(ds, path, format=FORMAT_BINARY):
             fh.write(bytes([_FORMAT_VERSION]))
             fh.write(np.uint32(len(hdr)).tobytes())
             fh.write(hdr)
-            fh.write(rec.tobytes())
+            fh.write(rec)
     elif format == FORMAT_CSV:
         # one %-format per block of rows; %.9g of a float32 widened to a Python float
         row = "%d,%s,%d," + ",".join(["%.9g"] * ds.dim) + "\n"

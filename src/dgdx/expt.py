@@ -337,14 +337,6 @@ class ObjectiveState:
     penalty: tuple  # CORAL per-group stats, cond-invariance per-class m, or None
 
 
-def _penalty(h2, batch, cfg):
-    """The configured representation penalty and the state its gradient
-    needs: (0.0, None) when the algorithm has none or ``beta`` is 0."""
-    if cfg.algorithm in _PENALTIES and cfg.beta > 0:
-        return _PENALTIES[cfg.algorithm][0](h2, batch)
-    return 0.0, None
-
-
 def _coral_penalty(h2, batch):
     """Mean over training-domain pairs of the squared mean difference plus the
     squared Frobenius covariance difference of representations (entry-wise
@@ -429,7 +421,9 @@ def objective(params, batch, cfg):
     h1 = np.maximum(pre1, 0.0, out=_buffer(batch, "h1", pre1.shape, pre1.dtype))
     pre2 = _affine(batch, "pre2", h1, params["W2"], params["b2"])
     h2 = np.maximum(pre2, 0.0, out=_buffer(batch, "h2", pre2.shape, pre2.dtype))
-    penalty, penalty_state = _penalty(h2, batch, cfg)
+    penalty, penalty_state = 0.0, None  # no penalty, or beta is 0
+    if cfg.algorithm in _PENALTIES and cfg.beta > 0:
+        penalty, penalty_state = _PENALTIES[cfg.algorithm][0](h2, batch)
     logits = _affine(batch, "logits", h2, params["W3"], params["b3"])
     logp = _buffer(batch, "logp", logits.shape, logits.dtype)
     np.subtract(logits, logits.max(axis=1, keepdims=True), out=logp)

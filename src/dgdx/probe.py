@@ -145,15 +145,15 @@ def _as_points(z, targets):
     return z, targets
 
 
-def _normalized_weights(weights, n):
-    """Weights for ``n`` points scaled to sum to one; they must be finite and
+def _checked_weights(weights, n):
+    """Weights for ``n`` points as float64, unscaled; they must be finite and
     nonnegative, with a positive sum."""
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (n,):
         raise ValueError("weights must match the number of points")
     if not (np.isfinite(weights).all() and (weights >= 0).all() and weights.sum() > 0):
         raise ValueError("weights must be finite and nonnegative with positive sum")
-    return weights / weights.sum()
+    return weights
 
 
 def _scores(theta, z):
@@ -497,8 +497,8 @@ def fit_probe(z, targets, num_outputs, sample_weight=None):
         raise ValueError("targets out of range for num_outputs")
     if np.unique(targets).size < 2:
         raise ValueError("fewer than 2 distinct targets present")
-    uniform = np.full(n, 1.0 / n)
-    weights = _normalized_weights(uniform if sample_weight is None else sample_weight, n)
+    weights = _checked_weights(np.full(n, 1.0 / n) if sample_weight is None else sample_weight, n)
+    weights = weights / weights.sum()
 
     k = int(num_outputs)
     theta, iterations, obj, grad = _fit_logistic(z, targets, weights, k)
@@ -519,14 +519,15 @@ def fit_probe(z, targets, num_outputs, sample_weight=None):
 
 
 def zero_one_error(probe, z, targets, weights=None):
-    """Fraction (or weighted fraction) of points whose argmax score misses the target."""
+    """Fraction (or weighted fraction) of points whose argmax score misses the
+    target.  ``weights`` are checked as in ``fit_probe``."""
     z, targets = _as_points(z, targets)
     if z.shape[0] == 0:
         raise ValueError("empty point list")
     miss = (probe.predict(z) != targets).astype(np.float64)
     if weights is None:
         return float(miss.mean())
-    weights = np.asarray(weights, dtype=np.float64)
+    weights = _checked_weights(weights, miss.size)
     return float((miss * weights).sum() / weights.sum())
 
 
@@ -544,7 +545,8 @@ def exact_best_error(family, z, targets, weights=None):
         raise ValueError("empty point list")
     if family.dim != z.shape[1]:
         raise ValueError(f"family expects dim {family.dim}, got {z.shape[1]}")
-    w = np.full(n, 1.0 / n) if weights is None else _normalized_weights(weights, n)
+    w = np.ones(n) if weights is None else _checked_weights(weights, n)
+    w = w / w.sum()
     errs = []
     for s in range(0, len(family), _FAMILY_BATCH):
         miss = family[s : s + _FAMILY_BATCH].predict(z) != targets  # (probes, n)

@@ -63,6 +63,19 @@ class TestDiagnoseCommand:
             assert report[comp] <= 0.05
         assert (out / "diagnosis.csv").read_bytes().count(b"\r\n") == 2
 
+    def test_unconverged_fit_exits_three_after_writing_the_report(self, runner, tmp_path,
+                                                                  monkeypatch):
+        monkeypatch.setattr(dgdx.probe, "_MAX_NEWTON_STEPS", 1)
+        dump, head = _scenario_files(tmp_path)
+        out = tmp_path / "out"
+        res = runner.invoke(main, ["diagnose", "--dump", str(dump), "--head", str(head),
+                                   "--target", "test", "--out", str(out)])
+        assert res.exit_code == 3, res.output
+        assert "did not converge (partial report written)" in res.output
+        report = json.loads((out / "diagnosis.json").read_text())
+        assert not all(meta["converged"] for meta in report["probe_meta"].values())
+        assert (out / "diagnosis.csv").read_bytes().count(b"\r\n") == 2
+
     def test_missing_head_exit_two(self, runner, tmp_path):
         dump, _ = _scenario_files(tmp_path)
         res = runner.invoke(main, ["diagnose", "--dump", str(dump),
@@ -741,6 +754,25 @@ class TestPcaCommand:
         assert sum(var["explained"]) == pytest.approx(1.0, abs=1e-9)
         header = (tmp_path / "pca.csv").read_text().splitlines()[0]
         assert header.strip() == "domain_id,label,pc1,pc2"
+
+    @pytest.mark.parametrize("dim, scale, reason", [
+        (1, 1.0, "pca2d needs dim >= 2"),
+        (3, 0.0, "data has zero variance"),
+    ])
+    def test_degenerate_dump_exits_two_naming_the_reason(self, runner, tmp_path, dim, scale,
+                                                         reason):
+        n = 24
+        rows = np.arange(n)
+        domains = (DomainMeta(0, "a", ROLE_TRAIN), DomainMeta(1, "b", ROLE_TRAIN),
+                   DomainMeta(2, "t", ROLE_TEST))
+        z = scale * np.random.default_rng(0).normal(size=(n, dim))
+        ds = RepresentationDataset(dim, 2, domains, rows % 3, (rows // 3) % 2, (rows // 6) % 2, z)
+        dump = tmp_path / "d.bin"
+        save_dump(ds, dump)
+        res = runner.invoke(main, ["pca", "--dump", str(dump), "--out", str(tmp_path)])
+        assert res.exit_code == 2
+        assert f"error: {reason}" in res.output
+        assert not (tmp_path / "pca.csv").exists()
 
     def test_peak_memory_is_the_dataset_and_one_float64_copy(self, runner, tmp_path):
         # pca.csv is written row by row, so no per-row Python objects pile up

@@ -221,6 +221,12 @@ class TestBinaryStreaming:
         own = sum(a.nbytes for a in (ds.domain_ids, ds.splits, ds.labels, ds.z))
         assert peak <= own + core._LOAD_CHUNK_BYTES + (1 << 20)
 
+    def test_save_holds_one_record_array(self, tmp_path):
+        # a ~5 MiB dump; writing the records through a bytes copy held twice it
+        ds = _striped_dataset(10_000, 128)
+        _, peak = traced_peak(save_dump, ds, tmp_path / "d.bin", FORMAT_BINARY)
+        assert peak <= ds.num_samples * _record_dtype(ds.dim).itemsize + (1 << 20)
+
 
 class TestBinaryDumpDamage:
     @pytest.fixture(scope="class")

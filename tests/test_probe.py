@@ -464,6 +464,18 @@ class TestZeroOneError:
         with pytest.raises(ValueError, match="empty"):
             zero_one_error(probe, np.zeros((0, 2)), np.zeros(0, dtype=int))
 
+    # each of these once gave a number: 1.333, nan, nan, and 2.0 by broadcasting
+    @pytest.mark.parametrize("weights, message", [
+        ([1.0, -5.0, 1.0], "finite and nonnegative"),
+        ([1.0, np.nan, 1.0], "finite and nonnegative"),
+        ([0.0, 0.0, 0.0], "positive sum"),
+        ([2.0], "match the number of points"),
+    ])
+    def test_rejects_invalid_weights(self, weights, message):
+        probe = constant_probe(0, 2, 2)
+        with pytest.raises(ValueError, match=message):
+            zero_one_error(probe, np.zeros((3, 2)), np.array([0, 1, 1]), weights=weights)
+
     def test_relabeling_invariance(self):
         rng = np.random.default_rng(9)
         z = rng.normal(size=(40, 3))
