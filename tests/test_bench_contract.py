@@ -40,8 +40,8 @@ _SPANS = _bench_module("spans")
 
 
 def _worker():
-    """``worker.py``, loaded with ``perfbench/`` first on ``sys.path`` as
-    in its own process, where its ``import spans`` resolves there."""
+    """``worker.py``, loaded with ``perfbench/`` first on ``sys.path``, as
+    its own process has it, so that its ``import spans`` resolves."""
     sys.path.insert(0, str(BENCH_DIR))
     try:
         return _bench_module("worker")

@@ -464,7 +464,7 @@ class TestZeroOneError:
         with pytest.raises(ValueError, match="empty"):
             zero_one_error(probe, np.zeros((0, 2)), np.zeros(0, dtype=int))
 
-    # each of these once gave a number: 1.333, nan, nan, and 2.0 by broadcasting
+    # unchecked, each reduces to a number: 1.333, nan, nan, and 2.0 by broadcasting
     @pytest.mark.parametrize("weights, message", [
         ([1.0, -5.0, 1.0], "finite and nonnegative"),
         ([1.0, np.nan, 1.0], "finite and nonnegative"),
