@@ -52,8 +52,9 @@ class PartitionInstance:
     head_index: int = None
 
     def __post_init__(self):
-        object.__setattr__(self, "points", np.array(self.points, dtype=np.float64))
-        object.__setattr__(self, "joint", np.array(self.joint, dtype=np.float64))
+        # C order, so the checks' reductions sum in one order whatever the caller's layout
+        object.__setattr__(self, "points", np.array(self.points, dtype=np.float64, order="C"))
+        object.__setattr__(self, "joint", np.array(self.joint, dtype=np.float64, order="C"))
         if self.points.ndim != 2 or self.points.shape[1] != self.label_family.dim:
             raise ValueError("points must have shape (num_points, label_family dim)")
         if self.joint.ndim != 3 or self.joint.shape[1] != self.points.shape[0]:
@@ -95,7 +96,8 @@ class PartitionInstance:
 
     @property
     def test_idx(self):
-        return tuple(i for i in range(self.num_domains) if i not in set(self.train_idx))
+        train = set(self.train_idx)
+        return tuple(i for i in range(self.num_domains) if i not in train)
 
     def priors(self):
         """Per-domain class priors, shape (K, C)."""
@@ -178,33 +180,45 @@ def _label_table(inst):
 
 def _subset_error(losses, domain_subset):
     """Equal-weight average of the per-domain ``losses`` ``(P, K)`` over the
-    subset, ``(P,)``."""
+    subset, ``(P,)``: the sum over the count, as ``ndarray.mean`` takes it."""
     subset = list(domain_subset)
     if not subset:
         raise ValueError("domain subset must be nonempty")
-    return losses[:, subset].mean(axis=1)
+    return losses[:, subset].sum(axis=1) / len(subset)
 
 
-def _domain_errors(inst, domain_subset, preds, conditional_class=None):
-    """Exact expected domain-classification 0-1 loss of each row of
-    predictions over an ordered subset, ``(P,)``; see ``eval_G``."""
+def _domain_weights(inst, domain_subset, conditional_class=None):
+    """The point distribution of each domain of an ordered subset, ``(|A|, m)``:
+    its marginal, or its conditional on ``conditional_class``."""
     subset = list(domain_subset)
     if conditional_class is None:
-        weights = inst.marginals()[subset]  # (|A|, m)
-    else:
-        pri = inst.priors()[subset, conditional_class]
-        if (pri <= 0).any():
-            raise ValueError(
-                f"class {conditional_class} has zero prior in some domain; "
-                "the conditional metric is undefined"
-            )
-        weights = inst.joint[subset, :, conditional_class] / pri[:, None]
-    losses = _miss_mass(preds, weights[:, :, None], np.arange(len(subset))[:, None])
-    return _subset_error(losses, range(len(subset)))
+        return inst.marginals()[subset]
+    pri = inst.priors()[subset, conditional_class]
+    if (pri <= 0).any():
+        raise ValueError(
+            f"class {conditional_class} has zero prior in some domain; "
+            "the conditional metric is undefined"
+        )
+    return inst.joint[subset, :, conditional_class] / pri[:, None]
+
+
+def _domain_errors(preds, weights):
+    """Exact expected domain-classification 0-1 loss of each row of
+    predictions ``(P, m)`` in each task of ``weights`` ``(T, |A|, m)``,
+    ``(P, T)``: a task's domain at position a carries target label a, and
+    its error is the mean over its domains; see ``eval_G``."""
+    tasks, size, m = weights.shape
+    correct = np.tile(np.arange(size), tasks)[:, None]
+    losses = _miss_mass(preds, weights.reshape(tasks * size, m, 1), correct)
+    return losses.reshape(-1, tasks, size).sum(axis=2) / size
 
 
 def eval_F(inst, domain_subset, probe):
-    """Equal-weight average over the subset of the exact expected 0-1 loss."""
+    """Equal-weight average over the subset of the exact expected 0-1 loss.
+
+    This is the one-probe form of a label-table entry: for probe ``i`` of
+    the label family it equals ``_subset_error(_label_table(inst), subset)[i]``
+    bit for bit.  The checks read the table; ``eval_F`` scores any probe."""
     losses = _per_domain_loss(inst, probe.predict(inst.points)[None])
     return float(_subset_error(losses, domain_subset)[0])
 
@@ -215,8 +229,8 @@ def eval_G(inst, domain_subset, probe, conditional_class=None):
     Domain at position k in the subset carries target label k.  With
     ``conditional_class`` the expectation conditions each domain on that class.
     """
-    preds = probe.predict(inst.points)[None]
-    return float(_domain_errors(inst, domain_subset, preds, conditional_class)[0])
+    weights = _domain_weights(inst, domain_subset, conditional_class)
+    return float(_domain_errors(probe.predict(inst.points)[None], weights[None])[0, 0])
 
 
 def _argmin(errs):
@@ -229,13 +243,18 @@ def _best_label(losses, subset):
 
 
 def _head(inst, losses):
+    """The trained head's training error and index, and the family's least
+    training error."""
+    errs = _subset_error(losses, inst.train_idx)
+    best, idx = _argmin(errs)
     if inst.head_index is not None:
-        return eval_F(inst, inst.train_idx, inst.label_family[inst.head_index]), inst.head_index
-    return _best_label(losses, inst.train_idx)
+        idx = inst.head_index
+    return float(errs[idx]), idx, best
 
 
 def _best_domain(inst, subset, preds, conditional_class=None):
-    return _argmin(_domain_errors(inst, subset, preds, conditional_class))
+    weights = _domain_weights(inst, subset, conditional_class)
+    return _argmin(_domain_errors(preds, weights[None])[:, 0])
 
 
 # -- proposition checks --------------------------------------------------------------
@@ -308,7 +327,8 @@ def check_prop2(inst):
     """Gate: the trained head has zero training error and class-conditional
     distributions are invariant.  Conclusion: zero error on the held-out
     domains."""
-    e0, head_idx = _head(inst, _label_table(inst))
+    losses = _label_table(inst)
+    e0, head_idx, _ = _head(inst, losses)
     if e0 > _EXACT_TOL:
         return _gated_out("prop2", f"precondition not met: training error {e0:.3e} > 0")
     reason, conds = _class_conditionals(inst)
@@ -319,7 +339,7 @@ def check_prop2(inst):
             return _gated_out("prop2", reason)
     if reason is not None:
         return _gated_out("prop2", reason)
-    e3 = eval_F(inst, inst.test_idx, inst.label_family[head_idx])
+    e3 = float(_subset_error(losses, inst.test_idx)[head_idx])
     ok = e3 <= _EXACT_TOL
     violations = () if ok else ({"target_error": e3, "head_index": head_idx},)
     return PropositionReport("prop2", True, "ok", ok, violations)
@@ -355,24 +375,26 @@ def check_orderings(inst):
     uniform class priors.  Checks whose assumption fails are reported as
     assumption-unmet with values attached.
     """
-    test = inst.test_idx
     all_domains = tuple(range(inst.num_domains))
     losses = _label_table(inst)
-    e1, _ = _best_label(losses, test)
-    e2 = eval_F(inst, test, inst.label_family[_best_label(losses, all_domains)[1]])
-    e0, head_idx = _head(inst, losses)
-    e3 = eval_F(inst, test, inst.label_family[head_idx])
-    head_minimizes = e0 <= _best_label(losses, inst.train_idx)[0] + _EXACT_TOL
+    test_errs = _subset_error(losses, inst.test_idx)
+    e1, _ = _argmin(test_errs)
+    e2 = float(test_errs[_best_label(losses, all_domains)[1]])
+    e0, head_idx, best_train = _head(inst, losses)
+    e3 = float(test_errs[head_idx])
+    head_minimizes = e0 <= best_train + _EXACT_TOL
     entries = [_ordering("e1_le_e2", e1, e2, True), _ordering("e2_le_e3", e2, e3, head_minimizes)]
     if inst.domain_family is not None:
         k = inst.num_domains
         pri = inst.priors()
-        preds = inst.domain_family.predict(inst.points)
-        d1 = 1.0 - _best_domain(inst, all_domains, preds)[0] - 1.0 / k
-        d2 = None
+        # the marginals, then (when every prior is positive) each class's
+        # conditionals, all searched at once: _domain_weights' values, in one division
+        weights = inst.marginals()[None]
         if (pri > 0).all():
-            gys = [_best_domain(inst, all_domains, preds, y)[0] for y in range(inst.num_classes)]
-            d2 = 1.0 - float(np.mean(gys)) - 1.0 / k
+            weights = np.concatenate([weights, (inst.joint / pri[:, None, :]).transpose(2, 0, 1)])
+        best = _domain_errors(inst.domain_family.predict(inst.points), weights).min(axis=0)
+        d1 = 1.0 - float(best[0]) - 1.0 / k
+        d2 = 1.0 - float(np.mean(best[1:])) - 1.0 / k if len(best) > 1 else None
         uniform = np.abs(pri - 1.0 / inst.num_classes).max() <= 1e-9
         entries.append(_ordering("d1_le_d2", d1, d2, uniform and d2 is not None))
     return OrderingReport(tuple(entries))
@@ -408,8 +430,8 @@ def check_partition_expectation(inst):
     # every split's subset errors at once, (P, splits, n1): each mean is
     # _subset_error's, and the family minimum is the error _best_label finds
     losses = _label_table(inst)
-    e0s = losses[:, train].mean(axis=2).min(axis=0)
-    e1s = losses[:, test].mean(axis=2).min(axis=0)
+    e0s = (losses[:, train].sum(axis=2) / n1).min(axis=0)
+    e1s = (losses[:, test].sum(axis=2) / n1).min(axis=0)
     mean_e0 = float(np.mean(e0s))
     mean_e1 = float(np.mean(e1s))
     return PartitionExpectationReport(len(train), mean_e0, mean_e1, mean_e0 <= mean_e1 + 1e-9)
@@ -424,12 +446,14 @@ _PREMISE_FAMILY_SIZE, _PREMISE_DOMAINS = 12, 3
 
 
 def _random_family(rng, num_outputs, dim, size):
-    # the constants, then random probes, each drawing its weights and then its bias
+    # the constants, then random probes, each drawing its weights and then its bias;
+    # spread * standard_normal is rng.normal(0.0, spread) bit for bit
     k = num_outputs
-    spread = np.repeat([1.5, 0.5], [k * dim, k])
-    draws = rng.normal(0.0, spread, size=(size, spread.size))
-    weights = np.concatenate([np.zeros((k, k, dim)), draws[:, : k * dim].reshape(size, k, dim)])
-    bias = np.concatenate([np.eye(k), draws[:, k * dim :]])
+    draws = rng.standard_normal((size, k * (dim + 1)))
+    weights = np.zeros((k + size, k, dim))
+    weights[k:] = draws[:, : k * dim].reshape(size, k, dim) * 1.5
+    bias = np.eye(k + size, k)
+    bias[k:] = draws[:, k * dim :] * 0.5
     return FiniteProbeFamily(weights, bias)
 
 
@@ -441,15 +465,19 @@ def random_instance(seed, n_domains=4, n_train=2, n_points=8, num_classes=2, uni
     points = rng.normal(0.0, 1.0, size=(n_points, _DIM))
     label_family = _random_family(rng, num_classes, _DIM, _FAMILY_SIZE)
     domain_family = _random_family(rng, n_domains, _DIM, _FAMILY_SIZE)
-    joint = np.zeros((n_domains, n_points, num_classes))
-    for i in range(n_domains):
-        if uniform_priors:
-            pri = np.full(num_classes, 1.0 / num_classes)
-        else:
-            pri = rng.dirichlet(np.ones(num_classes)) * 0.6 + 0.4 / num_classes
-            pri = pri / pri.sum()
-        # one point distribution per class, drawn in class order
-        joint[i] = (pri[:, None] * rng.dirichlet(np.ones(n_points), size=num_classes)).T
+    # per domain, its class priors (when skewed) and then one point distribution
+    # per class, drawn in class order
+    if uniform_priors:
+        pri = np.full((n_domains, num_classes), 1.0 / num_classes)
+        cond = rng.dirichlet(np.ones(n_points), size=(n_domains, num_classes))
+    else:
+        pri = np.empty((n_domains, num_classes))
+        cond = np.empty((n_domains, num_classes, n_points))
+        for i in range(n_domains):
+            p = rng.dirichlet(np.ones(num_classes)) * 0.6 + 0.4 / num_classes
+            pri[i] = p / p.sum()
+            cond[i] = rng.dirichlet(np.ones(n_points), size=num_classes)
+    joint = (pri[:, :, None] * cond).transpose(0, 2, 1)
     train_idx = tuple(sorted(rng.choice(n_domains, size=n_train, replace=False).tolist()))
     return PartitionInstance(points, joint, train_idx, label_family, domain_family)
 
@@ -461,7 +489,7 @@ def _labelled_points(rng, n_points, num_classes):
         points = rng.normal(0.0, 1.0, size=(n_points, _DIM))
         family = _random_family(rng, num_classes, _DIM, _PREMISE_FAMILY_SIZE)
         labels = family[int(rng.integers(len(family)))].predict(points)
-        if np.unique(labels).size >= 2:
+        if labels.min() != labels.max():
             break
     return points, family, labels
 
@@ -490,12 +518,10 @@ def make_prop2_instance(seed, n_points=8, num_classes=2):
     for y in present:
         mask = labels == y
         cond[y, mask] = rng.dirichlet(np.ones(int(mask.sum())))
+    pri = rng.dirichlet(np.ones(present.size), size=_PREMISE_DOMAINS) * 0.6 + 0.4 / present.size
+    pri = pri / pri.sum(axis=1, keepdims=True)
     joint = np.zeros((_PREMISE_DOMAINS, n_points, num_classes))
-    for i in range(_PREMISE_DOMAINS):
-        pri = rng.dirichlet(np.ones(present.size)) * 0.6 + 0.4 / present.size
-        pri = pri / pri.sum()
-        for j, y in enumerate(present):
-            joint[i, :, y] = pri[j] * cond[y]
+    joint[:, :, present] = pri[:, None, :] * cond[present].T
     return PartitionInstance(points, joint, tuple(range(_PREMISE_DOMAINS - 1)), family, None)
 
 
@@ -544,6 +570,8 @@ def run_suite(name, trials, seed=0):
                          "seed's instances")
     if name not in _TRIALS:
         raise ValueError(f"unknown suite {name!r}")
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     gated_out = passed = failed = 0
     counterexample = None
     for t in range(trials):

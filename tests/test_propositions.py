@@ -327,22 +327,76 @@ class TestLossTable:
         assert np.array_equal(_label_table(moved), _label_table(inst)[:, ::-1])
 
     def test_suite_evaluation_counts(self, monkeypatch):
-        # the benchmark's traced run counts eval_F and eval_G calls: each orderings
-        # trial calls eval_F for e2 and e3, each gated-in prop2 trial once for e3
+        # the benchmark's traced run counts eval_F and eval_G calls: every check reads
+        # its errors from the one label table it builds, so no trial calls either
         from dgdx import propositions
 
-        calls = {"eval_F": 0, "eval_G": 0}
+        checks = ("check_prop1", "check_prop2", "check_orderings",
+                  "check_partition_expectation")
+        calls = dict.fromkeys(("eval_F", "eval_G", "_label_table") + checks, 0)
+        tables_per_check = []
         for name in calls:
             original = getattr(propositions, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
                 calls[_name] += 1
-                return _original(*args, **kwargs)
+                if _name not in checks:
+                    return _original(*args, **kwargs)
+                before = calls["_label_table"]
+                rep = _original(*args, **kwargs)
+                tables_per_check.append(calls["_label_table"] - before)
+                return rep
 
             monkeypatch.setattr(propositions, name, counted)
         for name in SUITES:
             run_suite(name, trials=40, seed=0)
-        assert calls == {"eval_F": 3 * 40, "eval_G": 0}
+        assert calls == {"eval_F": 0, "eval_G": 0, "_label_table": 4 * 40,
+                         **dict.fromkeys(checks, 40)}
+        assert tables_per_check == [1] * (4 * 40)
+
+    @pytest.mark.parametrize("kind", ["uniform", "skewed", "forced", "prop2"])
+    def test_reported_errors_are_eval_F_bit_for_bit(self, monkeypatch, kind):
+        # the checks read e1, e2, e3 and the prop2 target error from the label table;
+        # each must be the eval_F of the same probe on the same subset
+        from dgdx import propositions
+
+        # the moved prop2 instances shift a class in the test domain; without the
+        # invariance gate, check_prop2 reports their target error
+        monkeypatch.setattr(propositions, "_class_conditionals", lambda inst: (None, []))
+        for t in range(200):
+            if kind == "prop2":
+                base = make_prop2_instance(t, n_points=6 + t % 5, num_classes=2 + t % 2)
+            else:
+                base = random_instance(t, n_domains=3 + t % 3, n_points=6 + t % 4,
+                                       num_classes=2 + t % 2, uniform_priors=kind != "skewed")
+            family = base.label_family
+            inst = base
+            if kind == "forced":
+                inst = dataclasses.replace(base, head_index=t % len(family))
+
+            def errs(subset):
+                return [eval_F(inst, subset, family[i]) for i in range(len(family))]
+
+            def first_min(values):
+                return min(range(len(values)), key=values.__getitem__)
+
+            test, train = errs(inst.test_idx), errs(inst.train_idx)
+            best_all = first_min(errs(range(inst.num_domains)))
+            head = first_min(train) if inst.head_index is None else inst.head_index
+            e1_le_e2, e2_le_e3 = check_orderings(inst).entries[:2]
+            assert (e1_le_e2["lhs"], e1_le_e2["rhs"]) == (min(test), test[best_all])
+            assert (e2_le_e3["lhs"], e2_le_e3["rhs"]) == (test[best_all], test[head])
+            if kind != "prop2":
+                continue
+            moved = inst.joint.copy()
+            moved[-1, :, 0] = moved[-1, ::-1, 0]
+            moved = PartitionInstance(inst.points, moved, inst.train_idx, family)
+            rep = check_prop2(moved)
+            target = eval_F(moved, moved.test_idx, family[head])
+            if target > 1e-12:
+                assert rep.violations == ({"target_error": target, "head_index": head},)
+            else:
+                assert rep.holds
 
     @pytest.mark.parametrize("check, make, reads", [
         (check_prop1, make_prop1_instance, ("label",)),
@@ -391,6 +445,17 @@ class TestSuites:
         assert propositions.MAX_TRIALS == 1 << 20
         with pytest.raises(ValueError, match="at most 1048576"):
             run_suite("prop1", trials=(1 << 20) + 1)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_bad_seed_is_rejected_before_any_trial(self, monkeypatch, seed):
+        from dgdx import propositions
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran a trial")
+
+        monkeypatch.setattr(propositions, "make_prop1_instance", refuse)
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            run_suite("prop1", trials=2, seed=seed)
 
     def test_unknown_suite_is_rejected(self):
         with pytest.raises(ValueError, match="unknown suite 'prop3'"):
