@@ -187,19 +187,26 @@ def _subset_error(losses, domain_subset):
     return losses[:, subset].sum(axis=1) / len(subset)
 
 
-def _domain_weights(inst, domain_subset, conditional_class=None):
-    """The point distribution of each domain of an ordered subset, ``(|A|, m)``:
-    its marginal, or its conditional on ``conditional_class``."""
-    subset = list(domain_subset)
-    if conditional_class is None:
-        return inst.marginals()[subset]
-    pri = inst.priors()[subset, conditional_class]
-    if (pri <= 0).any():
+def _domain_weights(inst, domain_subset, tasks):
+    """The point distribution of each domain of an ordered subset for each
+    task, ``(T, |A|, m)``: task ``None`` takes the marginals, and task ``y``
+    the conditionals on class ``y``, all divided out in one step."""
+    joint = inst.joint[list(domain_subset)]
+    classes = [y for y in tasks if y is not None]
+    pri = joint.sum(axis=1)[:, classes]
+    zero = pri <= 0
+    if zero.any():
         raise ValueError(
-            f"class {conditional_class} has zero prior in some domain; "
-            "the conditional metric is undefined"
+            f"class {classes[int(np.argmax(zero.any(axis=0)))]} has zero prior in some "
+            "domain; the conditional metric is undefined"
         )
-    return inst.joint[subset, :, conditional_class] / pri[:, None]
+    weights = np.empty((len(tasks),) + joint.shape[:2])
+    weights[[t for t, y in enumerate(tasks) if y is not None]] = (
+        joint[:, :, classes] / pri[:, None, :]
+    ).transpose(2, 0, 1)
+    if len(classes) < len(tasks):
+        weights[[t for t, y in enumerate(tasks) if y is None]] = joint.sum(axis=2)
+    return weights
 
 
 def _domain_errors(preds, weights):
@@ -229,8 +236,8 @@ def eval_G(inst, domain_subset, probe, conditional_class=None):
     Domain at position k in the subset carries target label k.  With
     ``conditional_class`` the expectation conditions each domain on that class.
     """
-    weights = _domain_weights(inst, domain_subset, conditional_class)
-    return float(_domain_errors(probe.predict(inst.points)[None], weights[None])[0, 0])
+    weights = _domain_weights(inst, domain_subset, (conditional_class,))
+    return float(_domain_errors(probe.predict(inst.points)[None], weights)[0, 0])
 
 
 def _argmin(errs):
@@ -253,8 +260,8 @@ def _head(inst, losses):
 
 
 def _best_domain(inst, subset, preds, conditional_class=None):
-    weights = _domain_weights(inst, subset, conditional_class)
-    return _argmin(_domain_errors(preds, weights[None])[:, 0])
+    weights = _domain_weights(inst, subset, (conditional_class,))
+    return _argmin(_domain_errors(preds, weights)[:, 0])
 
 
 # -- proposition checks --------------------------------------------------------------
@@ -388,10 +395,9 @@ def check_orderings(inst):
         k = inst.num_domains
         pri = inst.priors()
         # the marginals, then (when every prior is positive) each class's
-        # conditionals, all searched at once: _domain_weights' values, in one division
-        weights = inst.marginals()[None]
-        if (pri > 0).all():
-            weights = np.concatenate([weights, (inst.joint / pri[:, None, :]).transpose(2, 0, 1)])
+        # conditionals, all searched at once
+        tasks = (None, *range(inst.num_classes)) if (pri > 0).all() else (None,)
+        weights = _domain_weights(inst, all_domains, tasks)
         best = _domain_errors(inst.domain_family.predict(inst.points), weights).min(axis=0)
         d1 = 1.0 - float(best[0]) - 1.0 / k
         d2 = 1.0 - float(np.mean(best[1:])) - 1.0 / k if len(best) > 1 else None

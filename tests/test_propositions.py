@@ -398,6 +398,30 @@ class TestLossTable:
             else:
                 assert rep.holds
 
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_reported_separability_equals_the_reference(self, uniform):
+        # d1 and d2 come from one search over the marginals and every class's
+        # conditionals; each minimum must be the from-scratch one, bit for bit
+        for t in range(200):
+            inst = random_instance(t, n_domains=3 + t % 3, n_points=6 + t % 4,
+                                   num_classes=2 + t % 2, uniform_priors=uniform)
+            if t % 4 == 3:  # class 0 leaves domain 0: no conditional search, d2 is None
+                joint = inst.joint.copy()
+                joint[0, :, 0] = 0.0
+                joint[0] /= joint[0].sum()
+                inst = dataclasses.replace(inst, joint=joint)
+            k, domains = inst.num_domains, tuple(range(inst.num_domains))
+            d1 = 1.0 - reference_best_domain(inst, domains)[0] - 1.0 / k
+            d2 = None
+            if t % 4 != 3:
+                best = [reference_best_domain(inst, domains, conditional_class=y)[0]
+                        for y in range(inst.num_classes)]
+                d2 = 1.0 - float(np.mean(best)) - 1.0 / k
+            entry = check_orderings(inst).entries[2]
+            assert (entry["name"], entry["lhs"], entry["rhs"]) == ("d1_le_d2", d1, d2)
+            if d2 is None:
+                assert entry["status"] == "assumption-unmet"
+
     @pytest.mark.parametrize("check, make, reads", [
         (check_prop1, make_prop1_instance, ("label",)),
         (check_prop2, make_prop2_instance, ("label",)),
