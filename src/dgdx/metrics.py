@@ -11,15 +11,15 @@ union, and on that union conditioned per class; each is reported as
 chance-adjusted accuracy, so lower means more invariant.
 
 All averages over domains weight domains equally regardless of sample
-counts.  Probes train on fit samples and every reported number comes from
-holdout samples.  A fit returns its candidates, ``{source: probe}``: the
-probe its 0-1 descent reaches, ``"zero_one"``, and the logistic solution it
-started from, ``"logistic"``, since the descent can overfit a small fit split
-(see ``probe.fit_probe``).  Each candidate's per-row holdout misses are
-reduced by the metric's rule, and the lowest error is kept; ties keep
-``"zero_one"``.  That choice biases ``e1'``, ``e2'`` and the ``d'`` values
-low, and the fitted probe's gap to the infimum biases them high; which one
-dominates depends on the data.
+counts.  Probes train on weighted fit samples (the weights serve the fit
+only) and every reported number is a mean of per-domain holdout errors, one
+rule for all seven metrics.  A fit returns its candidates,
+``{source: probe}``: the probe its 0-1 descent reaches, ``"zero_one"``, and
+the logistic solution it started from, ``"logistic"``, since the descent can
+overfit a small fit split (see ``probe.fit_probe``).  The candidate with the
+lowest holdout error is kept; ties keep ``"zero_one"``.  That choice biases
+``e1'``, ``e2'`` and the ``d'`` values low, and the fitted probe's gap to the
+infimum biases them high; which one dominates depends on the data.
 """
 
 from __future__ import annotations
@@ -96,8 +96,8 @@ def _rows(ds, domain_ids, split, targets, label=None):
     The domains' blocks are stacked in order into one float64 array, filled
     block by block, so no other float64 copy of the rows is made; ``ends``
     holds each block's end row.  ``targets`` are the labels (``"label"``)
-    or each domain's position in ``domain_ids`` (``"domain"``); a block's
-    weights sum to ``1 / len(domain_ids)``, so every domain weighs the same.
+    or each domain's position in ``domain_ids`` (``"domain"``).  The weights
+    serve the fit only: a block's sum to ``1 / len(domain_ids)``.
     """
     cells = []
     for did in domain_ids:
@@ -141,21 +141,12 @@ def _fit(ds, domain_ids, targets, label=None):
     return candidates, record.to_dict()
 
 
-def _misses(probe, rows):
-    """Per row of ``rows`` (see ``_rows``), whether the probe misses its target."""
-    return probe.predict(rows[0]) != rows[1]
-
-
-def _error(misses, rows, targets):
-    """The error of ``misses`` on ``rows``, every domain weighted equally: label
-    targets (e0'-e3') average the per-domain errors, domain targets (d0'-d2')
-    weight all blocks at once.  The two differ in the last bits, so each
-    metric's rule is part of its value."""
-    _, _, w, ends = rows
-    miss = misses.astype(np.float64)
-    if targets == "label":
-        return float(np.mean([block.mean() for block in np.split(miss, ends[:-1])]))
-    return float((miss * w).sum() / w.sum())
+def _error(probe, rows):
+    """The error of ``probe`` on ``rows`` (see ``_rows``): the mean of its
+    per-domain errors, so every domain weighs the same."""
+    z, t, _, ends = rows
+    miss = (probe.predict(z) != t).astype(np.float64)
+    return float(np.mean([block.mean() for block in np.split(miss, ends[:-1])]))
 
 
 def _select(ds, domain_ids, targets, label=None, scored_ids=None):
@@ -164,7 +155,7 @@ def _select(ds, domain_ids, targets, label=None, scored_ids=None):
     meta, whose ``"kept"`` names the first candidate to reach it."""
     candidates, meta = _fit(ds, domain_ids, targets, label)
     held = _rows(ds, scored_ids or domain_ids, SPLIT_HOLDOUT, targets, label)
-    errors = {src: _error(_misses(p, held), held, targets) for src, p in candidates.items()}
+    errors = {src: _error(p, held) for src, p in candidates.items()}
     meta["kept"] = min(errors, key=errors.get)
     return errors[meta["kept"]], meta
 
@@ -172,8 +163,7 @@ def _select(ds, domain_ids, targets, label=None, scored_ids=None):
 def _head_error(ds, head, domain_ids):
     if head.num_outputs != ds.num_classes:
         raise ValueError("head must have num_classes outputs")
-    held = _rows(ds, domain_ids, SPLIT_HOLDOUT, "label")
-    return _error(_misses(head, held), held, "label")
+    return _error(head, _rows(ds, domain_ids, SPLIT_HOLDOUT, "label"))
 
 
 # -- the seven primed metrics ----------------------------------------------------

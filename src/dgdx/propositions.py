@@ -70,7 +70,7 @@ class PartitionInstance:
             raise ValueError(f"joint: domain {i}'s probabilities sum to {float(sums[i])}, not 1")
         k = self.joint.shape[0]
         idx = self.train_idx
-        if not all(_is_index(i, k) for i in idx) or len(set(idx)) != len(idx):
+        if not all(_is_int(i) and 0 <= i < k for i in idx) or len(set(idx)) != len(idx):
             raise ValueError(f"train_idx must list distinct integer domain indices in [0, {k})")
         if not idx or len(idx) >= k:
             raise ValueError("train_idx must be a nonempty proper subset of domains")
@@ -80,11 +80,10 @@ class PartitionInstance:
             self.domain_family.num_outputs != k or self.domain_family.dim != self.label_family.dim
         ):
             raise ValueError("domain_family needs one output per domain and the points' dim")
-        if self.head_index is not None and not _is_index(self.head_index, len(self.label_family)):
+        head, size = self.head_index, len(self.label_family)
+        if head is not None and not (_is_int(head) and 0 <= head < size):
             raise ValueError(
-                f"head_index must be an integer in [0, {len(self.label_family)}), "
-                "the size of label_family"
-            )
+                f"head_index must be an integer in [0, {size}), the size of label_family")
 
     @property
     def num_domains(self):
@@ -149,8 +148,8 @@ class PartitionInstance:
         return inst
 
 
-def _is_index(i, n):
-    return isinstance(i, (int, np.integer)) and not isinstance(i, bool) and 0 <= i < n
+def _is_int(v):
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 # -- exact evaluation --------------------------------------------------------------
@@ -166,25 +165,22 @@ def _miss_mass(preds, tables, correct):
     return (tables * miss).sum(axis=(2, 3))
 
 
-def _per_domain_loss(inst, preds):
-    """Exact expected 0-1 loss of each row of predictions in each domain, ``(P, K)``."""
+def _label_table(inst, preds=None):
+    """Exact expected 0-1 loss in each domain of each row of predictions
+    ``preds`` ``(P, m)``, by default the label family's: ``(P, K)``."""
+    if preds is None:
+        preds = inst.label_family.predict(inst.points)
     return _miss_mass(preds, inst.joint, np.arange(inst.num_classes)[None, :])
 
 
-def _label_table(inst):
-    """Each label-family probe's exact expected 0-1 loss in each domain,
-    ``(P, K)``, from one prediction of the family; a subset's error is the
-    mean of its columns."""
-    return _per_domain_loss(inst, inst.label_family.predict(inst.points))
-
-
-def _subset_error(losses, domain_subset):
-    """Equal-weight average of the per-domain ``losses`` ``(P, K)`` over the
-    subset, ``(P,)``: the sum over the count, as ``ndarray.mean`` takes it."""
-    subset = list(domain_subset)
-    if not subset:
+def _subset_error(losses, subsets):
+    """Equal-weight average of the per-domain ``losses`` ``(P, K)`` over one
+    subset, ``(P,)``, or over each of a stack of equal-size subsets,
+    ``(P, S)``: the sum over the count, as ``ndarray.mean`` takes it."""
+    idx = np.asarray(list(subsets))
+    if idx.shape[-1] == 0:
         raise ValueError("domain subset must be nonempty")
-    return losses[:, subset].sum(axis=1) / len(subset)
+    return losses[:, idx].sum(axis=-1) / idx.shape[-1]
 
 
 def _domain_weights(inst, domain_subset, tasks):
@@ -226,7 +222,7 @@ def eval_F(inst, domain_subset, probe):
     This is the one-probe form of a label-table entry: for probe ``i`` of
     the label family it equals ``_subset_error(_label_table(inst), subset)[i]``
     bit for bit.  The checks read the table; ``eval_F`` scores any probe."""
-    losses = _per_domain_loss(inst, probe.predict(inst.points)[None])
+    losses = _label_table(inst, probe.predict(inst.points)[None])
     return float(_subset_error(losses, domain_subset)[0])
 
 
@@ -259,11 +255,6 @@ def _head(inst, losses):
     return float(errs[idx]), idx, best
 
 
-def _best_domain(inst, subset, preds, conditional_class=None):
-    weights = _domain_weights(inst, subset, (conditional_class,))
-    return _argmin(_domain_errors(preds, weights)[:, 0])
-
-
 # -- proposition checks --------------------------------------------------------------
 #
 # Every report gives ``gate_passed`` (its preconditions held, so the verdict
@@ -287,16 +278,17 @@ def _class_conditionals(inst):
     """The failed-precondition reason (or None) of the first class whose
     prior vanishes in some domain only, and the per-class conditional point
     distributions ``[(y, (K, m))]`` of the classes before it that carry mass
-    somewhere."""
+    somewhere, from ``_domain_weights``."""
     pri = inst.priors()
-    conds = []
+    reason, classes = None, []
     for y in range(inst.num_classes):
         if pri[:, y].sum() <= _EXACT_TOL:  # class carries no mass anywhere
             continue
         if (pri[:, y] <= _EXACT_TOL).any():
-            return f"precondition not met: class {y} prior vanishes in some domain only", conds
-        conds.append((y, inst.joint[:, :, y] / pri[:, y, None]))
-    return None, conds
+            reason = f"precondition not met: class {y} prior vanishes in some domain only"
+            break
+        classes.append(y)
+    return reason, list(zip(classes, _domain_weights(inst, range(inst.num_domains), classes)))
 
 
 def _gated_out(name, reason):
@@ -433,11 +425,10 @@ def check_partition_expectation(inst):
             f"subset count {comb(k, n1)} exceeds the enumeration guard {_MAX_SUBSETS}")
     train = list(itertools.combinations(range(k), n1))
     test = [tuple(i for i in range(k) if i not in s) for s in train]
-    # every split's subset errors at once, (P, splits, n1): each mean is
-    # _subset_error's, and the family minimum is the error _best_label finds
+    # every split's family minimum at once: the error _best_label finds
     losses = _label_table(inst)
-    e0s = (losses[:, train].sum(axis=2) / n1).min(axis=0)
-    e1s = (losses[:, test].sum(axis=2) / n1).min(axis=0)
+    e0s = _subset_error(losses, train).min(axis=0)
+    e1s = _subset_error(losses, test).min(axis=0)
     mean_e0 = float(np.mean(e0s))
     mean_e1 = float(np.mean(e1s))
     return PartitionExpectationReport(len(train), mean_e0, mean_e1, mean_e0 <= mean_e1 + 1e-9)
@@ -569,14 +560,12 @@ def run_suite(name, trials, seed=0):
     Every gated-in trial must pass its conclusion; a single failure is a
     defect because the statements are theorems.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    if trials > MAX_TRIALS:
-        raise ValueError(f"trials must be at most {MAX_TRIALS}; more would reuse the next "
-                         "seed's instances")
+    if not (_is_int(trials) and 1 <= trials <= MAX_TRIALS):
+        raise ValueError(f"trials must be a positive integer, at most {MAX_TRIALS} (more would "
+                         f"reuse the next seed's instances), got {trials!r}")
     if name not in _TRIALS:
         raise ValueError(f"unknown suite {name!r}")
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+    if not (_is_int(seed) and seed >= 0):
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     gated_out = passed = failed = 0
     counterexample = None

@@ -64,7 +64,7 @@ def test_traced_function_is_a_module_global(module, function, name):
 
 
 # diagnosis.json of the diagnose-16k inputs, less the solver's last bits, hashed
-_PINNED_BENCH_DIAGNOSIS_SHA256 = "a2568e59b994030d29e7a05e35971b1c3fa4c4921585f0207d55c9bab70099f4"
+_PINNED_BENCH_DIAGNOSIS_SHA256 = "6e160d84bcca3d753d2d2542757a5e78e4230f2fa3cf93d1b4870f792f3318f8"
 
 
 def test_bench_dump_diagnosis_is_pinned(bench_inputs):

@@ -12,7 +12,6 @@ from dgdx.probe import FiniteProbeFamily
 from dgdx.propositions import (
     PartitionInstance,
     PropositionReport,
-    _best_domain,
     _best_label,
     _label_table,
     _random_family,
@@ -243,12 +242,11 @@ class TestFamilySearch:
                                num_classes=2 + seed % 2, uniform_priors=bool(seed % 2))
         domains = tuple(range(inst.num_domains))
         losses = _label_table(inst)
-        preds = inst.domain_family.predict(inst.points)
         for subset in (inst.train_idx, inst.test_idx, domains):
             err, idx = _best_label(losses, subset)
             assert err == eval_F(inst, subset, inst.label_family[idx])
         for y in (None,) + tuple(range(inst.num_classes)):
-            err, idx = _best_domain(inst, domains, preds, conditional_class=y)
+            err, idx = reference_best_domain(inst, domains, conditional_class=y)
             assert err == eval_G(inst, domains, inst.domain_family[idx], conditional_class=y)
 
     @pytest.mark.parametrize("num_outputs, dim", [(2, 2), (3, 2), (4, 3)])
@@ -265,15 +263,11 @@ class TestFamilySearch:
 
     def test_ties_pick_the_lowest_index(self):
         inst = random_instance(2, n_domains=3, num_classes=2)
-        k = inst.num_domains
         # a family of constants listed twice: every error appears at two indices
-        twice = FiniteProbeFamily(np.zeros((2 * k, k, 2)), np.concatenate([np.eye(k)] * 2))
-        labels = FiniteProbeFamily(np.zeros((4, 2, 2)), np.concatenate([np.eye(2)] * 2))
-        tied = PartitionInstance(inst.points, inst.joint, inst.train_idx, labels, twice)
+        twice = FiniteProbeFamily(np.zeros((4, 2, 2)), np.concatenate([np.eye(2)] * 2))
+        tied = PartitionInstance(inst.points, inst.joint, inst.train_idx, twice)
         _, idx = _best_label(_label_table(tied), (0, 1, 2))
         assert idx < 2
-        _, idx = _best_domain(tied, (0, 1, 2), twice.predict(tied.points))
-        assert idx < k
 
 
 def _ordered_subsets(k):
@@ -290,12 +284,14 @@ class TestLossTable:
         inst = random_instance(seed, n_domains=n_domains, n_points=6 + seed,
                                num_classes=2 + seed, uniform_priors=uniform)
         losses = _label_table(inst)
-        preds = inst.domain_family.predict(inst.points)
+        family = inst.domain_family
         for subset in _ordered_subsets(n_domains):
             assert _best_label(losses, subset) == reference_best_label(inst, subset)
             for y in (None,) + tuple(range(inst.num_classes)):
+                errs = [eval_G(inst, subset, family[i], conditional_class=y)
+                        for i in range(len(family))]
                 expected = reference_best_domain(inst, subset, conditional_class=y)
-                assert _best_domain(inst, subset, preds, conditional_class=y) == expected
+                assert (min(errs), errs.index(min(errs))) == expected
 
     @pytest.mark.parametrize("seed", range(6))
     def test_partition_expectation_equals_a_split_by_split_reference(self, seed):
@@ -457,6 +453,20 @@ class TestSuites:
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
             run_suite("prop1", trials=0)
+
+    @pytest.mark.parametrize("trials", [True, 2.5, "3"])
+    def test_non_integer_trials_are_rejected_before_any_trial(self, monkeypatch, trials):
+        from dgdx import propositions
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran a trial")
+
+        monkeypatch.setattr(propositions, "make_prop1_instance", refuse)
+        with pytest.raises(ValueError, match="trials must be a positive integer"):
+            run_suite("prop1", trials=trials)
+
+    def test_numpy_integer_trials_run(self):
+        assert run_suite("prop1", trials=np.int64(3)) == run_suite("prop1", trials=3)
 
     def test_trials_past_the_seed_stride_are_rejected_before_any_trial(self, monkeypatch):
         # trial t of seed s is seeded (s << 20) + t: one more trial would be the next seed's first
