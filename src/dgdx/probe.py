@@ -30,11 +30,14 @@ _ZO_STREAMS = 3
 # elements than the Gram: at d = 2,048 on 8,000 points, one BLAS thread, 31-row chunks took
 # 9.8 s against 0.9 s
 _CHUNK_ELEMENTS = 1 << 16
-# elements per 0-1 line-search call, counted as 8 n k per direction (n points, k outputs);
-# each direction is searched on its own, so the batch size changes no result, only the call
-# count.  tracemalloc read _descend_zero_one at 0.6-1.5 times that in float64 values: up to
-# 2.5 MiB for n k <= 32,768, then one direction a call (5.0 MiB at n k = 60,000, 21 at 500,000)
+# float64 values per 0-1 line-search call, counted as (k + _LINE_SEARCH_ROW_VALUES) n per
+# direction (n points, k outputs): the slopes' k, and the rest of _line_minima's temporaries,
+# which do not grow with k.  Each direction is searched on its own, so the batch size changes
+# no result, only the call count.  tracemalloc read a call of _search at (k + 15.2...18.5) n
+# per direction for n >= 5,000 (k + 19.0 at 1,000), so the charge is an upper bound: at most
+# 2 MiB a call while (k + 20) n <= 2^18, then one direction a call
 _LINE_SEARCH_ELEMENTS = 1 << 18
+_LINE_SEARCH_ROW_VALUES = 20
 # probes predicted at once in exact_best_error
 _FAMILY_BATCH = 4096
 # most parameters, k(d + 1), for which the logistic stage builds the Hessian and solves it
@@ -352,16 +355,18 @@ def _line_minima(scores, slopes, targets, weights):
     end when it is unbounded on one side.
     """
     n, k, m = slopes.shape
-    rows = np.arange(n)
-    own = slopes[rows, targets]
+    # one-index gathers of (point, class) rows: row i * k + c holds point i's class c
+    flat_slopes, flat_scores = slopes.reshape(n * k, m), scores.ravel()
+    base = np.arange(n) * k
+    own, own_score = flat_slopes.take(base + targets, axis=0), flat_scores.take(base + targets)
     lo = np.full((n, m), -np.inf)
     hi = np.full((n, m), np.inf)
     never = np.zeros((n, m), dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
         for shift in range(1, k):
-            other = (targets + shift) % k
-            margin = (scores[rows, targets] - scores[rows, other])[:, None]
-            rate = own - slopes[rows, other]
+            other_at = base + (targets + shift) % k
+            margin = (own_score - flat_scores.take(other_at))[:, None]
+            rate = own - flat_slopes.take(other_at, axis=0)
             root = -margin / rate
             np.maximum(lo, np.where(rate > 0, root, -np.inf), out=lo)
             np.minimum(hi, np.where(rate < 0, root, np.inf), out=hi)
@@ -385,6 +390,16 @@ def _line_minima(scores, slopes, targets, weights):
     # a direction that moves no margin (a constant feature) has no finite end at all
     step[np.isinf(left) & np.isinf(right)] = 0.0
     return covered[at, j], step
+
+
+def _search(scores, dirs, z, targets, weights):
+    """``_line_minima`` along the directions ``dirs``, ``(m, k, d + 1)``, from
+    the points' ``scores``; the slopes are the points' scores under each
+    direction, the bias added in place."""
+    part = dirs.transpose(2, 1, 0)  # (d + 1, k, m)
+    slopes = z @ part[:-1].reshape(z.shape[1], -1)
+    slopes += part[-1].ravel()
+    return _line_minima(scores, slopes.reshape(z.shape[0], *dirs.shape[1::-1]), targets, weights)
 
 
 def _descend_zero_one(theta, z, targets, weights):
@@ -428,7 +443,7 @@ def _descend_zero_one(theta, z, targets, weights):
     for i, c in enumerate(classes):
         coords[i * len(rows) : (i + 1) * len(rows), c] = rows
     # directions per line-search call, at least one (see _LINE_SEARCH_ELEMENTS)
-    batch = max(1, _LINE_SEARCH_ELEMENTS // (8 * n * k))
+    batch = max(1, _LINE_SEARCH_ELEMENTS // ((k + _LINE_SEARCH_ROW_VALUES) * n))
     rng = np.random.default_rng(_ZO_SEED)
     best, best_err = theta, start_err
     for _ in range(_ZO_STREAMS):
@@ -438,11 +453,8 @@ def _descend_zero_one(theta, z, targets, weights):
             rand = rng.standard_normal((_ZO_RANDOM_DIRECTIONS, k, dp1))
             rand -= rand.mean(axis=1, keepdims=True)
             dirs = np.concatenate([coords, rand @ basis])
-            found = []
-            for s in range(0, len(dirs), batch):
-                part = dirs[s : s + batch].transpose(2, 1, 0)  # (d + 1, k, m)
-                slopes = (z @ part[:-1].reshape(dp1 - 1, -1) + part[-1].ravel()).reshape(n, k, -1)
-                found.append(_line_minima(scores, slopes, targets, weights))
+            found = [_search(scores, dirs[s : s + batch], z, targets, weights)
+                     for s in range(0, len(dirs), batch)]
             correct, step = np.hstack(found)
             # the first of the best directions, so sums that differ in rounding pick the same one
             i = int(np.argmax(correct >= correct.max() - 1e-12))

@@ -567,6 +567,8 @@ def run_suite(name, trials, seed=0):
         raise ValueError(f"unknown suite {name!r}")
     if not (_is_int(seed) and seed >= 0):
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+    # as Python ints, so a numpy integer argument serializes like a plain one
+    trials, seed = int(trials), int(seed)
     gated_out = passed = failed = 0
     counterexample = None
     for t in range(trials):

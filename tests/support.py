@@ -165,6 +165,57 @@ def best_linear01_error_2d(z, targets, weights=None):
     return max(best, 0.0)
 
 
+def reference_line_minima(scores, slopes, targets, weights):
+    """Exact 0-1 line searches along many directions at once: ``probe._line_minima``
+    as it read before its gathers became one-index takes, kept as the reference
+    its bits are checked against.
+
+    ``scores`` is ``(n, k)`` at the current parameters and ``slopes`` is
+    ``(n, k, m)``, the rate of change of every score along each of ``m``
+    directions.  Along a line, a point is classified correctly on one open
+    interval of the step ``t`` (its margin over every other class is affine
+    in ``t``), so one sort of the ``2n`` interval ends per direction gives
+    the step with the most correctly classified weight.  Returns
+    ``(correct_weight, step)``, each of shape ``(m,)``; the step is the
+    middle of the best interval, or one unit (or magnitude) past its finite
+    end when it is unbounded on one side.
+    """
+    n, k, m = slopes.shape
+    rows = np.arange(n)
+    own = slopes[rows, targets]
+    lo = np.full((n, m), -np.inf)
+    hi = np.full((n, m), np.inf)
+    never = np.zeros((n, m), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for shift in range(1, k):
+            other = (targets + shift) % k
+            margin = (scores[rows, targets] - scores[rows, other])[:, None]
+            rate = own - slopes[rows, other]
+            root = -margin / rate
+            np.maximum(lo, np.where(rate > 0, root, -np.inf), out=lo)
+            np.minimum(hi, np.where(rate < 0, root, np.inf), out=hi)
+            never |= (rate == 0) & (margin <= 0)
+    w = np.where((lo < hi) & ~never, weights[:, None], 0.0).T
+    lo, hi = lo.T, hi.T
+    # ties between ends need no order: only the sum after the last of them is read
+    ends = np.concatenate([lo, hi], axis=1)
+    order = (np.argsort(ends, axis=1) + 2 * n * np.arange(m)[:, None]).ravel()
+    ends = ends.ravel()[order].reshape(m, 2 * n)
+    covered = np.cumsum(np.concatenate([w, -w], axis=1).ravel()[order].reshape(m, 2 * n), axis=1)
+    # the weight covering the open gap after each end, where that gap is not empty
+    covered = np.where(ends[:, :-1] < ends[:, 1:], covered[:, :-1], -np.inf)
+    j = covered.argmax(axis=1)
+    at = np.arange(m)
+    left, right = ends[at, j], ends[at, j + 1]
+    with np.errstate(invalid="ignore"):
+        step = 0.5 * (left + right)
+        step = np.where(np.isinf(left), right - np.maximum(1.0, np.abs(right)), step)
+        step = np.where(np.isinf(right), left + np.maximum(1.0, np.abs(left)), step)
+    # a direction that moves no margin (a constant feature) has no finite end at all
+    step[np.isinf(left) & np.isinf(right)] = 0.0
+    return covered[at, j], step
+
+
 # -- exact searches from scratch ---------------------------------------------------
 
 

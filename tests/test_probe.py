@@ -28,6 +28,8 @@ from support import (
     constant_probe,
     dense_hessian,
     oracle_instance,
+    reference_line_minima,
+    traced_peak,
 )
 
 XOR_Z = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
@@ -210,6 +212,55 @@ class TestZeroOneStage:
         assert correct[0] == pytest.approx(2 / 3)
         assert step[0] == 0.0
 
+    @pytest.mark.parametrize("k", [2, 3, 5, 8])
+    def test_line_search_equals_the_reference_bit_for_bit(self, k):
+        for seed in range(6):
+            rng = np.random.default_rng(100 * k + seed)
+            n, m = 40, 1 + seed % 5
+            scores = rng.normal(size=(n, k))
+            slopes = rng.normal(size=(n, k, m))
+            targets = rng.integers(0, k, size=n)
+            weights = rng.uniform(0.1, 1.0, size=n)
+            # tied scores: a point's target level with, or below, a rival on the line's start
+            scores[:8, (targets[:8] + 1) % k] = scores[np.arange(8), targets[:8]]
+            scores[8:12] = 0.0
+            # duplicate rows, and points that weigh nothing
+            scores[20:26], slopes[20:26], targets[20:26] = scores[:6], slopes[:6], targets[:6]
+            weights[rng.choice(n, size=5, replace=False)] = 0.0
+            # a direction that moves no margin (every interval end infinite), and, with a
+            # second direction, one whose classes move together on half the points
+            slopes[:, :, 0] = rng.normal(size=(n, 1))
+            if m > 1:
+                slopes[::2, :, 1] = slopes[::2, :1, 1]
+            weights /= weights.sum()
+            got = _line_minima(scores, slopes, targets, weights)
+            want = reference_line_minima(scores, slopes, targets, weights)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.shape == b.shape == (m,)
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 7])
+    @pytest.mark.parametrize("share", [0.2, 0.5, 1.25])
+    def test_line_search_charge_bounds_its_memory(self, k, share):
+        # rows at a share of the most for which one direction's charge fits the budget: a
+        # batch of several directions below it, of one above it
+        budget = probe_module._LINE_SEARCH_ELEMENTS
+        per_row = k + probe_module._LINE_SEARCH_ROW_VALUES
+        n = int(share * budget / per_row)
+        batch = max(1, budget // (per_row * n))
+        assert (batch > 1) == (share < 1)
+        rng = np.random.default_rng(k)
+        z = rng.normal(size=(n, 4))
+        targets = rng.integers(0, k, size=n)
+        scores = probe_module._scores(rng.normal(size=(k, 5)), z)
+        dirs = rng.normal(size=(batch, k, 5))
+        _, peak = traced_peak(probe_module._search, scores, dirs, z, targets, np.full(n, 1 / n))
+        # the batch's charge fits the budget unless one direction's alone does not, and the
+        # float64 values the search holds stay within its charge
+        charge = batch * per_row * n
+        assert charge <= budget or batch == 1
+        assert peak <= 8 * charge
+
     def test_reruns_give_identical_probes(self):
         z, t = _blobs(5)
         p1, r1 = fit_probe(z, t, 2)
@@ -262,7 +313,7 @@ class TestZeroOneStage:
         fits = []
         for directions, budget in [
             (per_round, probe_module._LINE_SEARCH_ELEMENTS),
-            (3, 3 * 8 * len(t) * k),
+            (3, 3 * (k + probe_module._LINE_SEARCH_ROW_VALUES) * len(t)),
             (1, 1),
         ]:
             monkeypatch.setattr(probe_module, "_LINE_SEARCH_ELEMENTS", budget)

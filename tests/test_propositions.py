@@ -468,6 +468,12 @@ class TestSuites:
     def test_numpy_integer_trials_run(self):
         assert run_suite("prop1", trials=np.int64(3)) == run_suite("prop1", trials=3)
 
+    def test_numpy_integer_trials_and_seed_serialize_as_ints(self):
+        rep = run_suite("prop1", trials=np.int64(3), seed=np.uint8(2))
+        assert type(rep.trials) is int
+        as_json = json.dumps(dataclasses.asdict(rep))
+        assert as_json == json.dumps(dataclasses.asdict(run_suite("prop1", trials=3, seed=2)))
+
     def test_trials_past_the_seed_stride_are_rejected_before_any_trial(self, monkeypatch):
         # trial t of seed s is seeded (s << 20) + t: one more trial would be the next seed's first
         from dgdx import propositions
