@@ -35,6 +35,9 @@ from .core import (
     RepresentationDataset,
     SPLIT_FIT,
     SPLIT_HOLDOUT,
+    _col_sum,
+    _row_max,
+    _row_sum,
 )
 from .metrics import ConstantSeriesError, diagnose, pearson
 
@@ -274,11 +277,14 @@ class Batch:
     gathers, and the backpropagated ``(n, hidden)`` gradients.  An array is
     allocated on first use and again only when its shape or dtype changes,
     and a batch serves one thread at a time.
+
+    ``label_at`` holds ``i * k + labels[i]`` for the ``k`` classes: the flat
+    index of sample i's label entry in a raveled ``(n, k)`` array, so one
+    ``take`` picks every sample's entry.
     """
 
     x: np.ndarray
-    labels: np.ndarray
-    rows: np.ndarray  # np.arange(n), for picking each sample's label entry
+    label_at: np.ndarray
     groups: tuple  # sample indices of each training domain
     classes: tuple  # (sample indices, centred one-hot domain codes) per class with >= 2 samples
     work: dict = field(default_factory=dict, repr=False, compare=False)
@@ -296,7 +302,7 @@ def make_batch(x, labels, domain_pos, n_groups, num_classes):
         dy = onehot[idx]
         classes.append((idx, dy - dy.mean(axis=0)))
     groups = tuple(np.flatnonzero(domain_pos == g) for g in range(n_groups))
-    return Batch(x, labels, np.arange(x.shape[0]), groups, tuple(classes))
+    return Batch(x, np.arange(x.shape[0]) * num_classes + labels, groups, tuple(classes))
 
 
 def _buffer(batch, name, shape, dtype):
@@ -346,7 +352,7 @@ def _coral_penalty(h2, batch):
     stats = []
     for g, idx in enumerate(batch.groups):
         hc = _gather(batch, ("group", g), h2, idx)
-        mu = hc.mean(axis=0)
+        mu = _col_sum(hc) / idx.size
         hc -= mu
         stats.append((hc, mu, hc.T @ hc / idx.size))
     penalty = 0.0
@@ -384,7 +390,7 @@ def _condinv_penalty(h2, batch):
     ms = []
     for c, (idx, dc) in enumerate(batch.classes):
         rc = _gather(batch, ("class", c), h2, idx)
-        rc -= rc.mean(axis=0)
+        rc -= _col_sum(rc) / idx.size
         m = rc.T @ dc / idx.size  # (d, n_groups)
         penalty += (m * m).sum()
         ms.append(m)
@@ -426,11 +432,11 @@ def objective(params, batch, cfg):
         penalty, penalty_state = _PENALTIES[cfg.algorithm][0](h2, batch)
     logits = _affine(batch, "logits", h2, params["W3"], params["b3"])
     logp = _buffer(batch, "logp", logits.shape, logits.dtype)
-    np.subtract(logits, logits.max(axis=1, keepdims=True), out=logp)
+    np.subtract(logits, _row_max(logits), out=logp)
     e = np.exp(logp, out=_buffer(batch, "exp", logits.shape, logits.dtype))
-    esum = e.sum(axis=1, keepdims=True)
+    esum = _row_sum(e)
     logp -= np.log(esum)
-    nll = -logp[batch.rows, batch.labels]
+    nll = -logp.take(batch.label_at)
 
     q = None
     if cfg.algorithm == ALG_GROUP_DRO:
@@ -462,7 +468,7 @@ def objective_gradient(state, batch, cfg):
     e, esum = state.softmax
     n = batch.x.shape[0]
     dlogits = np.divide(e, esum, out=_buffer(batch, "dlogits", e.shape, e.dtype))
-    dlogits[batch.rows, batch.labels] -= 1.0
+    dlogits.ravel()[batch.label_at] -= 1.0
     if cfg.algorithm == ALG_GROUP_DRO:
         scale = np.zeros(n)
         for g, idx in enumerate(batch.groups):
@@ -472,7 +478,7 @@ def objective_gradient(state, batch, cfg):
         dlogits /= n
 
     wd = WEIGHT_DECAY
-    grads = {"W3": h2.T @ dlogits + wd * params["W3"], "b3": dlogits.sum(axis=0)}
+    grads = {"W3": h2.T @ dlogits + wd * params["W3"], "b3": _col_sum(dlogits)}
     # dh2, then dpre2 in the same array
     dpre2 = np.matmul(dlogits, params["W3"].T, out=_buffer(batch, "dpre2", h2.shape, h2.dtype))
     if state.penalty is not None:
@@ -486,9 +492,9 @@ def objective_gradient(state, batch, cfg):
     dpre1 = np.matmul(dpre2, params["W2"].T, out=_buffer(batch, "dpre1", h1.shape, h1.dtype))
     dpre1 *= np.greater(pre1, 0, out=_buffer(batch, "mask", pre1.shape, np.bool_))
     grads["W2"] = h1.T @ dpre2 + wd * params["W2"]
-    grads["b2"] = dpre2.sum(axis=0)
+    grads["b2"] = _col_sum(dpre2)
     grads["W1"] = batch.x.T @ dpre1 + wd * params["W1"]
-    grads["b1"] = dpre1.sum(axis=0)
+    grads["b1"] = _col_sum(dpre1)
     return grads
 
 
@@ -541,6 +547,8 @@ def train(raw, cfg, start=None):
         params = init_params(raw.spec.input_dim, cfg.hidden_width, raw.spec.num_classes, cfg.seed)
     if params["W1"].shape[0] != raw.spec.input_dim:
         raise ValueError("model input width does not match the dataset")
+    if params["W3"].shape[1] != raw.spec.num_classes:
+        raise ValueError("model output width does not match the dataset's classes")
 
     moving = [k for k in PARAM_KEYS if not (cfg.freeze_features and k in FEATURE_KEYS)]
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import LinearProbe, all_finite
+from .core import LinearProbe, _col_sum, _row_max, _row_sum, all_finite
 
 # bounds of the 0-1 stage of fit_probe (see _descend_zero_one)
 _ZO_MAX_ROUNDS = 8
@@ -164,28 +164,29 @@ def _scores(theta, z):
     return z @ theta[:, :-1].T + theta[:, -1]
 
 
-def _objective_and_grad(theta, z, targets, weights):
+def _objective_and_grad(theta, z, target_at, weights):
     """L2-regularized weighted cross-entropy, its gradient and the softmax.
 
     ``theta`` is ``(k, d + 1)``: class weight rows with the bias as the last
-    column.  The bias is not penalized.
+    column.  The bias is not penalized.  ``target_at`` holds ``i * k +
+    targets[i]``, the flat index of point i's target score in the raveled
+    ``(n, k)`` scores.
     """
-    rows = np.arange(z.shape[0])
     p = _scores(theta, z)
-    u_max = p.max(axis=1, keepdims=True)
-    own = p[rows, targets]
+    u_max = _row_max(p)
+    own = p.take(target_at)
     p -= u_max
     np.exp(p, out=p)
-    denom = p.sum(axis=1)
-    ce = np.log(denom) + u_max[:, 0] - own
-    p /= denom[:, None]
+    denom = _row_sum(p)
+    ce = np.log(denom[:, 0]) + u_max[:, 0] - own
+    p /= denom
     w = theta[:, :-1]
     obj = float(weights @ ce) + 0.5 * _L2_STRENGTH * float((w * w).sum())
     r = weights[:, None] * p
-    r[rows, targets] -= weights
+    r.ravel()[target_at] -= weights
     grad = np.empty_like(theta)
     grad[:, :-1] = r.T @ z + _L2_STRENGTH * w
-    grad[:, -1] = r.sum(axis=0)
+    grad[:, -1] = _col_sum(r)
     return obj, grad, p
 
 
@@ -229,11 +230,11 @@ def _hessian(p, z, weights):
 def _hessian_product(v, p, z, weights):
     """Hessian of the objective times ``v``, ``(k, d + 1)``, without the matrix."""
     q = p * _scores(v, z)
-    q -= p * q.sum(axis=1, keepdims=True)
+    q -= p * _row_sum(q)
     q *= weights[:, None]
     out = np.empty_like(v)
     out[:, :-1] = q.T @ z + _L2_STRENGTH * v[:, :-1]
-    out[:, -1] = q.sum(axis=0)
+    out[:, -1] = _col_sum(q)
     return out
 
 
@@ -320,14 +321,15 @@ def _fit_logistic(z, targets, weights, k):
     """
     theta = np.zeros((k, z.shape[1] + 1))
     precond = _preconditioner(z, weights) if theta.size > _HESSIAN_MAX_PARAMS else None
-    obj, grad, p = _objective_and_grad(theta, z, targets, weights)
+    target_at = np.arange(z.shape[0]) * k + targets
+    obj, grad, p = _objective_and_grad(theta, z, target_at, weights)
     iterations = 0
     while np.abs(grad).max() > _GRADIENT_TOLERANCE and iterations < _MAX_NEWTON_STEPS:
         step = _newton_step(grad, p, z, weights, precond)
         slope = float((grad * step).sum())
         t = 1.0
         while True:
-            trial = _objective_and_grad(theta + t * step, z, targets, weights)
+            trial = _objective_and_grad(theta + t * step, z, target_at, weights)
             if trial[0] <= obj + 1e-4 * t * slope or t < 1e-10:
                 break
             t *= 0.5

@@ -186,16 +186,22 @@ def _subset_error(losses, subsets):
 def _domain_weights(inst, domain_subset, tasks):
     """The point distribution of each domain of an ordered subset for each
     task, ``(T, |A|, m)``: task ``None`` takes the marginals, and task ``y``
-    the conditionals on class ``y``, all divided out in one step."""
-    joint = inst.joint[list(domain_subset)]
+    the conditionals on class ``y``, all divided out in one step.  When the
+    tasks are every class in order, over every domain in order, nothing is
+    gathered or scattered: the joint is divided by its priors as it is."""
+    every = (list(tasks) == list(range(inst.num_classes))
+             and list(domain_subset) == list(range(inst.num_domains)))
+    joint = inst.joint if every else inst.joint[list(domain_subset)]
     classes = [y for y in tasks if y is not None]
-    pri = joint.sum(axis=1)[:, classes]
+    pri = joint.sum(axis=1) if every else joint.sum(axis=1)[:, classes]
     zero = pri <= 0
     if zero.any():
         raise ValueError(
             f"class {classes[int(np.argmax(zero.any(axis=0)))]} has zero prior in some "
             "domain; the conditional metric is undefined"
         )
+    if every:
+        return (joint / pri[:, None, :]).transpose(2, 0, 1)
     weights = np.empty((len(tasks),) + joint.shape[:2])
     weights[[t for t, y in enumerate(tasks) if y is not None]] = (
         joint[:, :, classes] / pri[:, None, :]

@@ -2,13 +2,25 @@
 
 import json
 import tracemalloc
+from dataclasses import dataclass, field
 
 import numpy as np
 from hypothesis import strategies as st
 
 from dgdx.core import LinearProbe
-from dgdx.expt import PARAM_KEYS
-from dgdx.probe import FiniteProbeFamily, _as_points
+from dgdx.expt import (
+    ALG_COND_INVARIANCE,
+    ALG_CORAL,
+    ALG_GROUP_DRO,
+    PARAM_KEYS,
+    PENALTY_SCALE,
+    WEIGHT_DECAY,
+    ObjectiveState,
+    _affine,
+    _buffer,
+    _gather,
+)
+from dgdx.probe import _L2_STRENGTH, FiniteProbeFamily, _as_points, _scores
 
 
 def pack_params(params):
@@ -353,3 +365,187 @@ def without_solver_bits(node):
         return {k: without_solver_bits(v) for k, v in node.items()
                 if k not in ("objective", "grad_max")}
     return node
+
+
+# -- reference objectives ------------------------------------------------------------
+#
+# The training objective and the probe objective as they read before their reductions over
+# short rows went through the helpers of ``dgdx.core`` and their label entries through one
+# flat index, kept as the references whose bits the current code is checked against.
+
+
+@dataclass(frozen=True)
+class ReferenceBatch:
+    """A training batch as the reference objective reads it: the labels, and
+    ``rows`` = ``np.arange(n)`` to pick each sample's label entry."""
+
+    x: np.ndarray
+    labels: np.ndarray
+    rows: np.ndarray
+    groups: tuple
+    classes: tuple
+    work: dict = field(default_factory=dict, repr=False, compare=False)
+
+
+def reference_batch(batch, labels):
+    """The ``ReferenceBatch`` of ``expt.make_batch``'s ``batch`` of samples with ``labels``."""
+    return ReferenceBatch(batch.x, labels, np.arange(batch.x.shape[0]), batch.groups,
+                          batch.classes)
+
+
+def _reference_coral_penalty(h2, batch):
+    d = h2.shape[1]
+    stats = []
+    for g, idx in enumerate(batch.groups):
+        hc = _gather(batch, ("group", g), h2, idx)
+        mu = hc.mean(axis=0)
+        hc -= mu
+        stats.append((hc, mu, hc.T @ hc / idx.size))
+    penalty = 0.0
+    for a, (_, mu_a, cov_a) in enumerate(stats):
+        for _, mu_b, cov_b in stats[a + 1:]:
+            dmu, dcov = mu_a - mu_b, cov_a - cov_b
+            penalty += (dmu @ dmu) / d + (dcov * dcov).sum() / (d * d)
+    return penalty / max(len(stats) * (len(stats) - 1) // 2, 1), tuple(stats)
+
+
+def _reference_coral_grad(grad, batch, stats):
+    n_groups, d = len(stats), grad.shape[1]
+    n_pairs = max(n_groups * (n_groups - 1) // 2, 1)
+    mu_sum = sum(mu for _, mu, _ in stats)
+    cov_sum = sum(cov for _, _, cov in stats)
+    for idx, (hc, mu, cov) in zip(batch.groups, stats):
+        s = 2.0 / (n_pairs * d * idx.size)
+        share = hc @ ((2.0 * s / d) * (n_groups * cov - cov_sum))
+        share += s * (n_groups * mu - mu_sum)
+        grad[idx] = share
+
+
+def _reference_condinv_penalty(h2, batch):
+    penalty = 0.0
+    ms = []
+    for c, (idx, dc) in enumerate(batch.classes):
+        rc = _gather(batch, ("class", c), h2, idx)
+        rc -= rc.mean(axis=0)
+        m = rc.T @ dc / idx.size  # (d, n_groups)
+        penalty += (m * m).sum()
+        ms.append(m)
+    scale = PENALTY_SCALE / max(len(batch.classes), 1)
+    return penalty * scale, tuple(ms)
+
+
+def _reference_condinv_grad(grad, batch, ms):
+    scale = 2.0 * PENALTY_SCALE / max(len(batch.classes), 1)
+    for c, ((idx, dc), m) in enumerate(zip(batch.classes, ms)):
+        share = _buffer(batch, ("class", c), (idx.size, grad.shape[1]), grad.dtype)
+        grad[idx] = np.matmul(dc, (scale / idx.size) * m.T, out=share)
+
+
+_REFERENCE_PENALTIES = {
+    ALG_CORAL: (_reference_coral_penalty, _reference_coral_grad),
+    ALG_COND_INVARIANCE: (_reference_condinv_penalty, _reference_condinv_grad),
+}
+
+
+def reference_objective(params, batch, cfg):
+    """``expt.objective`` on a ``ReferenceBatch``."""
+    pre1 = _affine(batch, "pre1", batch.x, params["W1"], params["b1"])
+    h1 = np.maximum(pre1, 0.0, out=_buffer(batch, "h1", pre1.shape, pre1.dtype))
+    pre2 = _affine(batch, "pre2", h1, params["W2"], params["b2"])
+    h2 = np.maximum(pre2, 0.0, out=_buffer(batch, "h2", pre2.shape, pre2.dtype))
+    penalty, penalty_state = 0.0, None  # no penalty, or beta is 0
+    if cfg.algorithm in _REFERENCE_PENALTIES and cfg.beta > 0:
+        penalty, penalty_state = _REFERENCE_PENALTIES[cfg.algorithm][0](h2, batch)
+    logits = _affine(batch, "logits", h2, params["W3"], params["b3"])
+    logp = _buffer(batch, "logp", logits.shape, logits.dtype)
+    np.subtract(logits, logits.max(axis=1, keepdims=True), out=logp)
+    e = np.exp(logp, out=_buffer(batch, "exp", logits.shape, logits.dtype))
+    esum = e.sum(axis=1, keepdims=True)
+    logp -= np.log(esum)
+    nll = -logp[batch.rows, batch.labels]
+
+    q = None
+    if cfg.algorithm == ALG_GROUP_DRO:
+        group_losses = np.array([nll[idx].mean() for idx in batch.groups])
+        t = cfg.beta * group_losses
+        tmax = t.max()
+        lse = tmax + np.log(np.exp(t - tmax).sum())
+        data_term = lse / cfg.beta
+        q = np.exp(t - lse)
+    else:
+        data_term = nll.mean()
+
+    obj = data_term + cfg.beta * penalty
+    for key in ("W1", "W2", "W3"):
+        obj += 0.5 * WEIGHT_DECAY * float((params[key] ** 2).sum())
+    return obj, ObjectiveState(params, (pre1, h1, pre2, h2, logits), (e, esum), q,
+                               penalty_state)
+
+
+def reference_objective_gradient(state, batch, cfg):
+    """``expt.objective_gradient`` on a ``ReferenceBatch``."""
+    params = state.params
+    pre1, h1, pre2, h2, _ = state.forward
+    e, esum = state.softmax
+    n = batch.x.shape[0]
+    dlogits = np.divide(e, esum, out=_buffer(batch, "dlogits", e.shape, e.dtype))
+    dlogits[batch.rows, batch.labels] -= 1.0
+    if cfg.algorithm == ALG_GROUP_DRO:
+        scale = np.zeros(n)
+        for g, idx in enumerate(batch.groups):
+            scale[idx] = state.q[g] / idx.size
+        dlogits *= scale[:, None]
+    else:
+        dlogits /= n
+
+    wd = WEIGHT_DECAY
+    grads = {"W3": h2.T @ dlogits + wd * params["W3"], "b3": dlogits.sum(axis=0)}
+    # dh2, then dpre2 in the same array
+    dpre2 = np.matmul(dlogits, params["W3"].T, out=_buffer(batch, "dpre2", h2.shape, h2.dtype))
+    if state.penalty is not None:
+        dh2_pen = _buffer(batch, "penalty grad", h2.shape, h2.dtype)
+        dh2_pen.fill(0.0)
+        _REFERENCE_PENALTIES[cfg.algorithm][1](dh2_pen, batch, state.penalty)
+        dh2_pen *= cfg.beta
+        dpre2 += dh2_pen
+    dpre2 *= np.greater(pre2, 0, out=_buffer(batch, "mask", pre2.shape, np.bool_))
+    # dh1, then dpre1 in the same array
+    dpre1 = np.matmul(dpre2, params["W2"].T, out=_buffer(batch, "dpre1", h1.shape, h1.dtype))
+    dpre1 *= np.greater(pre1, 0, out=_buffer(batch, "mask", pre1.shape, np.bool_))
+    grads["W2"] = h1.T @ dpre2 + wd * params["W2"]
+    grads["b2"] = dpre2.sum(axis=0)
+    grads["W1"] = batch.x.T @ dpre1 + wd * params["W1"]
+    grads["b1"] = dpre1.sum(axis=0)
+    return grads
+
+
+def reference_probe_objective_and_grad(theta, z, targets, weights):
+    """``probe._objective_and_grad``, taking the targets themselves."""
+    rows = np.arange(z.shape[0])
+    p = _scores(theta, z)
+    u_max = p.max(axis=1, keepdims=True)
+    own = p[rows, targets]
+    p -= u_max
+    np.exp(p, out=p)
+    denom = p.sum(axis=1)
+    ce = np.log(denom) + u_max[:, 0] - own
+    p /= denom[:, None]
+    w = theta[:, :-1]
+    obj = float(weights @ ce) + 0.5 * _L2_STRENGTH * float((w * w).sum())
+    r = weights[:, None] * p
+    r[rows, targets] -= weights
+    grad = np.empty_like(theta)
+    grad[:, :-1] = r.T @ z + _L2_STRENGTH * w
+    grad[:, -1] = r.sum(axis=0)
+    return obj, grad, p
+
+
+def reference_hessian_product(v, p, z, weights):
+    """``probe._hessian_product``."""
+    q = p * _scores(v, z)
+    q -= p * q.sum(axis=1, keepdims=True)
+    q *= weights[:, None]
+    out = np.empty_like(v)
+    out[:, :-1] = q.T @ z + _L2_STRENGTH * v[:, :-1]
+    out[:, -1] = q.sum(axis=0)
+    return out

@@ -15,7 +15,10 @@ from dgdx.core import (
     ROLE_TEST,
     ROLE_TRAIN,
     RepresentationDataset,
+    _col_sum,
     _record_dtype,
+    _row_max,
+    _row_sum,
     load_dump,
     save_dump,
     sniff_format,
@@ -694,3 +697,34 @@ class TestLinearProbe:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="bias"):
             LinearProbe(np.zeros((2, 3)), np.zeros(3))
+
+
+def _reduction_inputs(n, k, rng):
+    """Rows of normal draws, of magnitudes spread over 1e-300..1e300 with both
+    signs, and of NaN, infinities, signed zeros and extremes mixed."""
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0, -1.0, 1e300, -1e300,
+                        1e-300, 5e-324])
+    yield rng.normal(size=(n, k))
+    yield rng.normal(size=(n, k)) * 10.0 ** rng.integers(-300, 301, size=(n, k))
+    yield rng.choice(special, size=(n, k))
+    yield rng.choice(np.array([0.0, -0.0]), size=(n, k))
+
+
+def _same_bits_or_both_nan(got, want):
+    # a NaN result can carry either sign bit when NaNs of both signs meet (see core)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    same = got.view(np.uint64) == want.view(np.uint64)
+    assert (same | (np.isnan(got) & np.isnan(want))).all()
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 48, 2880])
+def test_short_row_reductions_equal_the_library_bits(n, k):
+    # k = 1 takes _col_sum's library call, k >= 8 the row reductions' library calls
+    rng = np.random.default_rng(100 * n + k)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for a in _reduction_inputs(n, k, rng):
+            _same_bits_or_both_nan(_row_max(a), a.max(axis=1, keepdims=True))
+            _same_bits_or_both_nan(_row_sum(a), a.sum(axis=1, keepdims=True))
+            _same_bits_or_both_nan(_col_sum(a), a.sum(axis=0))
+            _same_bits_or_both_nan(_col_sum(a) / n, a.mean(axis=0))

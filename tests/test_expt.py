@@ -18,7 +18,14 @@ from dgdx.core import (
 )
 from dgdx.metrics import diagnose
 
-from support import pack_params, traced_peak, unpack_params
+from support import (
+    pack_params,
+    reference_batch,
+    reference_objective,
+    reference_objective_gradient,
+    traced_peak,
+    unpack_params,
+)
 
 
 SMALL_SPEC = expt.SyntheticColoredSpec(
@@ -344,7 +351,49 @@ class TestWorkspace:
             assert np.shares_memory(first, second)
 
 
+def _bits(a):
+    a = np.asarray(a)
+    return a.dtype, a.shape, a.tobytes()
+
+
+# each algorithm, with a penalty or temperature where it takes one
+_REFERENCE_CASES = [("erm", 0.0), ("coral", 1.7), ("cond-invariance", 0.9), ("group-dro", 2.5)]
+
+
+class TestReferenceObjective:
+    @pytest.mark.parametrize("alg,beta", _REFERENCE_CASES)
+    @pytest.mark.parametrize("width", [1, 12])
+    @pytest.mark.parametrize("num_classes", [2, 3, 9])
+    def test_objective_and_gradient_equal_the_reference_bits(self, alg, beta, width,
+                                                             num_classes):
+        # width 1 reaches the one-column sums, 9 classes the rows of 8 and more columns
+        spec = replace(SMALL_SPEC, num_classes=num_classes, samples_per_domain=10 * num_classes)
+        x, labels, pos, n_groups = expt._fit_batch(expt.make_dataset(spec))
+        cfg = small_cfg(algorithm=alg, beta=beta, hidden_width=width)
+        batch = expt.make_batch(x, labels, pos, n_groups, num_classes)
+        ref_batch = reference_batch(batch, labels)
+        for seed in range(2):
+            p = expt.init_params(spec.input_dim, width, num_classes, seed=seed)
+            p["b1"] += 0.5  # some live units at width 1
+            obj, state = expt.objective(p, batch, cfg)
+            ref_obj, ref_state = reference_objective(p, ref_batch, cfg)
+            assert _bits(obj) == _bits(ref_obj)
+            for got, want in zip(state.softmax, ref_state.softmax):
+                assert _bits(got) == _bits(want)
+            grads = expt.objective_gradient(state, batch, cfg)
+            ref_grads = reference_objective_gradient(ref_state, ref_batch, cfg)
+            assert grads.keys() == ref_grads.keys()
+            for k in ref_grads:
+                assert _bits(grads[k]) == _bits(ref_grads[k]), k
+
+
 class TestTrain:
+    def test_start_of_another_output_width_is_rejected(self):
+        raw = expt.make_dataset(SMALL_SPEC)
+        start = expt.init_params(SMALL_SPEC.input_dim, 8, SMALL_SPEC.num_classes + 1, 0)
+        with pytest.raises(ValueError, match="output width"):
+            expt.train(raw, small_cfg(), start=start)
+
     def test_zero_learning_rate_keeps_parameters(self):
         raw = expt.make_dataset(SMALL_SPEC)
         model = expt.train(raw, small_cfg(learning_rate=0.0))

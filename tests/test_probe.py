@@ -18,6 +18,7 @@ from dgdx.probe import (
     _hessian_product,
     _line_minima,
     _newton_step,
+    _objective_and_grad,
     _preconditioner,
 )
 
@@ -28,7 +29,9 @@ from support import (
     constant_probe,
     dense_hessian,
     oracle_instance,
+    reference_hessian_product,
     reference_line_minima,
+    reference_probe_objective_and_grad,
     traced_peak,
 )
 
@@ -711,3 +714,25 @@ class TestEnumerationOracle:
     def test_separable_case_zero(self):
         z, t = _clusters(13, n=15, sep=4.0)
         assert best_linear01_error_2d(z, t) == 0.0
+
+
+@pytest.mark.parametrize("k", [2, 5, 9])
+def test_objective_and_hessian_product_equal_the_reference_bits(k):
+    # 9 outputs reach the rows of 8 and more columns, where the row sums keep the library's
+    rng = np.random.default_rng(k)
+    n, d = 300, 4
+    z = rng.normal(size=(n, d))
+    targets = rng.integers(0, k, size=n)
+    weights = rng.uniform(0.1, 1.0, size=n)
+    weights /= weights.sum()
+    target_at = np.arange(n) * k + targets
+    for scale in (0.0, 1.0, 30.0):
+        theta = scale * rng.normal(size=(k, d + 1))
+        got = _objective_and_grad(theta, z, target_at, weights)
+        want = reference_probe_objective_and_grad(theta, z, targets, weights)
+        assert type(got[0]) is type(want[0]) and got[0] == want[0]
+        for a, b in zip(got[1:], want[1:]):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        v = rng.normal(size=(k, d + 1))
+        assert (_hessian_product(v, got[2], z, weights).tobytes()
+                == reference_hessian_product(v, want[2], z, weights).tobytes())

@@ -13,6 +13,7 @@ from dgdx.propositions import (
     PartitionInstance,
     PropositionReport,
     _best_label,
+    _domain_weights,
     _label_table,
     _random_family,
     check_orderings,
@@ -233,6 +234,18 @@ class TestEvalG:
                                    inst.label_family, dom_family)
         with pytest.raises(ValueError, match="zero prior"):
             eval_G(broken, [0, 1, 2], dom_family[0], conditional_class=y)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("num_classes", [1, 2, 3])
+def test_every_class_weights_equal_the_general_rule_bits(seed, num_classes):
+    inst = random_instance(seed, n_domains=5, n_points=9, num_classes=num_classes,
+                           uniform_priors=False)
+    every = _domain_weights(inst, range(inst.num_domains), range(num_classes))
+    # a marginal task sends the same classes through the gather-and-scatter rule
+    general = _domain_weights(inst, range(inst.num_domains), (*range(num_classes), None))
+    assert every.shape == general[:num_classes].shape
+    assert np.ascontiguousarray(every).tobytes() == general[:num_classes].tobytes()
 
 
 class TestFamilySearch:
